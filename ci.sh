@@ -66,6 +66,13 @@ fi
 echo "== cargo build --release"
 cargo build --release || fail=1
 
+echo "== cargo check perfbench (the benchmark still compiles)"
+# perfbench is a workspace of its own, so neither the build above nor the
+# tests below compile it: without this check an API cut that breaks the
+# benchmark would surface only when the benchmark runs. --locked also
+# fails when a dependency change would rewrite perfbench/Cargo.lock.
+cargo check --release --offline --locked --manifest-path perfbench/Cargo.toml || fail=1
+
 echo "== cargo test -q"
 cargo test -q --workspace --release || fail=1
 
@@ -132,13 +139,14 @@ cargo run --release -q -p rfkit-obs --bin rfkit-trace -- diff \
 
 echo "== bench_ac perf smoke (tiny grid, traced)"
 # Runs the AC benchmark on a tiny grid with tracing armed. This proves
-# cheaply that: the fast path stays bit-identical to the legacy path and
-# the batch path stays inside SWEEP_TOL (bench_ac asserts both per grid
-# point before timing); the structure classifier actually picked the
-# bordered kernel for the 50+-node multi-stage workload and the shared
-# plan cache saw hits; the pivot-reuse engine refactored far fewer times
-# than it solved grid points (4 workloads x 16 points vs a bound of 8);
-# the memo-cache counters fire; and results/BENCH_ac.json is written.
+# cheaply that: the batch path stays inside SWEEP_TOL of the legacy
+# oracle (bench_ac asserts it per grid point before timing, along with
+# one workspace warm-up per sweep); the structure classifier actually
+# picked the bordered kernel for the 50+-node multi-stage workload and
+# the shared plan cache saw hits; the pivot-reuse engine refactored far
+# fewer times than it solved grid points (4 workloads x 16 points vs a
+# bound of 8); the memo-cache counters fire, including evictions from
+# the deliberately undersized cache; and results/BENCH_ac.json is written.
 # Timings on the tiny grid are irrelevant; the full sweep is `bench_ac`
 # with default arguments.
 rm -f results/TRACE_bench_ac.jsonl results/BENCH_ac_smoke.json \
@@ -157,6 +165,7 @@ cargo run --release -q -p rfkit-obs --bin rfkit-trace -- --json \
   --expect circuit.ac.sweep.path.bordered \
   --expect-min circuit.ac.sweep.points:64 \
   --expect-min plan.cache.hit:1 \
+  --expect-min design.cache.evict:1 \
   --expect-max circuit.ac.sweep.refactors:8 \
   results/TRACE_bench_ac.jsonl >/dev/null || fail=1
 

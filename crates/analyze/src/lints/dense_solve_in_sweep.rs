@@ -11,8 +11,9 @@
 //! loop *nest* (real nesting from the AST, not brace counting) has a
 //! grid-like identifier in any loop header — anything containing
 //! `freq` or `grid`, or named `band`, `sweep`, `points` or `omega`.
-//! Per-point *solves with a pre-computed factorization* (`solve_into`,
-//! `solve_in_place`) are fine and not flagged.
+//! Substitutions against a factorization computed outside the loop
+//! (`LuWorkspace::solve_into`, `BandedLu::solve_in_place`) are fine and
+//! not flagged.
 
 use crate::dataflow::CallKind;
 use crate::report::{Finding, Severity};

@@ -8,7 +8,10 @@
 //! no other function in the same file calls (a call-graph root —
 //! internal `solve_dense`-style helpers reached from a hooked
 //! dispatcher are exempt). The entry must reach a `faults::inject`
-//! call through the same-file call graph.
+//! call through the same-file call graph. In the tree today the entries
+//! are `solve_dc` (the DC ladder), `sweep_batch` (the only solve of a
+//! compiled plan) and `hb::solve`; the legacy `s_matrix` oracle carries
+//! its own hook at the same `ac.solve` site.
 
 use crate::dataflow::{CallKind, FnAnalysis};
 use crate::report::{Finding, Severity};

@@ -20,11 +20,9 @@ pub const DESCRIPTION: &str =
 /// Identifiers whose call results carry a solver error taxonomy worth
 /// keeping. Matched exactly against call names inside the discarding
 /// statement.
-const SOLVER_IDENTS: [&str; 8] = [
+const SOLVER_IDENTS: [&str; 6] = [
     "solve",
     "solve_dc",
-    "solve_dc_robust",
-    "solve_into",
     "lu_into",
     "evaluate_robust",
     "evaluate_with",
@@ -120,8 +118,8 @@ mod tests {
     fn wildcard_let_of_solver_result_is_flagged() {
         let src = "\
 pub fn f(c: &Circuit) {
-    let _ = solve_dc(c);
-    let _ = c.solve_dc_robust(&policy);
+    let _ = solve_dc(c, &policy);
+    let _ = solve_dc(c, &policy).map(|s| s.iterations);
 }
 ";
         let hits = run("crates/x/src/lib.rs", src);
@@ -146,10 +144,10 @@ pub fn f(m: &Matrix, rhs: &[f64]) {
     #[test]
     fn quiet_on_handled_results_and_unrelated_discards() {
         let src = "\
-pub fn f(c: &Circuit) -> Result<(), DcError> {
-    let sol = solve_dc(c)?;
+pub fn f(c: &Circuit) -> Result<(), SolveError> {
+    let sol = solve_dc(c, &policy)?;
     let _ = unrelated_cleanup();
-    match solve_dc(c) {
+    match solve_dc(c, &policy) {
         Ok(_) => {}
         Err(e) => log(e),
     }

@@ -8,7 +8,7 @@
 //! best of three batches. Run with `cargo bench -p lna-bench`.
 
 use lna::{band_objectives, Amplifier, BandSpec, DesignVariables};
-use rfkit_circuit::{solve_dc, two_port_s, AcStamps, AcWorkspace, Circuit, StampPlan};
+use rfkit_circuit::{solve_dc, two_port_s, AcStamps, Circuit, RetryPolicy};
 use rfkit_device::dc::{Angelov, DcModel as _};
 use rfkit_device::Phemt;
 use rfkit_net::{Abcd, NoisyAbcd};
@@ -76,15 +76,6 @@ fn main() {
     bench_kernel("mna_ladder_two_port_s", 20_000, || {
         black_box(two_port_s(&ladder, 1.5e9, &AcStamps::none()).expect("solves"));
     });
-    let ladder_plan = StampPlan::compile(&ladder).expect("ladder compiles");
-    let mut ladder_ws = AcWorkspace::new();
-    bench_kernel("mna_ladder_plan_two_port_s", 20_000, || {
-        black_box(
-            ladder_plan
-                .two_port_s(1.5e9, &AcStamps::none(), &mut ladder_ws)
-                .expect("solves"),
-        );
-    });
     bench_kernel("dc_newton_biased_fet", 2_000, || {
         let mut net = Circuit::new();
         net.vsource("vdd", "gnd", 5.0)
@@ -97,7 +88,7 @@ fn main() {
                 Box::new(Angelov),
                 Angelov.default_params(),
             );
-        black_box(solve_dc(&net).expect("converges"));
+        black_box(solve_dc(&net, &RetryPolicy::default()).expect("converges"));
     });
 
     // Device model.

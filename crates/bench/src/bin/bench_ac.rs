@@ -6,18 +6,17 @@
 //! the design example verifies, the reference netlist with the
 //! linearized-pHEMT two-port stamps applied, and a 50+-node multi-stage
 //! chain that exercises the bordered-block solve path — each timed
-//! through three engines:
+//! through two engines:
 //!
-//! * `legacy`: per-call `two_port_s` (allocates every matrix every call);
-//! * `fast`: `StampPlan::compile` once + per-point `AcWorkspace` reuse
-//!   (compile time inside the timed region);
+//! * `legacy`: per-call `two_port_s` (allocates every matrix every call),
+//!   the reference oracle;
 //! * `batch`: `shared_plan` + `StampPlan::sweep_batch` — the pivot-reuse
 //!   / banded / bordered engine behind the process-wide plan cache
 //!   (cache lookup inside the timed region).
 //!
-//! Before any timing the legacy and fast paths are asserted
-//! **bit-identical** on every grid point, and the batch path is pinned
-//! to legacy within the documented `SWEEP_TOL` contract.
+//! Before any timing the batch path is pinned to legacy within the
+//! documented `SWEEP_TOL` contract on every grid point, and its
+//! workspace counters are checked (one warm-up per sweep).
 //!
 //! Timing uses adaptive best-of repetition (`time_until_stable`): each
 //! region repeats until its minimum stops improving, and the JSON
@@ -26,10 +25,10 @@
 //! repetition budget — not inferred from the core count.
 //!
 //! The run also exercises the snapped-design memo cache (guaranteed hits
-//! *and* capacity evictions — the deliberately undersized run emits a
-//! `design.cache.thrash` event), so a traced invocation carries
-//! `design.cache.*`, `plan.cache.*` and `circuit.ac.sweep.*` counters
-//! for the CI `--expect` stage. Results go to `results/BENCH_ac.json`.
+//! *and* capacity evictions from a deliberately undersized cache), so a
+//! traced invocation carries `design.cache.*` (`evict` included),
+//! `plan.cache.*` and `circuit.ac.sweep.*` counters for the CI `--expect`
+//! stage. Results go to `results/BENCH_ac.json`.
 //!
 //! Usage: `bench_ac [--points N] [--reps N] [--out PATH]` (defaults
 //! 801 / 5 / `results/BENCH_ac.json`; `--reps` is the *minimum*
@@ -43,13 +42,16 @@ use lna::{
 };
 use lna_bench::timing::time_until_stable;
 use rfkit_circuit::{
-    shared_plan, two_port_s, AcStamps, AcWorkspace, Circuit, StampPlan, SWEEP_TOL,
+    shared_plan, shared_plan_cache, two_port_s, AcStamps, AcWorkspace, Circuit, StampPlan,
+    SWEEP_TOL,
 };
 use rfkit_device::smallsignal::NoiseTemperatures;
 use rfkit_device::Phemt;
 use rfkit_num::linspace;
 use rfkit_num::rng::Rng64;
+use rfkit_num::MemoMap;
 use std::hint::black_box;
+use std::sync::Arc;
 
 /// The design variables of the committed reference schematic (the same
 /// values `reference_design_circuit` hard-coded before the builders
@@ -113,7 +115,6 @@ const TIMING_TOL: f64 = 0.05;
 struct SweepResult {
     name: &'static str,
     legacy_s: f64,
-    fast_s: f64,
     batch_s: f64,
     points: usize,
     reps_used: usize,
@@ -123,27 +124,20 @@ struct SweepResult {
 }
 
 impl SweepResult {
-    fn speedup(&self) -> f64 {
-        self.legacy_s / self.fast_s
-    }
     fn batch_speedup(&self) -> f64 {
         self.legacy_s / self.batch_s
     }
     fn legacy_us_per_point(&self) -> f64 {
         self.legacy_s / self.points as f64 * 1e6
     }
-    fn fast_us_per_point(&self) -> f64 {
-        self.fast_s / self.points as f64 * 1e6
-    }
     fn batch_us_per_point(&self) -> f64 {
         self.batch_s / self.points as f64 * 1e6
     }
 }
 
-/// Asserts legacy/fast bit-identity and legacy/batch `SWEEP_TOL`
-/// agreement across the whole grid, then times the three engines.
-/// Returns the timings plus the workspace counters of the (untimed)
-/// equivalence sweep as the no-allocation evidence.
+/// Asserts legacy/batch `SWEEP_TOL` agreement across the whole grid, then
+/// times both engines. Returns the timings plus the workspace counters of
+/// the (untimed) equivalence sweep as the no-allocation evidence.
 fn bench_sweep(
     name: &'static str,
     c: &Circuit,
@@ -154,14 +148,8 @@ fn bench_sweep(
     let max_reps = min_reps.saturating_mul(10);
     let plan = shared_plan(c).expect("netlist compiles");
     let mut ws = AcWorkspace::new();
-    for &f in grid {
-        let legacy = two_port_s(c, f, stamps).expect("legacy solves");
-        let fast = plan.two_port_s(f, stamps, &mut ws).expect("fast solves");
-        assert_eq!(legacy, fast, "{name}: paths diverged at {f} Hz");
-    }
-    let (warmups, reuses) = (ws.warmup_count(), ws.reuse_count());
-
     let batch = plan.sweep_batch(grid, stamps, &mut ws);
+    let (warmups, reuses) = (ws.warmup_count(), ws.reuse_count());
     assert!(
         batch.failures().is_empty(),
         "{name}: batch sweep had failures"
@@ -188,18 +176,9 @@ fn bench_sweep(
             black_box(two_port_s(c, f, stamps).expect("legacy solves"));
         }
     });
-    // Compile + workspace construction inside the timed region: the fast
-    // path must win including its one-time setup, not just steady-state.
-    let (fast_s, r2, s2) = time_until_stable(min_reps, max_reps, TIMING_TOL, || {
-        let plan = StampPlan::compile(c).expect("compiles");
-        let mut ws = AcWorkspace::new();
-        for &f in grid {
-            black_box(plan.two_port_s(f, stamps, &mut ws).expect("fast solves"));
-        }
-    });
     // Batch path: shared-plan lookup inside the timed region (a cache hit
     // after the equivalence sweep above), then one batched call.
-    let (batch_s, r3, s3) = time_until_stable(min_reps, max_reps, TIMING_TOL, || {
+    let (batch_s, r2, s2) = time_until_stable(min_reps, max_reps, TIMING_TOL, || {
         let plan = shared_plan(c).expect("cached plan");
         let mut ws = AcWorkspace::new();
         black_box(plan.sweep_batch(grid, stamps, &mut ws));
@@ -207,20 +186,17 @@ fn bench_sweep(
     let r = SweepResult {
         name,
         legacy_s,
-        fast_s,
         batch_s,
         points: grid.len(),
-        reps_used: r1.max(r2).max(r3),
-        stable: s1 && s2 && s3,
+        reps_used: r1.max(r2),
+        stable: s1 && s2,
         path,
         refactors,
     };
     println!(
-        "{:>24}: legacy {:>9.1} us/pt | fast {:>8.1} us/pt ({:.2}x) | batch {:>8.1} us/pt ({:.2}x, {}, {} refactor(s))",
+        "{:>24}: legacy {:>9.1} us/pt | batch {:>8.1} us/pt ({:.2}x, {}, {} refactor(s))",
         r.name,
         r.legacy_us_per_point(),
-        r.fast_us_per_point(),
-        r.speedup(),
         r.batch_us_per_point(),
         r.batch_speedup(),
         r.path,
@@ -242,8 +218,8 @@ struct CacheStats {
 /// Runs the memo cache against snapped optimizer-style candidates. The
 /// main cache is sized to the working set (no evictions, guaranteed
 /// hits); a deliberately undersized second cache forces capacity
-/// evictions past its hit count, so a traced run carries both the
-/// `design.cache.evict` counter and the `design.cache.thrash` event.
+/// evictions past its hit count, so a traced run's `design.cache.evict`
+/// counter is nonzero.
 fn exercise_cache(device: &Phemt) -> CacheStats {
     let band = BandSpec::new(1.1e9, 1.7e9, 3);
     let mut rng = Rng64::new(0xbe_c4c4e);
@@ -274,8 +250,8 @@ fn exercise_cache(device: &Phemt) -> CacheStats {
     }
     assert_eq!(cache.evictions(), 0, "main cache must hold its working set");
 
-    // Capacity-2 cache over 6 distinct designs: forced evictions exceed
-    // hits -> the cache emits `design.cache.thrash` on a traced run.
+    // Capacity-2 cache over 6 distinct designs: forced evictions and no
+    // hits, the signature of a thrashing cache.
     let tiny = DesignCache::new(2);
     let tiny_obj = cached_band_objectives(device, &band, &tiny);
     for x in xs.iter().take(working_set) {
@@ -291,12 +267,6 @@ fn exercise_cache(device: &Phemt) -> CacheStats {
         tiny_capacity: 2,
         tiny_evictions: tiny.evictions(),
     }
-}
-
-struct PlanCacheStats {
-    hits: u64,
-    misses: u64,
-    entries: usize,
 }
 
 struct AggOverhead {
@@ -368,7 +338,7 @@ fn to_json(
     warmups: u64,
     reuses: u64,
     cache: &CacheStats,
-    plans: &PlanCacheStats,
+    plans: &MemoMap<Vec<u64>, Arc<StampPlan>>,
     agg: &AggOverhead,
     timing_noisy: bool,
 ) -> String {
@@ -392,21 +362,15 @@ fn to_json(
         out.push_str(&format!("      \"path\": \"{}\",\n", s.path));
         out.push_str(&format!("      \"refactors\": {},\n", s.refactors));
         out.push_str(&format!("      \"legacy_s\": {:e},\n", s.legacy_s));
-        out.push_str(&format!("      \"fast_s\": {:e},\n", s.fast_s));
         out.push_str(&format!("      \"batch_s\": {:e},\n", s.batch_s));
         out.push_str(&format!(
             "      \"legacy_per_point_us\": {:.3},\n",
             s.legacy_us_per_point()
         ));
         out.push_str(&format!(
-            "      \"fast_per_point_us\": {:.3},\n",
-            s.fast_us_per_point()
-        ));
-        out.push_str(&format!(
             "      \"batch_per_point_us\": {:.3},\n",
             s.batch_us_per_point()
         ));
-        out.push_str(&format!("      \"speedup\": {:.3},\n", s.speedup()));
         out.push_str(&format!(
             "      \"batch_speedup\": {:.3}\n",
             s.batch_speedup()
@@ -423,9 +387,9 @@ fn to_json(
     out.push_str(&format!("    \"reuses\": {reuses}\n"));
     out.push_str("  },\n");
     out.push_str("  \"plan_cache\": {\n");
-    out.push_str(&format!("    \"hits\": {},\n", plans.hits));
-    out.push_str(&format!("    \"misses\": {},\n", plans.misses));
-    out.push_str(&format!("    \"entries\": {}\n", plans.entries));
+    out.push_str(&format!("    \"hits\": {},\n", plans.hits()));
+    out.push_str(&format!("    \"misses\": {},\n", plans.misses()));
+    out.push_str(&format!("    \"entries\": {}\n", plans.len()));
     out.push_str("  },\n");
     out.push_str("  \"agg_overhead\": {\n");
     out.push_str(&format!(
@@ -477,7 +441,7 @@ fn main() {
     let (gate, drain) = (c.node("gate"), c.node("drain"));
     let grid = linspace(1.1e9, 1.7e9, points);
 
-    // Workload 1: pure RLC assembly + solve (the cost the fast path owns).
+    // Workload 1: pure RLC assembly + solve (the cost the compiled plan owns).
     let (rlc, warmups, reuses) =
         bench_sweep("rlc_assembly_solve", &c, &AcStamps::none(), &grid, min_reps);
     assert_eq!(
@@ -557,7 +521,7 @@ fn main() {
     let cache = exercise_cache(&device);
     println!(
         "memo cache: capacity {} over working set {}, {} hits / {} misses (hit rate {:.2}); \
-         capacity-{} run forced {} evictions (thrash event)",
+         capacity-{} run forced {} evictions",
         cache.capacity,
         cache.working_set,
         cache.hits,
@@ -566,19 +530,12 @@ fn main() {
         cache.tiny_capacity,
         cache.tiny_evictions
     );
-    let plans = {
-        let pc = rfkit_circuit::shared_plan_cache()
-            .lock()
-            .expect("plan cache lock");
-        PlanCacheStats {
-            hits: pc.hits(),
-            misses: pc.misses(),
-            entries: pc.len(),
-        }
-    };
+    let plans = shared_plan_cache();
     println!(
         "plan cache: {} hits / {} misses, {} topologies resident",
-        plans.hits, plans.misses, plans.entries
+        plans.hits(),
+        plans.misses(),
+        plans.len()
     );
 
     let json = to_json(
@@ -589,7 +546,7 @@ fn main() {
         warmups,
         reuses,
         &cache,
-        &plans,
+        plans,
         &agg,
         timing_noisy,
     );

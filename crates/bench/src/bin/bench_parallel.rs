@@ -12,7 +12,10 @@
 //! baseline is `RFKIT_THREADS=1`, which short-circuits to the caller
 //! thread inside `rfkit-par` without touching the pool.
 
-use lna::{band_objectives, yield_analysis, BandSpec, BuildConfig, DesignVariables, YieldSpec};
+use lna::{
+    band_objectives, yield_analysis_robust, BandSpec, BuildConfig, DegradePolicy, DesignVariables,
+    YieldSpec,
+};
 use lna_bench::timing::{time_best_of, to_json, BenchRecord};
 use rfkit_device::Phemt;
 use rfkit_num::linspace;
@@ -122,7 +125,7 @@ fn main() {
         r_bias: 30.0,
     };
     let mc = bench("yield_monte_carlo", || {
-        let report = yield_analysis(
+        let report = yield_analysis_robust(
             &device,
             &nominal,
             &YieldSpec::default(),
@@ -130,7 +133,9 @@ fn main() {
             256,
             &BuildConfig::default(),
             0x0be9_c11c,
-        );
+            &DegradePolicy::default(),
+        )
+        .report;
         assert_eq!(report.units, 256);
     });
 

@@ -7,7 +7,9 @@
 //! binding margin.
 
 use lna::report::format_table;
-use lna::{yield_analysis, Amplifier, BandMetrics, BandSpec, BuildConfig, YieldSpec};
+use lna::{
+    yield_analysis_robust, Amplifier, BandMetrics, BandSpec, BuildConfig, DegradePolicy, YieldSpec,
+};
 use lna_bench::{header, reference_design};
 use rfkit_device::Phemt;
 use rfkit_num::stats;
@@ -39,7 +41,7 @@ fn main() {
         ("E24 +-5 %", 0.05),
         ("E96 +-1 %", 0.01),
     ] {
-        let report = yield_analysis(
+        let report = yield_analysis_robust(
             &device,
             &design.snapped,
             &spec,
@@ -50,7 +52,9 @@ fn main() {
                 ..Default::default()
             },
             0,
-        );
+            &DegradePolicy::default(),
+        )
+        .report;
         rows.push(vec![
             grade.to_string(),
             format!("{:.1} %", 100.0 * report.yield_fraction()),

@@ -12,11 +12,10 @@ use rfkit_num::units::angular;
 use rfkit_num::{CMatrix, Complex};
 
 // Per-frequency solve timing (runtime-gated, write-only; see rfkit-obs).
-// Shared with the compiled fast path in `plan` so both record under one name.
-pub(crate) static OBS_AC_SOLVE_US: rfkit_obs::Hist = rfkit_obs::Hist::new("circuit.ac.solve_us");
+static OBS_AC_SOLVE_US: rfkit_obs::Hist = rfkit_obs::Hist::new("circuit.ac.solve_us");
 
-/// An AC short for DC voltage sources (both analysis paths must stamp the
-/// exact same conductance to stay bit-identical).
+/// An AC short for DC voltage sources (the compiled plan stamps the exact
+/// same conductance, so both assemble bit-identical matrices).
 pub(crate) const SHORT_SIEMENS: f64 = 1e7;
 
 /// Stamps a two-terminal admittance between nodes `a` and `b` (`None` =
@@ -35,7 +34,7 @@ pub(crate) fn stamp_admittance(y: &mut CMatrix, a: Option<usize>, b: Option<usiz
 }
 
 /// Applies every extra stamped two-port in `stamps` at `freq_hz`. Shared
-/// between the legacy path and the compiled fast path.
+/// between the legacy path and the compiled plan.
 pub(crate) fn apply_two_port_stamps(y: &mut CMatrix, stamps: &AcStamps<'_>, freq_hz: f64) {
     for (a, b, y_of) in &stamps.stamps {
         let yp = y_of(freq_hz);
@@ -139,8 +138,8 @@ pub fn s_matrix(circuit: &Circuit, freq_hz: f64, stamps: &AcStamps<'_>) -> Resul
         return Err(AcError::NonPositiveFrequency(freq_hz));
     }
     // Deterministic fault hook, keyed by the frequency's bit pattern so an
-    // armed plan fails the legacy and compiled paths identically at the
-    // same grid points. Compiles out without `rfkit-faults`.
+    // armed plan fails the legacy path and `sweep_batch` identically at
+    // the same grid points. Compiles out without `rfkit-faults`.
     if rfkit_robust::faults::inject("ac.solve", freq_hz.to_bits()).is_some() {
         return Err(AcError::Singular(freq_hz));
     }

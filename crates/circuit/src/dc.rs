@@ -9,7 +9,7 @@
 //!
 //! ## Fallback ladder
 //!
-//! [`solve_dc_robust`] escalates through four independent rungs until one
+//! [`solve_dc`] escalates through four independent rungs until one
 //! converges (see `rfkit-robust` and DESIGN.md § Robustness):
 //!
 //! 1. **plain Newton** — full steps; cheapest, converges on mildly
@@ -72,54 +72,9 @@ impl DcSolution {
     }
 }
 
-/// Error from the DC solver (legacy coarse taxonomy; [`solve_dc_robust`]
-/// reports the structured [`SolveError`] instead).
-#[derive(Debug, Clone, PartialEq)]
-pub enum DcError {
-    /// Newton iteration failed to converge.
-    NoConvergence {
-        /// Residual norm at the last iterate.
-        residual: f64,
-    },
-    /// The MNA matrix is singular (floating node or short loop).
-    Singular,
-}
-
-impl std::fmt::Display for DcError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DcError::NoConvergence { residual } => {
-                write!(
-                    f,
-                    "newton iteration did not converge (residual {residual:.3e})"
-                )
-            }
-            DcError::Singular => write!(f, "singular MNA matrix (floating node or source loop)"),
-        }
-    }
-}
-
-impl std::error::Error for DcError {}
-
-/// Solves the DC operating point of `circuit` with the default
-/// [`RetryPolicy`] (full fallback ladder).
-///
-/// # Errors
-///
-/// Returns [`DcError::Singular`] for ill-formed topologies and
-/// [`DcError::NoConvergence`] when every ladder rung fails. Callers who
-/// need stage/iteration/residual provenance should use
-/// [`solve_dc_robust`].
-pub fn solve_dc(circuit: &Circuit) -> Result<DcSolution, DcError> {
-    solve_dc_robust(circuit, &RetryPolicy::default()).map_err(|e| match e {
-        SolveError::SingularSystem { .. } => DcError::Singular,
-        SolveError::NonConvergence { residual, .. }
-        | SolveError::BudgetExhausted { residual, .. } => DcError::NoConvergence { residual },
-    })
-}
-
 /// Solves the DC operating point, escalating through the fallback ladder
 /// under `policy` and reporting structured provenance on failure.
+/// `RetryPolicy::default()` runs the full ladder.
 ///
 /// # Errors
 ///
@@ -130,7 +85,7 @@ pub fn solve_dc(circuit: &Circuit) -> Result<DcSolution, DcError> {
 /// * [`SolveError::BudgetExhausted`] — the cross-stage iteration ceiling
 ///   ([`RetryPolicy::max_total_iters`]) expired mid-ladder (reported
 ///   immediately; remaining rungs are not attempted).
-pub fn solve_dc_robust(circuit: &Circuit, policy: &RetryPolicy) -> Result<DcSolution, SolveError> {
+pub fn solve_dc(circuit: &Circuit, policy: &RetryPolicy) -> Result<DcSolution, SolveError> {
     let n = circuit.n_nodes();
     // Assign extra unknowns (branch currents) to V sources and inductors.
     // Keyed by element index in a sorted map so any future traversal is
@@ -578,7 +533,7 @@ mod tests {
             .resistor("vin", "mid", 1000.0)
             .resistor("mid", "gnd", 1000.0);
         let mid = c.node("mid").unwrap();
-        let sol = solve_dc(&c).unwrap();
+        let sol = solve_dc(&c, &RetryPolicy::default()).unwrap();
         assert!((sol.voltages[mid] - 5.0).abs() < 1e-9);
         // A linear circuit is plain-Newton territory: first rung, done.
         assert_eq!(sol.stage, SolveStage::PlainNewton);
@@ -590,7 +545,7 @@ mod tests {
         let mut c = Circuit::new();
         c.isource("gnd", "out", 2e-3).resistor("out", "gnd", 1000.0);
         let out = c.node("out").unwrap();
-        let sol = solve_dc(&c).unwrap();
+        let sol = solve_dc(&c, &RetryPolicy::default()).unwrap();
         assert!((sol.voltages[out] - 2.0).abs() < 1e-9);
     }
 
@@ -601,7 +556,7 @@ mod tests {
             .inductor("vin", "out", 10e-9)
             .resistor("out", "gnd", 100.0);
         let out = c.node("out").unwrap();
-        let sol = solve_dc(&c).unwrap();
+        let sol = solve_dc(&c, &RetryPolicy::default()).unwrap();
         assert!((sol.voltages[out] - 5.0).abs() < 1e-9);
     }
 
@@ -612,7 +567,7 @@ mod tests {
             .resistor("vin", "out", 1000.0)
             .capacitor("out", "gnd", 1e-9);
         let out = c.node("out").unwrap();
-        let sol = solve_dc(&c).unwrap();
+        let sol = solve_dc(&c, &RetryPolicy::default()).unwrap();
         // No DC path: the node floats to the source voltage through R.
         assert!((sol.voltages[out] - 5.0).abs() < 1e-6);
     }
@@ -629,7 +584,7 @@ mod tests {
             .resistor("vdd", "drain", 33.0)
             .fet("vg", "drain", "gnd", Box::new(Angelov), params.clone());
         let drain = c.node("drain").unwrap();
-        let sol = solve_dc(&c).unwrap();
+        let sol = solve_dc(&c, &RetryPolicy::default()).unwrap();
         let vds = sol.voltages[drain];
         let ids = sol.fet_currents[0];
         // KVL: Vdd − Ids·RD = Vds, and Ids = model(vgs, vds).
@@ -657,7 +612,7 @@ mod tests {
             );
         let g_id = c.node("g").unwrap();
         let s_id = c.node("s").unwrap();
-        let sol = solve_dc(&c).unwrap();
+        let sol = solve_dc(&c, &RetryPolicy::default()).unwrap();
         let ids = sol.fet_currents[0];
         assert!(sol.voltages[g_id].abs() < 1e-6, "no gate current");
         assert!((sol.voltages[s_id] - ids * 10.0).abs() < 1e-8);
@@ -679,14 +634,14 @@ mod tests {
             Box::new(Angelov),
             d.dc_params.clone(),
         );
-        let sol = solve_dc(&c).unwrap();
+        let sol = solve_dc(&c, &RetryPolicy::default()).unwrap();
         assert!((sol.fet_currents[0] - target).abs() < 1e-6);
     }
 
     #[test]
     fn empty_circuit_solves_trivially() {
         let c = Circuit::new();
-        let sol = solve_dc(&c).unwrap();
+        let sol = solve_dc(&c, &RetryPolicy::default()).unwrap();
         assert!(sol.voltages.is_empty());
         assert_eq!(sol.iterations, 0);
     }
@@ -696,10 +651,9 @@ mod tests {
         // Two parallel voltage sources with different EMFs: no solution.
         let mut c = Circuit::new();
         c.vsource("a", "gnd", 1.0).vsource("a", "gnd", 2.0);
-        assert!(matches!(solve_dc(&c), Err(DcError::Singular)));
         // The structured error shows the whole ladder was exhausted: the
         // source loop is inconsistent at every gmin and source scale.
-        let err = solve_dc_robust(&c, &RetryPolicy::default()).unwrap_err();
+        let err = solve_dc(&c, &RetryPolicy::default()).unwrap_err();
         assert_eq!(err.stage(), SolveStage::SourceStepping);
         assert!(matches!(err, SolveError::SingularSystem { .. }));
         assert!(err.iterations() >= 4, "every rung touched the system");
@@ -711,29 +665,9 @@ mod tests {
         c.vsource("vin", "gnd", 10.0)
             .resistor("vin", "mid", 1000.0)
             .resistor("mid", "gnd", 1000.0);
-        let sol = solve_dc_robust(&c, &RetryPolicy::first_stages(1)).unwrap();
+        let sol = solve_dc(&c, &RetryPolicy::first_stages(1)).unwrap();
         let mid = c.node("mid").unwrap();
         assert!((sol.voltages[mid] - 5.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn robust_and_legacy_agree_on_a_bias_network() {
-        let mut c = Circuit::new();
-        c.vsource("vdd", "gnd", 5.0)
-            .resistor("vdd", "drain", 50.0)
-            .resistor("g", "gnd", 10000.0)
-            .resistor("s", "gnd", 10.0)
-            .fet(
-                "g",
-                "drain",
-                "s",
-                Box::new(Angelov),
-                Angelov.default_params(),
-            );
-        let a = solve_dc(&c).unwrap();
-        let b = solve_dc_robust(&c, &RetryPolicy::default()).unwrap();
-        // `solve_dc` is a thin wrapper: bit-identical, not just close.
-        assert_eq!(a, b);
     }
 
     #[test]
@@ -757,7 +691,7 @@ mod tests {
             max_total_iters: 2,
             ..Default::default()
         };
-        let err = solve_dc_robust(&c, &policy).unwrap_err();
+        let err = solve_dc(&c, &policy).unwrap_err();
         match err {
             SolveError::BudgetExhausted {
                 stage,

@@ -17,7 +17,7 @@
 //! ## Example: bias network plus device
 //!
 //! ```
-//! use rfkit_circuit::{solve_dc, Circuit};
+//! use rfkit_circuit::{solve_dc, Circuit, RetryPolicy};
 //! use rfkit_device::dc::{Angelov, DcModel as _};
 //!
 //! let mut c = Circuit::new();
@@ -25,9 +25,9 @@
 //!     .resistor("vdd", "drain", 33.0)
 //!     .vsource("vg", "gnd", -0.3)
 //!     .fet("vg", "drain", "gnd", Box::new(Angelov), Angelov.default_params());
-//! let sol = solve_dc(&c)?;
+//! let sol = solve_dc(&c, &RetryPolicy::default())?;
 //! assert!(sol.fet_currents[0] > 0.0);
-//! # Ok::<(), rfkit_circuit::DcError>(())
+//! # Ok::<(), rfkit_circuit::SolveError>(())
 //! ```
 
 #![warn(missing_docs)]
@@ -42,13 +42,12 @@ pub mod sweep;
 pub mod twotone;
 
 pub use ac::{s_matrix, two_port_s, AcError, AcStamps};
-pub use dc::{solve_dc, solve_dc_robust, DcError, DcSolution};
+pub use dc::{solve_dc, DcSolution, RetryPolicy, SolveError, SolveStage};
 pub use hb::{compression_sweep, HbConfig, HbError, HbSolution, HbTestbench};
 pub use netlist::{Circuit, Element, NodeId, Port};
 pub use plan::{AcWorkspace, StampPlan};
 pub use sweep::{
-    shared_plan, shared_plan_cache, PlanCache, SweepBatch, SweepStats, DEFAULT_PLAN_CACHE_CAPACITY,
-    SWEEP_TOL,
+    shared_plan, shared_plan_cache, SweepBatch, SweepStats, DEFAULT_PLAN_CACHE_CAPACITY, SWEEP_TOL,
 };
 pub use twotone::{
     ip3_sweep, p1db, power_series, single_tone, time_domain, Ip3Sweep, TwoToneResult, TwoToneSpec,

@@ -1,4 +1,4 @@
-//! Compiled AC fast path: per-topology stamp plans and reusable solve
+//! Compiled AC path: per-topology stamp plans and reusable solve
 //! workspaces.
 //!
 //! [`s_matrix`](crate::ac::s_matrix) re-walks the netlist, recomputes the
@@ -14,31 +14,26 @@
 //! * the frequency-scaled part **B(ω)** (capacitors, inductors) is kept as
 //!   a compact slot list applied in place on top of the copy.
 //!
-//! Per frequency the plan copies G, applies B(ω) and the external device
-//! stamps, and solves entirely inside an [`AcWorkspace`] — in-place LU via
-//! [`LuWorkspace`], multi-RHS solves for both the Schur complement and the
-//! S conversion, zero matrix allocations after the first (warm-up) point.
+//! A plan is solved through [`StampPlan::sweep_batch`], which
+//! per frequency copies G, applies B(ω) and the external device stamps, and
+//! solves entirely inside an [`AcWorkspace`] — zero matrix allocations
+//! after the first (warm-up) point.
 //!
-//! The fast path is **bit-identical** to the legacy path. Two facts make
-//! that possible: the stamp kernels, LU/substitution kernels and
-//! elementwise/matmul kernels are literally shared code (see
-//! [`ac`](crate::ac) and `rfkit_num::matrix`), and splitting assembly into
-//! G then B(ω) cannot change any sum because resistor/V-source admittances
-//! are purely real while capacitor/inductor admittances are purely
-//! imaginary — complex addition is componentwise, so each matrix entry's
-//! real and imaginary parts still accumulate in element order within their
-//! component. The equivalence suite in `tests/fastpath_equivalence.rs`
-//! asserts `assert_eq!` (exact bits) between both paths.
+//! The assembled matrix equals the legacy one bit for bit: the stamp
+//! kernels are shared code (see [`ac`](crate::ac)), and splitting assembly
+//! into G then B(ω) cannot change any sum because resistor/V-source
+//! admittances are purely real while capacitor/inductor admittances are
+//! purely imaginary — complex addition is componentwise, so each matrix
+//! entry's real and imaginary parts still accumulate in element order
+//! within their component.
 
-use crate::ac::{apply_two_port_stamps, stamp_admittance, AcError, AcStamps};
-use crate::ac::{OBS_AC_SOLVE_US, SHORT_SIEMENS};
+use crate::ac::{apply_two_port_stamps, stamp_admittance, AcError, AcStamps, SHORT_SIEMENS};
 use crate::netlist::{Circuit, Element};
-use rfkit_net::{NPort, SParams};
 use rfkit_num::units::angular;
 use rfkit_num::{CMatrix, Complex, LuWorkspace};
 
-// Per-frequency assembly timing for the fast path (G copy + B(ω) + device
-// stamps), a sub-phase of `circuit.ac.solve_us`.
+// Per-frequency assembly timing (G copy + B(ω) + device stamps), a
+// sub-phase of `circuit.ac.sweep_us`.
 static OBS_AC_ASSEMBLE_US: rfkit_obs::Hist = rfkit_obs::Hist::new("circuit.ac.assemble_us");
 
 /// One frequency-scaled stamp slot: the element value with its admittance
@@ -61,10 +56,9 @@ pub(crate) struct BStamp {
 
 /// A netlist compiled for repeated AC solves over one topology.
 ///
-/// Compile once with [`StampPlan::compile`], then call
-/// [`StampPlan::s_matrix`] / [`StampPlan::two_port_s`] per frequency with a
-/// reusable [`AcWorkspace`]. Results are bit-identical to
-/// [`crate::ac::s_matrix`] / [`crate::ac::two_port_s`].
+/// Compile once with [`StampPlan::compile`], then sweep with
+/// [`StampPlan::sweep_batch`] and a reusable [`AcWorkspace`]. Results agree
+/// with [`crate::ac::s_matrix`] within [`crate::SWEEP_TOL`].
 #[derive(Debug, Clone)]
 pub struct StampPlan {
     /// Total node count (matrix dimension before reduction).
@@ -156,114 +150,8 @@ impl StampPlan {
         self.structure.path_name()
     }
 
-    /// Number of declared ports.
-    pub fn n_ports(&self) -> usize {
-        self.port_nodes.len()
-    }
-
-    /// Shared port reference impedance.
-    pub fn z0(&self) -> f64 {
-        self.z0
-    }
-
-    /// Computes the N-port S-matrix at `freq_hz` through the compiled plan.
-    ///
-    /// Allocates only the returned [`NPort`]; every intermediate lives in
-    /// `ws`. Bit-identical to [`crate::ac::s_matrix`].
-    ///
-    /// # Errors
-    ///
-    /// See [`AcError`].
-    pub fn s_matrix(
-        &self,
-        freq_hz: f64,
-        stamps: &AcStamps<'_>,
-        ws: &mut AcWorkspace,
-    ) -> Result<NPort, AcError> {
-        self.solve_into(freq_hz, stamps, ws)?;
-        Ok(NPort::new(ws.smat.clone(), self.z0))
-    }
-
-    /// Computes 2-port S-parameters at `freq_hz` through the compiled plan,
-    /// with **zero** heap allocations after workspace warm-up ([`SParams`]
-    /// is `Copy`). Bit-identical to [`crate::ac::two_port_s`].
-    ///
-    /// # Errors
-    ///
-    /// [`AcError::NoPorts`] also covers the wrong port count here.
-    pub fn two_port_s(
-        &self,
-        freq_hz: f64,
-        stamps: &AcStamps<'_>,
-        ws: &mut AcWorkspace,
-    ) -> Result<SParams, AcError> {
-        if self.port_nodes.len() != 2 {
-            return Err(AcError::NoPorts);
-        }
-        self.solve_into(freq_hz, stamps, ws)?;
-        Ok(SParams::new(
-            ws.smat[(0, 0)],
-            ws.smat[(0, 1)],
-            ws.smat[(1, 0)],
-            ws.smat[(1, 1)],
-            self.z0,
-        ))
-    }
-
-    /// Assembles and solves at `freq_hz`, leaving the S-matrix in
-    /// `ws.smat`.
-    fn solve_into(
-        &self,
-        freq_hz: f64,
-        stamps: &AcStamps<'_>,
-        ws: &mut AcWorkspace,
-    ) -> Result<(), AcError> {
-        if freq_hz <= 0.0 {
-            return Err(AcError::NonPositiveFrequency(freq_hz));
-        }
-        // Same fault hook (site and key) as the legacy `s_matrix` path:
-        // an armed plan must fail both paths at the same grid points or
-        // the fast-path equivalence contract would appear broken.
-        if rfkit_robust::faults::inject("ac.solve", freq_hz.to_bits()).is_some() {
-            return Err(AcError::Singular(freq_hz));
-        }
-        let watch = rfkit_obs::stopwatch();
-        ws.track_dims(self.n, self.port_nodes.len());
-        self.assemble_into(freq_hz, stamps, ws);
-
-        // Schur-complement reduction to the port nodes.
-        if self.internal.is_empty() {
-            ws.yred
-                .gather_from(&ws.y, &self.port_nodes, &self.port_nodes);
-        } else {
-            ws.ypp
-                .gather_from(&ws.y, &self.port_nodes, &self.port_nodes);
-            ws.ypi.gather_from(&ws.y, &self.port_nodes, &self.internal);
-            ws.yip.gather_from(&ws.y, &self.internal, &self.port_nodes);
-            ws.yii.gather_from(&ws.y, &self.internal, &self.internal);
-            ws.yii
-                .lu_into(&mut ws.lu)
-                .map_err(|_| AcError::Singular(freq_hz))?;
-            ws.lu
-                .solve_matrix_into(&ws.yip, &mut ws.solved, &mut ws.x)
-                .map_err(|_| AcError::Singular(freq_hz))?;
-            ws.ypi
-                .matmul_into(&ws.solved, &mut ws.prod)
-                .expect("dimensions chain");
-            ws.ypp.sub_into(&ws.prod, &mut ws.yred);
-        }
-
-        self.s_convert(freq_hz, ws)?;
-        if let Some(us) = watch.elapsed_us() {
-            OBS_AC_SOLVE_US.record(us);
-        }
-        Ok(())
-    }
-
     /// Assembles the full Y matrix at `freq_hz` into `ws.y`: copy G, apply
-    /// B(ω) in place, then the external device stamps. Shared between the
-    /// per-point path and the batched sweep so both produce identical
-    /// matrices.
+    /// B(ω) in place, then the external device stamps.
     pub(crate) fn assemble_into(&self, freq_hz: f64, stamps: &AcStamps<'_>, ws: &mut AcWorkspace) {
         let assemble_watch = rfkit_obs::stopwatch();
         let w = angular(freq_hz);
@@ -380,7 +268,7 @@ impl AcWorkspace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ac::{s_matrix, two_port_s};
+    use crate::ac::s_matrix;
 
     fn ladder() -> Circuit {
         let mut c = Circuit::new();
@@ -394,29 +282,12 @@ mod tests {
     }
 
     #[test]
-    fn plan_matches_legacy_bitwise_on_ladder() {
-        let c = ladder();
-        let plan = StampPlan::compile(&c).unwrap();
-        let mut ws = AcWorkspace::new();
-        for f in [0.3e9, 1.1e9, 1.575e9, 1.7e9, 4.2e9] {
-            let legacy = two_port_s(&c, f, &AcStamps::none()).unwrap();
-            let fast = plan.two_port_s(f, &AcStamps::none(), &mut ws).unwrap();
-            assert_eq!(legacy, fast);
-            let legacy_np = s_matrix(&c, f, &AcStamps::none()).unwrap();
-            let fast_np = plan.s_matrix(f, &AcStamps::none(), &mut ws).unwrap();
-            assert_eq!(legacy_np, fast_np);
-        }
-    }
-
-    #[test]
     fn workspace_counts_one_warmup_per_topology() {
         let c = ladder();
         let plan = StampPlan::compile(&c).unwrap();
         let mut ws = AcWorkspace::new();
-        for i in 1..=32 {
-            let f = 1.0e9 + 0.025e9 * i as f64;
-            plan.two_port_s(f, &AcStamps::none(), &mut ws).unwrap();
-        }
+        let freqs: Vec<f64> = (1..=32).map(|i| 1.0e9 + 0.025e9 * i as f64).collect();
+        plan.sweep_batch(&freqs, &AcStamps::none(), &mut ws);
         assert_eq!(ws.warmup_count(), 1);
         assert_eq!(ws.reuse_count(), 31);
     }
@@ -428,14 +299,6 @@ mod tests {
         assert_eq!(
             StampPlan::compile(&no_ports).unwrap_err(),
             s_matrix(&no_ports, 1e9, &AcStamps::none()).unwrap_err()
-        );
-        let c = ladder();
-        let plan = StampPlan::compile(&c).unwrap();
-        let mut ws = AcWorkspace::new();
-        assert_eq!(
-            plan.two_port_s(0.0, &AcStamps::none(), &mut ws)
-                .unwrap_err(),
-            two_port_s(&c, 0.0, &AcStamps::none()).unwrap_err()
         );
     }
 }

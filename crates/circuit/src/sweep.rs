@@ -1,10 +1,9 @@
 //! Batched, structure-aware AC sweep engine.
 //!
-//! [`StampPlan`](crate::StampPlan) solves one frequency point per call;
-//! every caller in the suite (band verification, yield Monte-Carlo,
-//! benchmark sweeps) actually wants a whole *grid*. This module adds the
-//! grid-level entry point [`StampPlan::sweep_batch`] plus the two pieces
-//! of machinery that make it fast:
+//! Every caller in the suite (band verification, yield Monte-Carlo,
+//! benchmark sweeps) wants a whole frequency *grid*, so a compiled
+//! [`StampPlan`](crate::StampPlan) has one solve entry point,
+//! [`StampPlan::sweep_batch`]. Two pieces of machinery make it fast:
 //!
 //! * **Structure classification.** At compile time the plan's internal
 //!   (non-port) block is classified from its stamp adjacency. Ladder
@@ -26,34 +25,33 @@
 //!
 //! ## Equivalence contract
 //!
-//! The per-point plan path stays bit-identical to the legacy path (see
-//! [`plan`](crate::plan)). `sweep_batch` trades that for speed under a
-//! **documented tolerance contract**: every S-matrix entry it produces
-//! agrees with the legacy per-point result to within `1e-8` absolute
-//! error (see [`SWEEP_TOL`]), and `Err` outcomes (singular systems,
-//! non-positive frequencies, injected faults) are point-for-point
-//! identical. The banded/bordered kernels and the pivot-reuse dense path
-//! all refuse numerically risky factorizations (growth guard) and fall
-//! back to fully pivoted dense LU, so the bound holds on pathological
-//! grids too — at dense-path cost. `tests/fastpath_equivalence.rs` pins
-//! the contract with seeded random netlists.
+//! The legacy per-call solver ([`s_matrix`](crate::ac::s_matrix)) is the
+//! reference oracle. `sweep_batch` is held to a **documented tolerance
+//! contract** against it: every S-matrix entry it produces agrees with the
+//! legacy result to within `1e-8` absolute error (see [`SWEEP_TOL`]), and
+//! `Err` outcomes (singular systems, non-positive frequencies, injected
+//! faults) are point-for-point identical. The banded/bordered kernels and
+//! the pivot-reuse dense path all refuse numerically risky factorizations
+//! (growth guard) and fall back to fully pivoted dense LU, so the bound
+//! holds on pathological grids too — at dense-path cost.
+//! `tests/fastpath_equivalence.rs` pins the contract with seeded random
+//! netlists.
 //!
 //! ## Plan sharing
 //!
-//! [`PlanCache`] memoizes compiled plans per netlist fingerprint behind
-//! `Arc`, and [`shared_plan`] exposes a process-wide cache so band
-//! sweeps, yield Monte-Carlo units and parallel workers all reuse one
-//! immutable compiled plan per topology with zero re-stamping.
+//! [`shared_plan`] memoizes compiled plans per netlist fingerprint behind
+//! `Arc` in a process-wide [`MemoMap`], so band sweeps, yield Monte-Carlo
+//! units and parallel workers all reuse one immutable compiled plan per
+//! topology with zero re-stamping.
 
-use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 use crate::ac::{AcError, AcStamps};
 use crate::netlist::{Circuit, Element};
 use crate::plan::{AcWorkspace, BStamp, StampPlan};
 use rfkit_net::SParams;
 use rfkit_num::soa::SoaComplex;
-use rfkit_num::{CMatrix, Complex};
+use rfkit_num::{CMatrix, Complex, Fetched, MemoMap};
 
 static OBS_SWEEP_POINTS: rfkit_obs::Counter = rfkit_obs::Counter::new("circuit.ac.sweep.points");
 static OBS_SWEEP_REFACTORS: rfkit_obs::Counter =
@@ -68,7 +66,7 @@ static OBS_PLAN_HIT: rfkit_obs::Counter = rfkit_obs::Counter::new("plan.cache.hi
 static OBS_PLAN_MISS: rfkit_obs::Counter = rfkit_obs::Counter::new("plan.cache.miss");
 
 /// Absolute per-entry tolerance of the batched sweep against the legacy
-/// per-point path. S-parameters are bounded by ~1 in magnitude for
+/// per-call solver. S-parameters are bounded by ~1 in magnitude for
 /// passive networks and stay O(1) for the amplifier stamps the suite
 /// uses, so an absolute bound is meaningful; the structured kernels'
 /// growth guards keep element growth (and therefore backward error) far
@@ -418,10 +416,10 @@ impl StampPlan {
     ///
     /// Per-point errors (non-positive frequency, singular system,
     /// injected fault) do not abort the sweep; they are recorded in
-    /// [`SweepBatch::failures`] with the same `AcError` values the
-    /// per-point path produces, and the corresponding grid entries hold
-    /// zeros. Results agree with [`StampPlan::s_matrix`] within
-    /// [`SWEEP_TOL`] per entry.
+    /// [`SweepBatch::failures`] with the same `AcError` values the legacy
+    /// solver produces, and the corresponding grid entries hold zeros.
+    /// Results agree with [`crate::ac::s_matrix`] within [`SWEEP_TOL`] per
+    /// entry.
     pub fn sweep_batch(
         &self,
         freqs: &[f64],
@@ -531,7 +529,7 @@ impl StampPlan {
         if freq_hz <= 0.0 {
             return Err(AcError::NonPositiveFrequency(freq_hz));
         }
-        // Same fault site and key as both per-point paths: an armed plan
+        // Same fault site and key as the legacy solver: an armed plan
         // fails the batch at exactly the same grid points.
         if rfkit_robust::faults::inject("ac.solve", freq_hz.to_bits()).is_some() {
             return Err(AcError::Singular(freq_hz));
@@ -673,85 +671,18 @@ impl StampPlan {
     }
 }
 
-/// Default capacity of [`PlanCache`] and the process-wide shared cache.
+/// Capacity of the process-wide plan cache behind [`shared_plan`].
 pub const DEFAULT_PLAN_CACHE_CAPACITY: usize = 64;
 
-/// A keyed cache of compiled [`StampPlan`]s behind `Arc`.
+/// AC-structural fingerprint of a netlist: the key of the shared plan
+/// cache.
 ///
-/// The key is a structural fingerprint of the netlist's AC-relevant
-/// content: node count, ports (node + z0 bits), and every R/C/L/V
-/// element with its resolved node pair and value bits. AC-irrelevant
-/// content is deliberately excluded — current sources (AC opens), FET
-/// elements (linearized externally via [`AcStamps`]) and V-source DC
-/// values (a V source stamps the same AC short regardless of voltage) —
-/// so designs differing only in those share one compiled plan.
-///
-/// Eviction is oldest-key-first (`BTreeMap::pop_first`), matching the
-/// determinism conventions of the suite (no `HashMap` anywhere).
-#[derive(Debug, Default)]
-pub struct PlanCache {
-    capacity: usize,
-    map: BTreeMap<Vec<u64>, Arc<StampPlan>>,
-    hits: u64,
-    misses: u64,
-}
-
-impl PlanCache {
-    /// Creates a cache bounded to `capacity` plans (min 1).
-    pub fn new(capacity: usize) -> Self {
-        PlanCache {
-            capacity: capacity.max(1),
-            map: BTreeMap::new(),
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    /// Returns the cached plan for this netlist topology, compiling and
-    /// inserting it on a miss.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`StampPlan::compile`] errors; failures are not cached.
-    pub fn get_or_compile(&mut self, circuit: &Circuit) -> Result<Arc<StampPlan>, AcError> {
-        let key = fingerprint(circuit);
-        if let Some(plan) = self.map.get(&key) {
-            self.hits += 1;
-            OBS_PLAN_HIT.add(1);
-            return Ok(Arc::clone(plan));
-        }
-        self.misses += 1;
-        OBS_PLAN_MISS.add(1);
-        let plan = Arc::new(StampPlan::compile(circuit)?);
-        while self.map.len() >= self.capacity {
-            self.map.pop_first();
-        }
-        self.map.insert(key, Arc::clone(&plan));
-        Ok(plan)
-    }
-
-    /// Number of cached plans.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True when the cache holds no plans.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Lookup hits since construction.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Lookup misses since construction.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-}
-
-/// AC-structural fingerprint of a netlist (see [`PlanCache`]).
+/// It covers node count, ports (node + z0 bits), and every R/C/L/V element
+/// with its resolved node pair and value bits. AC-irrelevant content is
+/// deliberately excluded — current sources (AC opens), FET elements
+/// (linearized externally via [`AcStamps`]) and V-source DC values (a V
+/// source stamps the same AC short regardless of voltage) — so designs
+/// differing only in those share one compiled plan.
 pub(crate) fn fingerprint(circuit: &Circuit) -> Vec<u64> {
     fn enc(n: Option<usize>) -> u64 {
         match n {
@@ -780,12 +711,12 @@ pub(crate) fn fingerprint(circuit: &Circuit) -> Vec<u64> {
     key
 }
 
-static SHARED_PLANS: OnceLock<Mutex<PlanCache>> = OnceLock::new();
+static SHARED_PLANS: OnceLock<MemoMap<Vec<u64>, Arc<StampPlan>>> = OnceLock::new();
 
-/// The process-wide shared plan cache behind [`shared_plan`]; exposed for
-/// capacity/statistics inspection.
-pub fn shared_plan_cache() -> &'static Mutex<PlanCache> {
-    SHARED_PLANS.get_or_init(|| Mutex::new(PlanCache::new(DEFAULT_PLAN_CACHE_CAPACITY)))
+/// The process-wide plan cache behind [`shared_plan`]; exposed for
+/// statistics inspection.
+pub fn shared_plan_cache() -> &'static MemoMap<Vec<u64>, Arc<StampPlan>> {
+    SHARED_PLANS.get_or_init(|| MemoMap::new(DEFAULT_PLAN_CACHE_CAPACITY))
 }
 
 /// Compiles (or fetches) the shared plan for this netlist topology.
@@ -798,12 +729,17 @@ pub fn shared_plan_cache() -> &'static Mutex<PlanCache> {
 ///
 /// # Errors
 ///
-/// Propagates [`StampPlan::compile`] errors.
+/// Propagates [`StampPlan::compile`] errors; failures are not cached.
 pub fn shared_plan(circuit: &Circuit) -> Result<Arc<StampPlan>, AcError> {
-    shared_plan_cache()
-        .lock()
-        .expect("plan cache poisoned")
-        .get_or_compile(circuit)
+    let fetched = shared_plan_cache().get_or_insert_with(fingerprint(circuit), || {
+        StampPlan::compile(circuit).map(Arc::new)
+    });
+    if matches!(fetched, Ok(Fetched { hit: true, .. })) {
+        OBS_PLAN_HIT.add(1);
+    } else {
+        OBS_PLAN_MISS.add(1);
+    }
+    fetched.map(|f| f.value)
 }
 
 #[cfg(test)]
@@ -975,29 +911,6 @@ mod tests {
     }
 
     #[test]
-    fn plan_cache_shares_one_arc_per_topology() {
-        let mut cache = PlanCache::new(8);
-        let c1 = lc_ladder(6);
-        let p1 = cache.get_or_compile(&c1).unwrap();
-        let p2 = cache.get_or_compile(&c1).unwrap();
-        assert!(Arc::ptr_eq(&p1, &p2));
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
-        // A different topology compiles its own plan.
-        let p3 = cache.get_or_compile(&lc_ladder(7)).unwrap();
-        assert!(!Arc::ptr_eq(&p1, &p3));
-        assert_eq!(cache.len(), 2);
-    }
-
-    #[test]
-    fn plan_cache_evicts_at_capacity() {
-        let mut cache = PlanCache::new(2);
-        cache.get_or_compile(&lc_ladder(4)).unwrap();
-        cache.get_or_compile(&lc_ladder(5)).unwrap();
-        cache.get_or_compile(&lc_ladder(6)).unwrap();
-        assert_eq!(cache.len(), 2);
-    }
-
-    #[test]
     fn fingerprint_ignores_ac_irrelevant_content() {
         // V-source DC value does not change the AC plan.
         let mut c1 = Circuit::new();
@@ -1023,5 +936,8 @@ mod tests {
         let a = shared_plan(&c).unwrap();
         let b = shared_plan(&c).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
+        // A different topology compiles its own plan.
+        let other = shared_plan(&lc_ladder(8)).unwrap();
+        assert!(!Arc::ptr_eq(&a, &other));
     }
 }

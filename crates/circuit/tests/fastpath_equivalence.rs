@@ -1,17 +1,50 @@
-//! Equivalence suite for the compiled AC fast path: [`StampPlan`] +
-//! [`AcWorkspace`] must return **bit-identical** results to the legacy
-//! per-call path — same S-parameters, same errors — across the reference
-//! design topology, the linearized-pHEMT stamp case and seeded random RLC
-//! netlists. `assert_eq!` on [`SParams`]/[`NPort`] compares exact floating
-//! bits, not tolerances.
+//! Equivalence suite for the compiled AC path: [`StampPlan::sweep_batch`]
+//! must agree with the legacy per-call solver — every S entry within
+//! [`SWEEP_TOL`], the same `Err` at the same grid points — across the
+//! reference design topology, the linearized-pHEMT stamp case, seeded
+//! random RLC netlists and seeded random banded/bordered netlists.
 
 use rfkit_circuit::{
-    s_matrix, two_port_s, AcError, AcStamps, AcWorkspace, Circuit, StampPlan, SWEEP_TOL,
+    s_matrix, AcError, AcStamps, AcWorkspace, Circuit, StampPlan, SweepBatch, SWEEP_TOL,
 };
 use rfkit_device::smallsignal::NoiseTemperatures;
 use rfkit_device::Phemt;
 use rfkit_num::linspace;
 use rfkit_num::rng::Rng64;
+
+/// Checks `batch` against the legacy solver at every grid point: within
+/// `SWEEP_TOL` where legacy solves, the identical error where it fails.
+/// Returns the number of solved points.
+fn assert_matches_legacy(
+    c: &Circuit,
+    stamps: &AcStamps<'_>,
+    freqs: &[f64],
+    batch: &SweepBatch,
+    what: &str,
+) -> usize {
+    assert_eq!(batch.len(), freqs.len(), "{what}");
+    let mut solved = 0;
+    for (p, &f) in freqs.iter().enumerate() {
+        match s_matrix(c, f, stamps) {
+            Ok(l) => {
+                assert!(batch.is_ok(p), "{what}: spurious failure at {f} Hz");
+                let m = l.n_ports();
+                for i in 0..m {
+                    for j in 0..m {
+                        let d = (batch.s(p, i, j) - l.s(i, j).unwrap()).abs();
+                        assert!(d <= SWEEP_TOL, "{what}: |ΔS{i}{j}| = {d:e} at {f} Hz");
+                    }
+                }
+                solved += 1;
+            }
+            Err(e) => assert!(
+                batch.failures().iter().any(|(q, be)| *q == p && *be == e),
+                "{what}: error parity at {f} Hz"
+            ),
+        }
+    }
+    solved
+}
 
 /// The reference-design schematic as a netlist: input match, linearized
 /// device position (stamped separately where used), bias feed and output
@@ -33,15 +66,16 @@ fn reference_design_circuit() -> Circuit {
 }
 
 #[test]
-fn reference_design_sweep_is_bit_identical() {
+fn reference_design_sweep_matches_legacy() {
     let c = reference_design_circuit();
     let plan = StampPlan::compile(&c).unwrap();
     let mut ws = AcWorkspace::new();
-    for &f in linspace(1.1e9, 1.7e9, 31).iter() {
-        let legacy = two_port_s(&c, f, &AcStamps::none()).unwrap();
-        let fast = plan.two_port_s(f, &AcStamps::none(), &mut ws).unwrap();
-        assert_eq!(legacy, fast, "bit mismatch at {f} Hz");
-    }
+    let freqs = linspace(1.1e9, 1.7e9, 31);
+    let batch = plan.sweep_batch(&freqs, &AcStamps::none(), &mut ws);
+    assert_eq!(
+        assert_matches_legacy(&c, &AcStamps::none(), &freqs, &batch, "reference"),
+        31
+    );
     // One topology, one warm-up: the remaining 30 points reused buffers,
     // i.e. the sweep performed no per-frequency matrix allocations.
     assert_eq!(ws.warmup_count(), 1);
@@ -49,7 +83,7 @@ fn reference_design_sweep_is_bit_identical() {
 }
 
 #[test]
-fn phemt_stamp_case_is_bit_identical() {
+fn phemt_stamp_case_matches_legacy() {
     let d = Phemt::atf54143_like();
     let op = d.operating_point(d.bias_for_current(3.0, 0.06).unwrap(), 3.0);
     let ss = d.small_signal(&op);
@@ -68,12 +102,12 @@ fn phemt_stamp_case_is_bit_identical() {
     let (g, dn) = (c.node("gate"), c.node("drain"));
     let stamps = AcStamps::none().two_port(g, dn, &y_of);
     let plan = StampPlan::compile(&c).unwrap();
-    let mut ws = AcWorkspace::new();
-    for &f in linspace(0.9e9, 2.1e9, 13).iter() {
-        let legacy = two_port_s(&c, f, &stamps).unwrap();
-        let fast = plan.two_port_s(f, &stamps, &mut ws).unwrap();
-        assert_eq!(legacy, fast, "bit mismatch at {f} Hz");
-    }
+    let freqs = linspace(0.9e9, 2.1e9, 13);
+    let batch = plan.sweep_batch(&freqs, &stamps, &mut AcWorkspace::new());
+    assert_eq!(
+        assert_matches_legacy(&c, &stamps, &freqs, &batch, "pHEMT"),
+        13
+    );
 }
 
 /// Builds a random RLC netlist over up to 6 named nodes (plus ground),
@@ -116,24 +150,21 @@ fn random_rlc(rng: &mut Rng64) -> Circuit {
 }
 
 #[test]
-fn random_rlc_netlists_are_bit_identical_including_errors() {
+fn random_rlc_netlists_match_legacy_including_errors() {
     let mut rng = Rng64::new(0xfa57_9a7b);
-    let mut solved = 0u32;
+    let freqs = [0.35e9, 1.3e9, 2.8e9];
+    let mut solved = 0;
     for case in 0..120 {
         let c = random_rlc(&mut rng);
         let plan = StampPlan::compile(&c).unwrap();
-        let mut ws = AcWorkspace::new();
-        for &f in &[0.35e9, 1.3e9, 2.8e9] {
-            let legacy = s_matrix(&c, f, &AcStamps::none());
-            let fast = plan.s_matrix(f, &AcStamps::none(), &mut ws);
-            match (legacy, fast) {
-                (Ok(l), Ok(r)) => {
-                    assert_eq!(l, r, "case {case}: bit mismatch at {f} Hz");
-                    solved += 1;
-                }
-                (l, r) => assert_eq!(l, r, "case {case}: error parity at {f} Hz"),
-            }
-        }
+        let batch = plan.sweep_batch(&freqs, &AcStamps::none(), &mut AcWorkspace::new());
+        solved += assert_matches_legacy(
+            &c,
+            &AcStamps::none(),
+            &freqs,
+            &batch,
+            &format!("case {case}"),
+        );
     }
     assert!(
         solved > 200,
@@ -149,30 +180,38 @@ fn singular_and_degenerate_inputs_match_legacy() {
         .capacitor("float_a", "float_b", 1e-12)
         .port("in", 50.0)
         .port("out", 50.0);
-    let plan = StampPlan::compile(&c).unwrap();
-    let mut ws = AcWorkspace::new();
     let f = 1.575e9;
-    let legacy = s_matrix(&c, f, &AcStamps::none());
-    let fast = plan.s_matrix(f, &AcStamps::none(), &mut ws);
-    assert_eq!(legacy, fast);
-    assert_eq!(legacy.unwrap_err(), AcError::Singular(f));
+    let batch = StampPlan::compile(&c).unwrap().sweep_batch(
+        &[f],
+        &AcStamps::none(),
+        &mut AcWorkspace::new(),
+    );
+    assert_eq!(batch.failures(), &[(0, AcError::Singular(f))]);
+    assert_eq!(
+        assert_matches_legacy(&c, &AcStamps::none(), &[f], &batch, "floating"),
+        0
+    );
 
-    // Non-positive frequency: the fast path reports the same error the
-    // legacy path does (regression for the old assert!-panic).
+    // Non-positive frequency: the batch reports the same error the legacy
+    // path does (regression for the old assert!-panic).
     let good = reference_design_circuit();
-    let good_plan = StampPlan::compile(&good).unwrap();
-    for bad_f in [0.0, -2.4e9] {
-        assert_eq!(
-            good_plan
-                .two_port_s(bad_f, &AcStamps::none(), &mut ws)
-                .unwrap_err(),
-            AcError::NonPositiveFrequency(bad_f)
-        );
-        assert_eq!(
-            two_port_s(&good, bad_f, &AcStamps::none()).unwrap_err(),
-            AcError::NonPositiveFrequency(bad_f)
-        );
-    }
+    let freqs = [0.0, -2.4e9];
+    let batch = StampPlan::compile(&good).unwrap().sweep_batch(
+        &freqs,
+        &AcStamps::none(),
+        &mut AcWorkspace::new(),
+    );
+    assert_eq!(
+        batch.failures(),
+        &[
+            (0, AcError::NonPositiveFrequency(0.0)),
+            (1, AcError::NonPositiveFrequency(-2.4e9))
+        ]
+    );
+    assert_eq!(
+        assert_matches_legacy(&good, &AcStamps::none(), &freqs, &batch, "f <= 0"),
+        0
+    );
 }
 
 /// Seeded random structured netlist: a chain of `sections` series/shunt
@@ -229,26 +268,13 @@ fn random_structured_netlists_match_dense_within_tol() {
         let mut ws = AcWorkspace::new();
         let batch = plan.sweep_batch(&freqs, &AcStamps::none(), &mut ws);
         assert_eq!(batch.stats().path, expected, "case {case}");
-        for (p, &f) in freqs.iter().enumerate() {
-            match s_matrix(&c, f, &AcStamps::none()) {
-                Ok(l) => {
-                    assert!(batch.is_ok(p), "case {case}: spurious failure at {f} Hz");
-                    for i in 0..2 {
-                        for j in 0..2 {
-                            let d = (batch.s(p, i, j) - l.s(i, j).unwrap()).abs();
-                            assert!(d <= SWEEP_TOL, "case {case}: |ΔS{i}{j}| = {d:e} at {f} Hz");
-                        }
-                    }
-                }
-                Err(e) => {
-                    assert!(!batch.is_ok(p), "case {case}: missed failure at {f} Hz");
-                    assert!(
-                        batch.failures().iter().any(|(q, be)| *q == p && *be == e),
-                        "case {case}: error parity at {f} Hz"
-                    );
-                }
-            }
-        }
+        assert_matches_legacy(
+            &c,
+            &AcStamps::none(),
+            &freqs,
+            &batch,
+            &format!("case {case}"),
+        );
     }
 }
 
@@ -266,14 +292,10 @@ fn structured_paths_report_errors_point_for_point() {
     let mut ws = AcWorkspace::new();
     let batch = plan.sweep_batch(&freqs, &AcStamps::none(), &mut ws);
     assert_eq!(batch.failures().len(), freqs.len());
-    for (p, &f) in freqs.iter().enumerate() {
-        let legacy = s_matrix(&c, f, &AcStamps::none()).unwrap_err();
-        assert_eq!(legacy, AcError::Singular(f));
-        assert!(batch
-            .failures()
-            .iter()
-            .any(|(q, e)| *q == p && *e == legacy));
-    }
+    assert_eq!(
+        assert_matches_legacy(&c, &AcStamps::none(), &freqs, &batch, "floating"),
+        0
+    );
 }
 
 #[cfg(feature = "rfkit-faults")]
@@ -290,7 +312,9 @@ fn fault_injection_parity_across_solve_paths() {
         (random_structured(&mut rng, 12, 0), "banded"),
         (random_structured(&mut rng, 12, 4), "bordered"),
     ];
-    let freqs = [1.1e9, 1.4e9, 1.7e9];
+    // The armed plan is process-wide: the targeted 1.45 GHz is a
+    // frequency no other test in this binary solves at.
+    let freqs = [1.1e9, 1.45e9, 1.7e9];
     let f_bad: f64 = freqs[1];
     for (c, path) in &cases {
         let plan = StampPlan::compile(c).unwrap();
@@ -324,7 +348,7 @@ fn fault_injection_parity_across_solve_paths() {
 #[test]
 fn workspace_survives_topology_changes() {
     // Sharing one workspace across plans of different sizes re-warms but
-    // stays bit-identical.
+    // stays inside the contract.
     let small = {
         let mut c = Circuit::new();
         c.resistor("in", "out", 50.0)
@@ -335,21 +359,15 @@ fn workspace_survives_topology_changes() {
     let big = reference_design_circuit();
     let plan_small = StampPlan::compile(&small).unwrap();
     let plan_big = StampPlan::compile(&big).unwrap();
+    let freqs = [1.2e9, 1.5e9];
     let mut ws = AcWorkspace::new();
     for _ in 0..3 {
         // One two-point sweep per plan before switching topology.
-        for f in [1.2e9, 1.5e9] {
+        for (c, plan) in [(&small, &plan_small), (&big, &plan_big)] {
+            let batch = plan.sweep_batch(&freqs, &AcStamps::none(), &mut ws);
             assert_eq!(
-                plan_small
-                    .two_port_s(f, &AcStamps::none(), &mut ws)
-                    .unwrap(),
-                two_port_s(&small, f, &AcStamps::none()).unwrap()
-            );
-        }
-        for f in [1.2e9, 1.5e9] {
-            assert_eq!(
-                plan_big.two_port_s(f, &AcStamps::none(), &mut ws).unwrap(),
-                two_port_s(&big, f, &AcStamps::none()).unwrap()
+                assert_matches_legacy(c, &AcStamps::none(), &freqs, &batch, "switch"),
+                2
             );
         }
     }

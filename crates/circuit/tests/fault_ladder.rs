@@ -9,7 +9,7 @@
 #![cfg(feature = "rfkit-faults")]
 
 use rfkit_circuit::dc::{RetryPolicy, SolveError, SolveStage};
-use rfkit_circuit::{s_matrix, solve_dc, solve_dc_robust, AcError, AcStamps, Circuit, StampPlan};
+use rfkit_circuit::{s_matrix, solve_dc, AcError, AcStamps, Circuit, DcSolution, StampPlan};
 use rfkit_robust::faults::{self, FaultKind, FaultPlan};
 
 /// A bias network that needs real Newton work: self-biased FET with a
@@ -44,6 +44,13 @@ fn rlc_two_port() -> Circuit {
     c
 }
 
+/// Solves with nothing armed. Plans are process-wide, so the empty
+/// scoped plan serializes this solve against the other fault tests.
+fn healthy_solve(c: &Circuit, policy: &RetryPolicy) -> DcSolution {
+    let _quiet = faults::scoped(FaultPlan::new());
+    solve_dc(c, policy).expect("healthy solve")
+}
+
 const ALL_DC_SITES: [&str; 4] = [
     "dc.newton.plain",
     "dc.newton.damped",
@@ -62,7 +69,7 @@ fn every_ladder_rung_is_reachable_by_failing_the_rungs_below_it() {
     let c = bias_network();
     let policy = RetryPolicy::default();
     // No faults: the easy path.
-    let baseline = solve_dc_robust(&c, &policy).expect("healthy solve");
+    let baseline = healthy_solve(&c, &policy);
     assert_eq!(baseline.stage, SolveStage::PlainNewton);
     assert_eq!(baseline.attempts, 1);
     // Knock out rung after rung; the ladder must land exactly one higher
@@ -83,8 +90,8 @@ fn every_ladder_rung_is_reachable_by_failing_the_rungs_below_it() {
                 p.fail_all(site, FaultKind::Stagnate)
             });
         let _g = faults::scoped(plan);
-        let sol = solve_dc_robust(&c, &policy)
-            .unwrap_or_else(|e| panic!("rung {stage} should recover: {e}"));
+        let sol =
+            solve_dc(&c, &policy).unwrap_or_else(|e| panic!("rung {stage} should recover: {e}"));
         assert_eq!(sol.stage, stage);
         assert_eq!(sol.attempts, n_dead + 1);
         for (v, b) in sol.voltages.iter().zip(&baseline.voltages) {
@@ -107,7 +114,7 @@ fn every_solve_error_variant_is_reachable() {
     // SingularSystem: every rung's linear solve reports a singular matrix.
     {
         let _g = faults::scoped(fail_everywhere(FaultKind::SingularLu));
-        match solve_dc_robust(&c, &policy) {
+        match solve_dc(&c, &policy) {
             Err(SolveError::SingularSystem { stage, iterations }) => {
                 assert_eq!(stage, SolveStage::SourceStepping, "last rung reports");
                 assert!(iterations >= 1);
@@ -118,7 +125,7 @@ fn every_solve_error_variant_is_reachable() {
     // NonConvergence via stagnation: every rung stalls.
     {
         let _g = faults::scoped(fail_everywhere(FaultKind::Stagnate));
-        match solve_dc_robust(&c, &policy) {
+        match solve_dc(&c, &policy) {
             Err(SolveError::NonConvergence {
                 stage, residual, ..
             }) => {
@@ -131,7 +138,7 @@ fn every_solve_error_variant_is_reachable() {
     // NonConvergence via NaN residual: the norm goes non-finite.
     {
         let _g = faults::scoped(fail_everywhere(FaultKind::NanResidual));
-        match solve_dc_robust(&c, &policy) {
+        match solve_dc(&c, &policy) {
             Err(SolveError::NonConvergence { residual, .. }) => {
                 assert!(residual.is_nan(), "NaN fault must surface as NaN residual");
             }
@@ -148,7 +155,7 @@ fn every_solve_error_variant_is_reachable() {
             max_total_iters: 2,
             ..RetryPolicy::default()
         };
-        match solve_dc_robust(&c, &tiny) {
+        match solve_dc(&c, &tiny) {
             Err(SolveError::BudgetExhausted {
                 stage, iterations, ..
             }) => {
@@ -159,28 +166,9 @@ fn every_solve_error_variant_is_reachable() {
         }
     }
     // Fault cleared: the solver is healthy again, first rung, one attempt.
-    let sol = solve_dc_robust(&c, &policy).expect("recovered after disarm");
+    let sol = healthy_solve(&c, &policy);
     assert_eq!(sol.stage, SolveStage::PlainNewton);
     assert_eq!(sol.attempts, 1);
-}
-
-#[test]
-fn legacy_wrapper_maps_the_structured_taxonomy() {
-    let c = bias_network();
-    {
-        let _g = faults::scoped(fail_everywhere(FaultKind::SingularLu));
-        assert_eq!(solve_dc(&c), Err(rfkit_circuit::DcError::Singular));
-    }
-    {
-        let _g = faults::scoped(fail_everywhere(FaultKind::Stagnate));
-        match solve_dc(&c) {
-            Err(rfkit_circuit::DcError::NoConvergence { residual }) => {
-                assert!(residual.is_finite());
-            }
-            other => panic!("expected NoConvergence, got {other:?}"),
-        }
-    }
-    assert!(solve_dc(&c).is_ok(), "healthy after disarm");
 }
 
 #[test]
@@ -189,14 +177,14 @@ fn restricted_ladder_cannot_recover_past_its_last_rung() {
     // Only plain Newton allowed, and it is dead: the error must carry the
     // plain stage, proving no hidden rung ran.
     let _g = faults::scoped(FaultPlan::new().fail_all("dc.newton.plain", FaultKind::Stagnate));
-    match solve_dc_robust(&c, &RetryPolicy::first_stages(1)) {
+    match solve_dc(&c, &RetryPolicy::first_stages(1)) {
         Err(SolveError::NonConvergence { stage, .. }) => {
             assert_eq!(stage, SolveStage::PlainNewton);
         }
         other => panic!("expected plain-stage NonConvergence, got {other:?}"),
     }
     // Two rungs: the damped rung rescues it.
-    let sol = solve_dc_robust(&c, &RetryPolicy::first_stages(2)).expect("damped rescues");
+    let sol = solve_dc(&c, &RetryPolicy::first_stages(2)).expect("damped rescues");
     assert_eq!(sol.stage, SolveStage::DampedNewton);
     assert_eq!(sol.attempts, 2);
 }
@@ -208,7 +196,7 @@ fn seeded_fault_subsets_replay_bit_identically() {
     // fault clears, the solution is bit-identical to the unfaulted run.
     let c = bias_network();
     let policy = RetryPolicy::default();
-    let baseline = solve_dc_robust(&c, &policy).expect("healthy");
+    let baseline = healthy_solve(&c, &policy);
     // Keys are plain-Newton iteration numbers; iteration 1 always runs,
     // so a subset containing 1 forces a retry and one without it doesn't.
     let domain: Vec<u64> = (1..=50).collect();
@@ -221,7 +209,7 @@ fn seeded_fault_subsets_replay_bit_identically() {
                 &domain,
                 6,
             ));
-            let r = solve_dc_robust(&c, &policy);
+            let r = solve_dc(&c, &policy);
             (r, faults::fired("dc.newton.plain"))
         };
         let (first, fired_a) = outcome_of();
@@ -229,7 +217,7 @@ fn seeded_fault_subsets_replay_bit_identically() {
         assert_eq!(first, second, "seed {seed} did not replay");
         assert_eq!(fired_a, fired_b, "seed {seed} fired differently");
         // Whatever the injected subset did, recovery after disarm is exact.
-        assert_eq!(solve_dc_robust(&c, &policy).unwrap(), baseline);
+        assert_eq!(healthy_solve(&c, &policy), baseline);
     }
 }
 
@@ -247,20 +235,17 @@ fn ac_hook_fails_legacy_and_compiled_paths_identically() {
             &[f_bad.to_bits()],
         ));
         // Both paths share the site and the frequency-bits key, so the
-        // fast-path equivalence contract holds under fault injection too.
+        // sweep equivalence contract holds under fault injection too.
         assert_eq!(
             s_matrix(&c, f_bad, &AcStamps::none()).unwrap_err(),
             AcError::Singular(f_bad)
         );
-        assert_eq!(
-            plan.two_port_s(f_bad, &AcStamps::none(), &mut ws)
-                .unwrap_err(),
-            AcError::Singular(f_bad)
-        );
-        // Untargeted frequencies sail through with identical bits.
+        let batch = plan.sweep_batch(&[f_good, f_bad], &AcStamps::none(), &mut ws);
+        assert_eq!(batch.failures(), &[(1, AcError::Singular(f_bad))]);
+        // The untargeted frequency sails through.
         let legacy = rfkit_circuit::two_port_s(&c, f_good, &AcStamps::none()).unwrap();
-        let fast = plan.two_port_s(f_good, &AcStamps::none(), &mut ws).unwrap();
-        assert_eq!(legacy, fast);
+        let got = batch.two_port(0).unwrap();
+        assert!((got.s21() - legacy.s21()).abs() <= rfkit_circuit::SWEEP_TOL);
         assert_eq!(faults::fired("ac.solve"), 2);
     }
     // Cleared: the poisoned frequency works again.

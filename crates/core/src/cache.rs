@@ -18,25 +18,26 @@
 //! * the cached value is a pure function of the key (device and band are
 //!   fixed per cache), so whichever thread populates an entry first, every
 //!   later reader observes the value it would have computed itself;
-//! * eviction pops the smallest key of the `BTreeMap` — a deterministic
-//!   order — and at worst turns a would-be hit into a recomputation of the
-//!   identical value.
+//! * eviction pops the smallest key — a deterministic order — and at
+//!   worst turns a would-be hit into a recomputation of the identical
+//!   value.
 //!
-//! Interior state lives behind a poison-tolerant [`Mutex`]; evaluation
-//! runs *outside* the lock so parallel workers never serialize on the
+//! The map is an [`rfkit_num::MemoMap`]: poison-tolerant, and evaluation
+//! runs *outside* its lock so parallel workers never serialize on the
 //! expensive part.
 
 use crate::amplifier::{Amplifier, DesignVariables};
 use crate::band::{BandMetrics, BandOutcome, BandSpec};
 use rfkit_device::Phemt;
+use rfkit_num::MemoMap;
 use rfkit_robust::DegradePolicy;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
 
 // Hit/miss/eviction telemetry (runtime-gated, write-only; see rfkit-obs).
+// A cache thrashes when `design.cache.evict` outgrows `design.cache.hit`.
 static OBS_CACHE_HIT: rfkit_obs::Counter = rfkit_obs::Counter::new("design.cache.hit");
 static OBS_CACHE_MISS: rfkit_obs::Counter = rfkit_obs::Counter::new("design.cache.miss");
+static OBS_CACHE_EVICT: rfkit_obs::Counter = rfkit_obs::Counter::new("design.cache.evict");
 static OBS_CACHE_UNCACHEABLE: rfkit_obs::Counter =
     rfkit_obs::Counter::new("design.cache.uncacheable");
 
@@ -49,13 +50,9 @@ type Key = [u64; 7];
 
 /// A bounded, thread-safe, deterministic memo cache for
 /// [`BandMetrics::evaluate`] results at quantized design points.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct DesignCache {
-    capacity: usize,
-    map: Mutex<BTreeMap<Key, Option<BandMetrics>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
+    map: MemoMap<Key, Option<BandMetrics>>,
     uncacheable: AtomicU64,
 }
 
@@ -63,11 +60,7 @@ impl DesignCache {
     /// Creates a cache bounded to `capacity` entries (at least 1).
     pub fn new(capacity: usize) -> Self {
         DesignCache {
-            capacity: capacity.max(1),
-            map: Mutex::new(BTreeMap::new()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+            map: MemoMap::new(capacity),
             uncacheable: AtomicU64::new(0),
         }
     }
@@ -107,8 +100,8 @@ impl DesignCache {
     /// `(variables, metrics)`, in ascending key order (`None` marks a
     /// cached-infeasible point).
     ///
-    /// The order is a pure function of the cache *contents* — the
-    /// `BTreeMap` sorts on the exact variable bits — so two caches
+    /// The order is a pure function of the cache *contents* — the map
+    /// sorts on the exact variable bits — so two caches
     /// holding the same set of evaluated points snapshot identically no
     /// matter how many threads raced to populate them or in which order
     /// insertions happened. This is the property that lets a surrogate
@@ -118,10 +111,9 @@ impl DesignCache {
     /// cache under capacity when a snapshot must be reproducible.)
     pub fn snapshot(&self) -> Vec<(DesignVariables, Option<BandMetrics>)> {
         self.map
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-            .map(|(k, v)| (Self::vars_from_key(k), *v))
+            .entries()
+            .into_iter()
+            .map(|(k, v)| (Self::vars_from_key(&k), v))
             .collect()
     }
 
@@ -158,83 +150,49 @@ impl DesignCache {
         band: &BandSpec,
         policy: &DegradePolicy,
     ) -> BandOutcome {
-        let key = Self::key(&vars);
-        if let Some(&value) = self
-            .map
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(&key)
-        {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            OBS_CACHE_HIT.add(1);
-            return match value {
-                Some(m) => BandOutcome::Complete(m),
-                None => BandOutcome::Infeasible,
-            };
-        }
-        // Compute outside the lock: the value is a pure function of the
-        // key, so concurrent workers at most duplicate work, never diverge.
-        let amp = Amplifier::new(device, vars);
-        let outcome = BandMetrics::evaluate_robust(&amp, band, policy);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        OBS_CACHE_MISS.add(1);
-        let value = match &outcome {
-            BandOutcome::Complete(m) => Some(Some(*m)),
-            BandOutcome::Infeasible => Some(None),
-            BandOutcome::Degraded { .. } | BandOutcome::Failed { .. } => None,
-        };
-        let Some(value) = value else {
-            self.uncacheable.fetch_add(1, Ordering::Relaxed);
-            OBS_CACHE_UNCACHEABLE.add(1);
-            return outcome;
-        };
-        let mut map = self.map.lock().unwrap_or_else(PoisonError::into_inner);
-        if !map.contains_key(&key) {
-            while map.len() >= self.capacity {
-                map.pop_first();
-                let evicted = self.evictions.fetch_add(1, Ordering::Relaxed) + 1;
-                if rfkit_obs::enabled() {
-                    rfkit_obs::event(
-                        "design.cache.evict",
-                        &[
-                            ("evictions", evicted as f64),
-                            ("capacity", self.capacity as f64),
-                        ],
-                    );
-                    // Thrash warning: more entries evicted than ever hit
-                    // means the capacity is below the working set and the
-                    // cache is churning instead of memoizing. Resize it.
-                    let hits = self.hits.load(Ordering::Relaxed);
-                    if evicted > hits {
-                        rfkit_obs::event(
-                            "design.cache.thrash",
-                            &[
-                                ("evictions", evicted as f64),
-                                ("hits", hits as f64),
-                                ("capacity", self.capacity as f64),
-                            ],
-                        );
-                    }
-                }
+        let fetched = self.map.get_or_insert_with(Self::key(&vars), || {
+            let outcome = BandMetrics::evaluate_robust(&Amplifier::new(device, vars), band, policy);
+            if outcome.cacheable() {
+                Ok(outcome.metrics().copied())
+            } else {
+                Err(outcome)
             }
-            map.insert(key, value);
+        });
+        match fetched {
+            Ok(f) => {
+                if f.hit {
+                    OBS_CACHE_HIT.add(1);
+                } else {
+                    OBS_CACHE_MISS.add(1);
+                }
+                if f.evicted.is_some() {
+                    OBS_CACHE_EVICT.add(1);
+                }
+                f.value
+                    .map_or(BandOutcome::Infeasible, BandOutcome::Complete)
+            }
+            Err(uncacheable) => {
+                OBS_CACHE_MISS.add(1);
+                self.uncacheable.fetch_add(1, Ordering::Relaxed);
+                OBS_CACHE_UNCACHEABLE.add(1);
+                uncacheable
+            }
         }
-        outcome
     }
 
     /// Cache hits so far.
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.map.hits()
     }
 
     /// Cache misses (full evaluations) so far.
     pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        self.map.misses()
     }
 
     /// Entries evicted by the capacity bound so far.
     pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
+        self.map.evictions()
     }
 
     /// Evaluations whose outcome was degraded or failed and therefore
@@ -245,15 +203,12 @@ impl DesignCache {
 
     /// Current number of cached entries.
     pub fn len(&self) -> usize {
-        self.map
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
+        self.map.len()
     }
 
     /// `true` when nothing is cached yet.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.map.is_empty()
     }
 
     /// Hit fraction of all lookups (0 when nothing was looked up).

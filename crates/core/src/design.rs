@@ -96,39 +96,6 @@ pub fn cached_band_objectives<'a>(
     }
 }
 
-/// Failure-aware variant of [`cached_band_objectives`]: evaluation goes
-/// through [`BandMetrics::evaluate_robust`] under `policy`, so a
-/// transiently failed grid point degrades a candidate instead of
-/// discarding it.
-///
-/// * Complete sweeps score exactly as [`cached_band_objectives`].
-/// * Degraded sweeps score from the surviving points — the worst case
-///   over fewer points can only flatter a candidate, which is acceptable
-///   for search guidance (the final design is always re-verified
-///   strictly) and far better than the [`INFEASIBLE`] cliff that would
-///   otherwise punish a candidate for solver trouble it did not cause.
-/// * Infeasible and failed sweeps take the [`INFEASIBLE`] penalty.
-///
-/// With no faults armed this is value-identical to
-/// [`cached_band_objectives`]: every sweep is complete or infeasible.
-pub fn robust_band_objectives<'a>(
-    device: &'a Phemt,
-    band: &'a BandSpec,
-    cache: &'a DesignCache,
-    policy: &'a rfkit_robust::DegradePolicy,
-) -> impl Fn(&[f64]) -> Vec<f64> + 'a {
-    use crate::band::BandOutcome;
-    move |x: &[f64]| {
-        let vars = DesignVariables::from_vec(x);
-        match cache.evaluate_with(device, vars, band, policy) {
-            BandOutcome::Complete(m) | BandOutcome::Degraded { metrics: m, .. } => {
-                band_objective_vec(Some(m))
-            }
-            BandOutcome::Infeasible | BandOutcome::Failed { .. } => band_objective_vec(None),
-        }
-    }
-}
-
 /// Builds the 3-component spot-frequency objective vector
 /// `[NF(f0) dB, −gain(f0) dB, 1 − min μ]` used by the Pareto-front study
 /// (F4): noise and gain trade at one frequency, stability stays a hard

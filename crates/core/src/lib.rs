@@ -44,8 +44,8 @@ pub use amplifier::{Amplifier, DesignVariables, PointMetrics};
 pub use band::{BandMetrics, BandOutcome, BandSpec};
 pub use cache::{DesignCache, DEFAULT_CACHE_CAPACITY};
 pub use design::{
-    band_objectives, cached_band_objectives, design_lna, robust_band_objectives, snap_to_catalog,
-    spot_objectives, DesignConfig, DesignGoals, LnaDesign,
+    band_objectives, cached_band_objectives, design_lna, snap_to_catalog, spot_objectives,
+    DesignConfig, DesignGoals, LnaDesign,
 };
 pub use measure::{
     gain_gap_db, measure, measure_im3, BuildConfig, BuiltAmplifier, MeasurementSession,
@@ -57,6 +57,4 @@ pub use study::{
 };
 pub use thermal::{band_sweep_over_temperature, metrics_at_temperature, ThermalCondition};
 pub use verify::{cached_sweep, multistage_netlist, output_match_network, reference_netlist};
-pub use yield_analysis::{
-    yield_analysis, yield_analysis_robust, YieldOutcome, YieldReport, YieldSpec,
-};
+pub use yield_analysis::{yield_analysis_robust, YieldOutcome, YieldReport, YieldSpec};

@@ -110,37 +110,13 @@ pub struct YieldOutcome {
 /// the report is bit-identical at any thread count, and the grading
 /// reduction runs serially in unit order.
 ///
-/// This is the lenient view of [`yield_analysis_robust`]: transient
-/// per-unit failures (only possible under fault injection) are excluded
-/// from the report without failing the run.
-pub fn yield_analysis(
-    device: &Phemt,
-    design: &DesignVariables,
-    spec: &YieldSpec,
-    band: &BandSpec,
-    units: usize,
-    build: &BuildConfig,
-    seed_base: u64,
-) -> YieldReport {
-    yield_analysis_robust(
-        device,
-        design,
-        spec,
-        band,
-        units,
-        build,
-        seed_base,
-        &DegradePolicy::lenient(1.0),
-    )
-    .report
-}
-
-/// Like [`yield_analysis`], but with per-unit failure isolation: a unit
-/// whose evaluation fails transiently records a diagnostic and is
-/// excluded from the aggregation (it is *not* a dead board — a dead board
-/// is a deterministic property of its tolerance draw). The failure
-/// fraction is graded against `policy`; beyond it the report is returned
-/// anyway but flagged `degraded`.
+/// Failures are isolated per unit: a unit whose evaluation fails
+/// transiently (only possible under fault injection) records a
+/// diagnostic and is excluded from the aggregation (it is *not* a dead
+/// board — a dead board is a deterministic property of its tolerance
+/// draw). The failure fraction is graded against `policy`; beyond it the
+/// report is returned anyway but flagged `degraded`. The report itself
+/// does not depend on `policy`.
 #[allow(clippy::too_many_arguments)]
 pub fn yield_analysis_robust(
     device: &Phemt,
@@ -247,24 +223,32 @@ mod tests {
         }
     }
 
+    /// Manufactures `units` boards of the nominal design over the GNSS band.
+    fn run(spec: &YieldSpec, units: usize, build: &BuildConfig, seed: u64) -> YieldOutcome {
+        let device = Phemt::atf54143_like();
+        let band = BandSpec::gnss();
+        let policy = DegradePolicy::strict();
+        yield_analysis_robust(
+            &device,
+            &nominal(),
+            spec,
+            &band,
+            units,
+            build,
+            seed,
+            &policy,
+        )
+    }
+
     #[test]
     fn loose_spec_gives_full_yield() {
-        let device = Phemt::atf54143_like();
         let spec = YieldSpec {
             max_nf_db: 2.0,
             min_gain_db: 5.0,
             max_s11_db: 0.0,
             require_stability: false,
         };
-        let report = yield_analysis(
-            &device,
-            &nominal(),
-            &spec,
-            &BandSpec::gnss(),
-            20,
-            &BuildConfig::default(),
-            0,
-        );
+        let report = run(&spec, 20, &BuildConfig::default(), 0).report;
         assert_eq!(report.passing, 20);
         assert_eq!(report.yield_fraction(), 1.0);
         assert!(report.dominant_failure().is_none());
@@ -272,22 +256,13 @@ mod tests {
 
     #[test]
     fn impossible_spec_gives_zero_yield() {
-        let device = Phemt::atf54143_like();
         let spec = YieldSpec {
             max_nf_db: 0.1,
             min_gain_db: 40.0,
             max_s11_db: -40.0,
             require_stability: true,
         };
-        let report = yield_analysis(
-            &device,
-            &nominal(),
-            &spec,
-            &BandSpec::gnss(),
-            10,
-            &BuildConfig::default(),
-            0,
-        );
+        let report = run(&spec, 10, &BuildConfig::default(), 0).report;
         assert_eq!(report.passing, 0);
         assert!(report.dominant_failure().is_some());
     }
@@ -305,24 +280,16 @@ mod tests {
             max_s11_db: 0.0,
             require_stability: false,
         };
-        let run = |tol: f64| {
-            yield_analysis(
-                &device,
-                &nominal(),
-                &spec,
-                &BandSpec::gnss(),
-                40,
-                &BuildConfig {
-                    tolerance: tol,
-                    bias_error: 0.002,
-                    ..Default::default()
-                },
-                7,
-            )
-            .yield_fraction()
+        let yield_at = |tol: f64| {
+            let build = BuildConfig {
+                tolerance: tol,
+                bias_error: 0.002,
+                ..Default::default()
+            };
+            run(&spec, 40, &build, 7).report.yield_fraction()
         };
-        let loose = run(0.10);
-        let tight = run(0.01);
+        let loose = yield_at(0.10);
+        let tight = yield_at(0.01);
         assert!(
             tight > loose,
             "1 % parts must out-yield 10 % parts: {tight} vs {loose}"
@@ -331,48 +298,18 @@ mod tests {
     }
 
     #[test]
-    fn robust_run_without_faults_matches_legacy() {
-        let device = Phemt::atf54143_like();
-        let spec = YieldSpec::default();
-        let legacy = yield_analysis(
-            &device,
-            &nominal(),
-            &spec,
-            &BandSpec::gnss(),
-            12,
-            &BuildConfig::default(),
-            5,
-        );
-        let robust = yield_analysis_robust(
-            &device,
-            &nominal(),
-            &spec,
-            &BandSpec::gnss(),
-            12,
-            &BuildConfig::default(),
-            5,
-            &DegradePolicy::strict(),
-        );
-        // With nothing armed, the robust path is the legacy path: same
-        // report bit-for-bit, no diagnostics, not degraded even under the
-        // strictest policy.
-        assert_eq!(robust.report, legacy);
-        assert!(robust.diagnostics.is_empty());
-        assert!(!robust.degraded);
+    fn unfaulted_run_is_complete_under_strict_policy() {
+        // With nothing armed every unit grades: no diagnostics, and not
+        // degraded even under the strictest policy.
+        let outcome = run(&YieldSpec::default(), 12, &BuildConfig::default(), 5);
+        assert_eq!(outcome.report.units, 12);
+        assert!(outcome.diagnostics.is_empty());
+        assert!(!outcome.degraded);
     }
 
     #[test]
     fn reports_collect_distributions() {
-        let device = Phemt::atf54143_like();
-        let report = yield_analysis(
-            &device,
-            &nominal(),
-            &YieldSpec::default(),
-            &BandSpec::gnss(),
-            15,
-            &BuildConfig::default(),
-            3,
-        );
+        let report = run(&YieldSpec::default(), 15, &BuildConfig::default(), 3).report;
         assert_eq!(report.nf_db.len() + report.failures[4], 15);
         assert!(report.nf_db.iter().all(|v| *v > 0.0 && *v < 3.0));
         // The distribution has spread (tolerances are real).

@@ -42,8 +42,8 @@ fn snapped_candidates(n_distinct: usize) -> Vec<Vec<f64>> {
 
 #[test]
 fn cached_objectives_identical_at_1_and_4_threads() {
-    // Arm tracing for the whole comparison: hit/miss counters and evict
-    // events must stay write-only with respect to the numerics.
+    // Arm tracing for the whole comparison: the hit/miss/evict counters
+    // must stay write-only with respect to the numerics.
     let trace = std::env::temp_dir().join(format!(
         "rfkit_cache_determinism_trace_{}.jsonl",
         std::process::id()
@@ -134,16 +134,6 @@ fn cached_objectives_identical_at_1_and_4_threads() {
     );
     assert_eq!(hits_1 + misses_1, xs.len() as u64);
     assert_eq!(hits_4 + misses_4, xs.len() as u64);
-
-    // The failure-aware objective builder with nothing armed is the same
-    // function: every sweep completes, values are bit-identical, and
-    // nothing is classified uncacheable.
-    let robust_cache = DesignCache::new(64);
-    let policy = lna::DegradePolicy::strict();
-    let robust_obj = lna::robust_band_objectives(&device, &band, &robust_cache, &policy);
-    let robust_out: Vec<Vec<f64>> = xs.iter().map(|x| robust_obj(x)).collect();
-    assert_eq!(out_1, robust_out, "robust objectives changed values");
-    assert_eq!(robust_cache.uncacheable(), 0);
 
     rfkit_obs::flush();
     let meta = std::fs::metadata(&trace).expect("armed run wrote a trace");

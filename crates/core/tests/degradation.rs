@@ -10,7 +10,7 @@
 #![cfg(feature = "rfkit-faults")]
 
 use lna::{
-    yield_analysis, yield_analysis_robust, Amplifier, BandMetrics, BandOutcome, BandSpec,
+    yield_analysis_robust, Amplifier, BandMetrics, BandOutcome, BandSpec, BuildConfig,
     DegradePolicy, DesignCache, DesignVariables, YieldSpec,
 };
 use rfkit_device::Phemt;
@@ -26,6 +26,12 @@ fn nominal() -> DesignVariables {
         c2: 2.2e-12,
         r_bias: 30.0,
     }
+}
+
+/// Holds an empty plan: plans are process-wide, so this serializes a
+/// healthy evaluation against the other fault tests.
+fn quiet() -> faults::ScopedFaults {
+    faults::scoped(FaultPlan::new())
 }
 
 /// Kills `keys` on the band-point site: one in-band frequency and one
@@ -76,6 +82,7 @@ fn k_injected_points_degrade_with_exactly_k_diagnostics_at_any_thread_count() {
     }
     // The partial reduces over the surviving points: dropping a worst-case
     // candidate can only flatter the metrics, never invent a worse case.
+    let _quiet = quiet();
     let full = BandMetrics::evaluate(&amp, &band).expect("healthy design");
     assert!(metrics.worst_nf_db <= full.worst_nf_db);
     assert!(metrics.min_gain_db >= full.min_gain_db);
@@ -151,6 +158,7 @@ fn cache_never_stores_a_transiently_faulted_result() {
         assert_eq!(cache.len(), 0, "no stale None from a transient fault");
     }
     // Fault cleared: the correct value computes, caches, and serves hits.
+    let _quiet = quiet();
     let amp = Amplifier::new(&device, nominal());
     let fresh = BandMetrics::evaluate(&amp, &band).expect("feasible");
     assert_eq!(cache.evaluate(&device, nominal(), &band), Some(fresh));
@@ -169,9 +177,15 @@ fn yield_run_excludes_killed_units_and_flags_partials() {
         max_s11_db: 0.0,
         require_stability: false,
     };
-    let build = Default::default();
     let units = 12usize;
-    let baseline = yield_analysis(&device, &nominal(), &spec, &band, units, &build, 3);
+    let run = |policy: &DegradePolicy| {
+        let build = BuildConfig::default();
+        yield_analysis_robust(&device, &nominal(), &spec, &band, units, &build, 3, policy)
+    };
+    let baseline = {
+        let _quiet = quiet();
+        run(&DegradePolicy::default()).report
+    };
     assert_eq!(baseline.passing, units, "loose spec passes everything");
 
     let killed = [2u64, 5, 7];
@@ -182,16 +196,7 @@ fn yield_run_excludes_killed_units_and_flags_partials() {
             &killed,
         ));
         // A tolerant policy: 3/12 = 25 % failures allowed.
-        let out = yield_analysis_robust(
-            &device,
-            &nominal(),
-            &spec,
-            &band,
-            units,
-            &build,
-            3,
-            &DegradePolicy::lenient(0.25),
-        );
+        let out = run(&DegradePolicy::lenient(0.25));
         assert_eq!(out.diagnostics.len(), killed.len());
         for (d, &u) in out.diagnostics.iter().zip(&killed) {
             assert_eq!(d.index, u as usize);
@@ -207,22 +212,11 @@ fn yield_run_excludes_killed_units_and_flags_partials() {
             "killed units are not dead boards"
         );
         // A stricter policy flags the same run as degraded.
-        let strict = yield_analysis_robust(
-            &device,
-            &nominal(),
-            &spec,
-            &band,
-            units,
-            &build,
-            3,
-            &DegradePolicy::lenient(0.1),
-        );
+        let strict = run(&DegradePolicy::lenient(0.1));
         assert!(strict.degraded, "3/12 failures exceed a 10 % threshold");
         assert_eq!(strict.report, out.report, "grading is policy-independent");
     }
-    // Recovery: the legacy entry point returns the bit-identical baseline.
-    assert_eq!(
-        yield_analysis(&device, &nominal(), &spec, &band, units, &build, 3),
-        baseline
-    );
+    // Recovery: the same run returns the bit-identical baseline.
+    let _quiet = quiet();
+    assert_eq!(run(&DegradePolicy::default()).report, baseline);
 }

@@ -35,6 +35,7 @@ pub mod fft;
 pub mod interp;
 pub mod lstsq;
 mod matrix;
+pub mod memo;
 #[cfg(feature = "numsan")]
 pub mod numsan;
 mod poly;
@@ -48,6 +49,7 @@ pub use banded::{BandedError, BandedLu, BorderedLu};
 pub use complex::Complex;
 pub use lstsq::{ridge_solve, Normalizer};
 pub use matrix::{CMatrix, Lu, LuWorkspace, Matrix, MatrixError, RMatrix, Scalar};
+pub use memo::{Fetched, MemoMap};
 pub use poly::{line_intersection, Polynomial};
 pub use sketch::QuantileSketch;
 

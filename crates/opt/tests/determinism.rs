@@ -43,7 +43,7 @@ fn zdt1(x: &[f64]) -> Vec<f64> {
 /// node interning and the MNA branch-current assignment, both of which
 /// must stamp in a deterministic order (sorted maps, never a hasher).
 fn dc_operating_point() -> Vec<f64> {
-    use rfkit_circuit::{solve_dc, Circuit};
+    use rfkit_circuit::{solve_dc, Circuit, RetryPolicy};
     use rfkit_device::dc::{Angelov, DcModel};
     let mut c = Circuit::new();
     c.vsource("vdd", "gnd", 5.0)
@@ -60,12 +60,7 @@ fn dc_operating_point() -> Vec<f64> {
             Box::new(Angelov),
             Angelov.default_params(),
         );
-    let sol = solve_dc(&c).expect("bias point converges");
-    // The robust fallback ladder is the engine behind `solve_dc`; calling
-    // it directly with the default policy must agree bit-for-bit,
-    // including the stage/attempt provenance (first rung, first try).
-    let robust = rfkit_circuit::solve_dc_robust(&c, &Default::default()).expect("robust path");
-    assert_eq!(sol, robust, "legacy and robust DC paths diverged");
+    let sol = solve_dc(&c, &RetryPolicy::default()).expect("bias point converges");
     let mut out = sol.voltages;
     out.extend(sol.fet_currents);
     out

@@ -48,4 +48,4 @@ pub use protocol::{
     read_frame, vars_json, write_frame, FrameError, Request, RequestBody, Response,
     DEFAULT_MAX_FRAME_BYTES,
 };
-pub use server::{ServeConfig, Server, StatsSnapshot};
+pub use server::{ServeConfig, Server, StatsSnapshot, MAX_BAND_CACHES};

@@ -3,6 +3,7 @@
 //! control, per-request deadlines, and draining shutdown.
 
 use std::collections::BTreeMap;
+use std::convert::Infallible;
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{self, AssertUnwindSafe};
@@ -18,6 +19,7 @@ use lna::{
 };
 use rfkit_circuit::{shared_plan_cache, AcWorkspace};
 use rfkit_device::Phemt;
+use rfkit_num::MemoMap;
 use rfkit_obs::json::{fmt_f64, JsonObj};
 
 use crate::protocol::{self, FrameError, Request, RequestBody};
@@ -32,6 +34,11 @@ static OBS_DEGRADED: rfkit_obs::Counter = rfkit_obs::Counter::new("serve.request
 static OBS_EXPIRED: rfkit_obs::Counter = rfkit_obs::Counter::new("serve.requests.expired");
 static OBS_PROTOCOL_ERRORS: rfkit_obs::Counter = rfkit_obs::Counter::new("serve.protocol.errors");
 static OBS_LATENCY: rfkit_obs::Hist = rfkit_obs::Hist::new("serve.request.latency_us");
+
+/// Most per-band design caches kept at once. Clients may name any band,
+/// so the map is bounded; an evicted band's cache starts cold on its next
+/// request.
+pub const MAX_BAND_CACHES: usize = 8;
 
 /// Server configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -117,7 +124,8 @@ pub struct StatsSnapshot {
     pub workers_spawned: u64,
     /// See `workers_spawned`.
     pub workers_exited: u64,
-    /// Shared design-cache hits across all bands served.
+    /// Shared design-cache hits across all bands served, evicted band
+    /// caches included.
     pub design_cache_hits: u64,
     /// Shared design-cache misses.
     pub design_cache_misses: u64,
@@ -155,15 +163,36 @@ impl ConnWriter {
     }
 }
 
+/// Design-cache counters folded in from evicted band caches.
+#[derive(Clone, Copy, Default)]
+struct CacheTotals {
+    hits: u64,
+    misses: u64,
+    uncacheable: u64,
+}
+
+impl CacheTotals {
+    fn add(&mut self, cache: &DesignCache) {
+        self.hits += cache.hits();
+        self.misses += cache.misses();
+        self.uncacheable += cache.uncacheable();
+    }
+}
+
 struct Shared {
     cfg: ServeConfig,
     device: Phemt,
     sched: Scheduler<Job>,
     stats: ServerStats,
-    /// Per-band design memo caches, keyed by the band's defining bits.
-    /// `DesignCache` itself refuses to memoize degraded/failed outcomes,
-    /// so a fault-window result can never poison a later request.
-    caches: Mutex<BTreeMap<[u64; 3], Arc<DesignCache>>>,
+    /// Per-band design memo caches, keyed by the band's defining bits and
+    /// bounded at [`MAX_BAND_CACHES`]. `DesignCache` itself refuses to
+    /// memoize degraded/failed outcomes, so a fault-window result can
+    /// never poison a later request.
+    caches: MemoMap<[u64; 3], Arc<DesignCache>>,
+    /// Counters of evicted band caches. Held across every band lookup, so
+    /// a stats snapshot sees an evicted cache's counters in exactly one of
+    /// `caches` and here, and the totals never drop.
+    retired: Mutex<CacheTotals>,
     /// Raw handles of live connections, kept to unblock readers at
     /// shutdown. Keyed by connection id so a reader can retire its own
     /// entry when it exits — otherwise the stashed clone would hold the
@@ -182,13 +211,14 @@ impl Shared {
             band.f_hi().to_bits(),
             band.n_points() as u64,
         ];
-        Arc::clone(
-            self.caches
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .entry(key)
-                .or_insert_with(|| Arc::new(DesignCache::new(self.cfg.design_cache_capacity))),
-        )
+        let mut retired = self.retired.lock().unwrap_or_else(PoisonError::into_inner);
+        let Ok(fetched) = self.caches.get_or_insert_with(key, || {
+            Ok::<_, Infallible>(Arc::new(DesignCache::new(self.cfg.design_cache_capacity)))
+        });
+        if let Some(evicted) = fetched.evicted {
+            retired.add(&evicted);
+        }
+        fetched.value
     }
 
     fn note_protocol_error(&self) {
@@ -217,7 +247,8 @@ impl Server {
             cfg,
             device: Phemt::atf54143_like(),
             stats: ServerStats::default(),
-            caches: Mutex::new(BTreeMap::new()),
+            caches: MemoMap::new(MAX_BAND_CACHES),
+            retired: Mutex::new(CacheTotals::default()),
             conns: Mutex::new(BTreeMap::new()),
             next_conn_id: AtomicU64::new(0),
             readers: Mutex::new(Vec::new()),
@@ -316,24 +347,20 @@ impl Drop for Server {
 
 fn snapshot(shared: &Shared) -> StatsSnapshot {
     let st = &shared.stats;
-    let (mut dh, mut dm, mut du, mut de) = (0u64, 0u64, 0u64, 0usize);
-    for cache in shared
-        .caches
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .values()
-    {
-        dh += cache.hits();
-        dm += cache.misses();
-        du += cache.uncacheable();
-        de += cache.len();
-    }
-    let (ph, pm, pe) = {
-        let pc = shared_plan_cache()
+    let (design, entries) = {
+        let retired = shared
+            .retired
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        (pc.hits(), pc.misses(), pc.len())
+        let mut totals = *retired;
+        let mut entries = 0;
+        for (_, cache) in shared.caches.entries() {
+            totals.add(&cache);
+            entries += cache.len();
+        }
+        (totals, entries)
     };
+    let plans = shared_plan_cache();
     StatsSnapshot {
         accepted: st.accepted.load(Ordering::Relaxed),
         rejected: st.rejected.load(Ordering::Relaxed),
@@ -348,13 +375,13 @@ fn snapshot(shared: &Shared) -> StatsSnapshot {
         connections_closed: st.connections_closed.load(Ordering::Relaxed),
         workers_spawned: st.workers_spawned.load(Ordering::Relaxed),
         workers_exited: st.workers_exited.load(Ordering::Relaxed),
-        design_cache_hits: dh,
-        design_cache_misses: dm,
-        design_cache_uncacheable: du,
-        design_cache_entries: de,
-        plan_cache_hits: ph,
-        plan_cache_misses: pm,
-        plan_cache_entries: pe,
+        design_cache_hits: design.hits,
+        design_cache_misses: design.misses,
+        design_cache_uncacheable: design.uncacheable,
+        design_cache_entries: entries,
+        plan_cache_hits: plans.hits(),
+        plan_cache_misses: plans.misses(),
+        plan_cache_entries: plans.len(),
     }
 }
 

@@ -8,7 +8,7 @@ use std::io::Write;
 use std::net::TcpStream;
 use std::time::Duration;
 
-use rfkit_serve::{client, Client, ServeConfig, Server};
+use rfkit_serve::{client, Client, ServeConfig, Server, MAX_BAND_CACHES};
 
 fn small_server() -> Server {
     Server::start(ServeConfig {
@@ -20,6 +20,19 @@ fn small_server() -> Server {
         ..ServeConfig::default()
     })
     .expect("server starts")
+}
+
+/// A snapped, feasible reference design.
+fn nominal() -> lna::DesignVariables {
+    lna::snap_to_catalog(lna::DesignVariables {
+        vds: 3.0,
+        ids: 0.05,
+        l1: 6.8e-9,
+        ls_deg: 0.4e-9,
+        l2: 10e-9,
+        c2: 2.2e-12,
+        r_bias: 30.0,
+    })
 }
 
 /// After any abuse, the server must still answer a fresh client.
@@ -185,15 +198,7 @@ fn deadline_expires_queued_request_without_evaluating() {
         }
         std::thread::sleep(Duration::from_millis(2));
     }
-    let vars = lna::snap_to_catalog(lna::DesignVariables {
-        vds: 3.0,
-        ids: 0.05,
-        l1: 6.8e-9,
-        ls_deg: 0.4e-9,
-        l2: 10e-9,
-        c2: 2.2e-12,
-        r_bias: 30.0,
-    });
+    let vars = nominal();
     let sweep = {
         let mut doc = rfkit_obs::json::JsonObj::new();
         doc.num("id", 2.0);
@@ -214,4 +219,38 @@ fn deadline_expires_queued_request_without_evaluating() {
     assert_eq!(by_id[&2].status, "expired");
     let stats = server.shutdown();
     assert_eq!(stats.expired, 1);
+}
+
+#[test]
+fn band_cache_map_stays_bounded_and_totals_never_drop() {
+    // Every distinct band a client names gets a design cache. Past
+    // MAX_BAND_CACHES the smallest band key is evicted, and its counters
+    // move into the stats totals instead of vanishing.
+    let server = small_server();
+    let mut c = Client::connect(server.local_addr()).unwrap();
+    let vars = nominal();
+    let mut last = (0, 0);
+    // Sweeps band `i` and returns the (hits, misses) totals after it.
+    let mut sweep = |id: u64, i: usize| {
+        let band = (1.1e9 + 1e6 * i as f64, 1.7e9, 2);
+        let r = c
+            .call(&client::sweep_json(id, &vars, Some(band), None))
+            .unwrap();
+        assert!(r.is_ok(), "{}", r.raw);
+        let s = server.stats();
+        // Each band cache holds the one design, so entries count caches.
+        assert!(s.design_cache_entries <= MAX_BAND_CACHES, "map unbounded");
+        let now = (s.design_cache_hits, s.design_cache_misses);
+        assert!(now.0 >= last.0 && now.1 >= last.1, "{now:?} < {last:?}");
+        last = now;
+        now
+    };
+    for i in 0..=MAX_BAND_CACHES {
+        sweep(i as u64, i);
+    }
+    // Band 1 is still cached; band 0 was evicted and misses again, which
+    // evicts band 1 — whose hit stays in the totals.
+    assert_eq!(sweep(100, 1), (1, MAX_BAND_CACHES as u64 + 1));
+    assert_eq!(sweep(101, 0), (1, MAX_BAND_CACHES as u64 + 2));
+    server.shutdown();
 }

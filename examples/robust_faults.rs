@@ -22,7 +22,7 @@ fn main() {
 fn main() {
     use lna::{Amplifier, BandMetrics, BandSpec, DegradePolicy, DesignVariables};
     use rfkit_circuit::dc::{RetryPolicy, SolveStage};
-    use rfkit_circuit::{solve_dc_robust, Circuit};
+    use rfkit_circuit::{solve_dc, Circuit};
     use rfkit_robust::faults::{self, FaultKind, FaultPlan};
 
     // A self-biased FET stage: real Newton work, normally one rung.
@@ -42,7 +42,7 @@ fn main() {
         );
 
     let policy = RetryPolicy::default();
-    let healthy = solve_dc_robust(&c, &policy).expect("healthy solve");
+    let healthy = solve_dc(&c, &policy).expect("healthy solve");
     println!(
         "healthy DC solve: stage = {}, attempts = {}, iterations = {}",
         healthy.stage, healthy.attempts, healthy.iterations
@@ -56,7 +56,7 @@ fn main() {
                 .fail_all("dc.newton.plain", FaultKind::Stagnate)
                 .fail_all("dc.newton.damped", FaultKind::Stagnate),
         );
-        let sol = solve_dc_robust(&c, &policy).expect("gmin rung recovers");
+        let sol = solve_dc(&c, &policy).expect("gmin rung recovers");
         println!(
             "with plain+damped Newton dead: stage = {}, attempts = {}, plain hook fired {}x",
             sol.stage,
@@ -110,7 +110,7 @@ fn main() {
     }
 
     // 3. Faults disarmed: the recovered world is the healthy world.
-    let recovered = solve_dc_robust(&c, &policy).expect("recovered solve");
+    let recovered = solve_dc(&c, &policy).expect("recovered solve");
     assert_eq!(recovered, healthy, "recovery must be bit-identical");
     let full = BandMetrics::evaluate(&amp, &band).expect("complete sweep");
     println!(

@@ -13,8 +13,8 @@
 
 use lna::report::{design_summary, format_table, metrics_summary};
 use lna::{
-    design_lna, measure, yield_analysis, Amplifier, BandMetrics, BandSpec, BuildConfig,
-    BuiltAmplifier, DesignConfig, DesignGoals, YieldSpec,
+    design_lna, measure, yield_analysis_robust, Amplifier, BandMetrics, BandSpec, BuildConfig,
+    BuiltAmplifier, DegradePolicy, DesignConfig, DesignGoals, YieldSpec,
 };
 use rfkit_device::dc::{all_models, DcModel};
 use rfkit_device::{GoldenDevice, MeasurementNoise, Phemt};
@@ -298,7 +298,7 @@ fn cmd_yield(flags: &HashMap<String, String>) -> Result<(), String> {
         max_s11_db: -8.0,
         require_stability: true,
     };
-    let report = yield_analysis(
+    let report = yield_analysis_robust(
         &device,
         &design.snapped,
         &spec,
@@ -309,7 +309,9 @@ fn cmd_yield(flags: &HashMap<String, String>) -> Result<(), String> {
             ..Default::default()
         },
         get_usize(flags, "seed", 0)? as u64,
-    );
+        &DegradePolicy::default(),
+    )
+    .report;
     println!(
         "yield: {}/{} units pass ({:.1} %)",
         report.passing,
