@@ -115,6 +115,7 @@ RFKIT_TRACE=1 RFKIT_TRACE_OUT=results/TRACE_ci.jsonl \
   cargo run --release -q --example design_gnss_lna >/dev/null || fail=1
 cargo run --release -q -p rfkit-obs --bin rfkit-trace -- --json \
   --expect design.total --expect design.optimize --expect opt.improved_goal \
+  --expect band.evaluate \
   results/TRACE_ci.jsonl >/dev/null || fail=1
 
 echo "== profile diff gate (RFKIT_TRACE_MODE=agg vs committed baseline)"
@@ -124,10 +125,12 @@ echo "== profile diff gate (RFKIT_TRACE_MODE=agg vs committed baseline)"
 # with a 20ms self-time floor, because shared single-core runners
 # jitter — the gate exists to catch order-of-magnitude structural
 # regressions (a cache that stopped hitting, a fast path that fell off),
-# not 10% drift. Refresh after an intentional perf change with
-# `./ci.sh --write-baseline` and commit the result.
+# not 10% drift. The run is pinned to one thread so its call paths (no
+# `par.task` nodes) do not depend on the runner's core count. Refresh
+# after an intentional perf change with `./ci.sh --write-baseline` and
+# commit the result.
 rm -f results/PROFILE_ci.json
-RFKIT_TRACE=1 RFKIT_TRACE_MODE=agg RFKIT_TRACE_OUT=results/PROFILE_ci.json \
+RFKIT_THREADS=1 RFKIT_TRACE=1 RFKIT_TRACE_MODE=agg RFKIT_TRACE_OUT=results/PROFILE_ci.json \
   cargo run --release -q --example design_gnss_lna >/dev/null || fail=1
 if [ "$write_baseline" -eq 1 ]; then
   cp results/PROFILE_ci.json results/PROFILE_BASELINE.json || fail=1
@@ -178,15 +181,17 @@ echo "== surrogate screening smoke (traced example + bench_surrogate)"
 # seed makes the decision sequence exact; the band.evaluations ceiling
 # carries slack only for parallel duplicate evaluations (concurrent
 # misses on identical offspring), which timing may or may not dedup.
-rm -f results/TRACE_surrogate.jsonl
-RFKIT_TRACE=1 RFKIT_TRACE_OUT=results/TRACE_surrogate.jsonl \
+# The run writes an agg profile: an event trace would carry one
+# `band.evaluate` span per evaluation.
+rm -f results/PROFILE_surrogate.json
+RFKIT_TRACE=1 RFKIT_TRACE_MODE=agg RFKIT_TRACE_OUT=results/PROFILE_surrogate.json \
   cargo run --release -q --example surrogate_screening >/dev/null || fail=1
 cargo run --release -q -p rfkit-obs --bin rfkit-trace -- --json \
   --expect surrogate.fit --expect surrogate.true_evals \
   --expect-min surrogate.reject:1 \
   --expect-min surrogate.accept:1 \
   --expect-max band.evaluations:800 \
-  results/TRACE_surrogate.jsonl >/dev/null || fail=1
+  results/PROFILE_surrogate.json >/dev/null || fail=1
 # bench_surrogate smoke on a small study, written to a scratch path so
 # the committed full-size artifact survives. Proves the two-arm
 # warm-continuation protocol runs end to end, the screen actually

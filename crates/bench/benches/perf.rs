@@ -143,4 +143,10 @@ fn main() {
     bench_kernel("amplifier_point_metrics", 20_000, || {
         black_box(amp.metrics(black_box(1.4e9)));
     });
+    // The same point with the bias solved once beforehand, as band
+    // evaluation does it.
+    let biased = amp.biased().expect("reachable bias");
+    bench_kernel("biased_point_metrics", 20_000, || {
+        black_box(biased.metrics(black_box(1.4e9)));
+    });
 }

@@ -22,6 +22,7 @@
 //! degrades the noise figure, and the whole chain is evaluated with
 //! noise-correlation matrices.
 
+use rfkit_device::smallsignal::{NoiseTemperatures, SmallSignalDevice};
 use rfkit_device::{OperatingPoint, Phemt};
 use rfkit_net::gains::transducer_gain;
 use rfkit_net::stability::{mu_load, mu_source, rollett_k};
@@ -141,46 +142,69 @@ impl<'a> Amplifier<'a> {
         Some(self.device.operating_point(vgs, self.vars.vds))
     }
 
+    /// The amplifier at its solved bias point, ready for per-frequency
+    /// evaluation at ambient temperature. Sweeps build this once per
+    /// design and evaluate every grid point through it.
+    ///
+    /// Returns `None` when the bias point is unreachable.
+    pub fn biased(&self) -> Option<BiasedAmplifier> {
+        let op = self.operating_point()?;
+        Some(self.biased_at(
+            self.device.small_signal(&op),
+            self.device.noise.temperatures(op.ids),
+            T0_KELVIN,
+        ))
+    }
+
+    /// The biased view from an explicit small-signal device (without the
+    /// source degeneration, which is added here), device noise
+    /// temperatures and passive temperature (K). The thermal analysis
+    /// derates the device and heats the passives through this.
+    pub(crate) fn biased_at(
+        &self,
+        mut device: SmallSignalDevice,
+        temps: NoiseTemperatures,
+        t_passive: f64,
+    ) -> BiasedAmplifier {
+        device.extrinsic.ls += self.vars.ls_deg;
+        BiasedAmplifier {
+            device,
+            temps,
+            t_passive,
+            c_block: Capacitor::chip_0402(self.c_block),
+            l1: Inductor::chip_0402(self.vars.l1),
+            r_bias: self.vars.r_bias,
+            l2: Inductor::chip_0402(self.vars.l2),
+            c2: Capacitor::chip_0402(self.vars.c2),
+        }
+    }
+
     /// The complete noisy two-port at `freq_hz` (input network × device
     /// with degeneration × output network), at ambient temperature.
     ///
     /// Returns `None` when the bias point is unreachable.
     pub fn noisy_two_port(&self, freq_hz: f64) -> Option<NoisyAbcd> {
-        let op = self.operating_point()?;
-        // Device small-signal model with the added source degeneration.
-        let mut ss = self.device.small_signal(&op);
-        ss.extrinsic.ls += self.vars.ls_deg;
-        let core = ss.noisy_two_port(freq_hz, &self.device.noise.temperatures(op.ids));
-
-        let t = T0_KELVIN;
-        let c_blk = Capacitor::chip_0402(self.c_block).two_port(freq_hz, Orientation::Series, t);
-        let l1 = Inductor::chip_0402(self.vars.l1).two_port(freq_hz, Orientation::Series, t);
-        // Bias feed: R_bias in series with the choke, shunting the drain
-        // to AC ground (the supply rail is bypassed).
-        let z_feed =
-            Complex::real(self.vars.r_bias) + Inductor::chip_0402(self.vars.l2).impedance(freq_hz);
-        let l2 = NoisyAbcd::passive_shunt(z_feed.recip(), t);
-        let c2 = Capacitor::chip_0402(self.vars.c2).two_port(freq_hz, Orientation::Series, t);
-
-        Some(c_blk.cascade(&l1).cascade(&core).cascade(&l2).cascade(&c2))
+        Some(self.biased()?.noisy_two_port(freq_hz))
     }
 
     /// S-parameters of the full amplifier at `freq_hz`, 50 Ω reference.
     pub fn s_params(&self, freq_hz: f64) -> Option<SParams> {
-        self.noisy_two_port(freq_hz)?.abcd.to_s(50.0).ok()
+        self.biased()?.s_params(freq_hz)
     }
 
     /// Swept response over a frequency grid, with noise parameters at
     /// every point — ready for Touchstone export or group-delay analysis.
     ///
-    /// The per-frequency solves run in parallel through `rfkit-par`
-    /// (see [`rfkit_net::FrequencyResponse::from_fn_par`]); the response
-    /// is assembled in grid order.
+    /// The bias is solved once; the per-frequency solves run in parallel
+    /// through `rfkit-par` (see
+    /// [`rfkit_net::FrequencyResponse::from_fn_par`]), and the response is
+    /// assembled in grid order.
     ///
     /// Returns `None` when the bias is unreachable or any point fails.
     pub fn frequency_response(&self, freqs: &[f64]) -> Option<rfkit_net::FrequencyResponse> {
+        let biased = self.biased()?;
         rfkit_net::FrequencyResponse::from_fn_par(freqs, |f| {
-            let noisy = self.noisy_two_port(f)?;
+            let noisy = biased.noisy_two_port(f);
             let s = noisy.abcd.to_s(50.0).ok()?;
             let np = noisy.noise_params(50.0).ok()?;
             Some((s, Some(np)))
@@ -189,7 +213,58 @@ impl<'a> Amplifier<'a> {
 
     /// All point metrics at `freq_hz`.
     pub fn metrics(&self, freq_hz: f64) -> Option<PointMetrics> {
-        let noisy = self.noisy_two_port(freq_hz)?;
+        self.biased()?.metrics(freq_hz)
+    }
+}
+
+/// The amplifier at a solved bias point: everything in the cascade that
+/// does not depend on frequency, fixed once per design, so each
+/// evaluation does only per-frequency work.
+///
+/// Obtained from [`Amplifier::biased`]; the per-frequency methods of
+/// [`Amplifier`] build one per call.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct BiasedAmplifier {
+    /// Small-signal device at the bias point, source degeneration included.
+    device: SmallSignalDevice,
+    /// Device noise temperatures at the bias point.
+    temps: NoiseTemperatures,
+    /// Physical temperature of the passives (K).
+    t_passive: f64,
+    // The catalog parts and the bias-feed resistor (Ω), in cascade order.
+    c_block: Capacitor,
+    l1: Inductor,
+    r_bias: f64,
+    l2: Inductor,
+    c2: Capacitor,
+}
+
+impl BiasedAmplifier {
+    /// The complete noisy two-port at `freq_hz` (input network × device
+    /// with degeneration × output network).
+    pub fn noisy_two_port(&self, freq_hz: f64) -> NoisyAbcd {
+        let core = self.device.noisy_two_port(freq_hz, &self.temps);
+
+        let t = self.t_passive;
+        let c_blk = self.c_block.two_port(freq_hz, Orientation::Series, t);
+        let l1 = self.l1.two_port(freq_hz, Orientation::Series, t);
+        // Bias feed: R_bias in series with the choke, shunting the drain
+        // to AC ground (the supply rail is bypassed).
+        let z_feed = Complex::real(self.r_bias) + self.l2.impedance(freq_hz);
+        let l2 = NoisyAbcd::passive_shunt(z_feed.recip(), t);
+        let c2 = self.c2.two_port(freq_hz, Orientation::Series, t);
+
+        c_blk.cascade(&l1).cascade(&core).cascade(&l2).cascade(&c2)
+    }
+
+    /// S-parameters at `freq_hz`, 50 Ω reference.
+    pub fn s_params(&self, freq_hz: f64) -> Option<SParams> {
+        self.noisy_two_port(freq_hz).abcd.to_s(50.0).ok()
+    }
+
+    /// All point metrics at `freq_hz`.
+    pub fn metrics(&self, freq_hz: f64) -> Option<PointMetrics> {
+        let noisy = self.noisy_two_port(freq_hz);
         let s = noisy.abcd.to_s(50.0).ok()?;
         let np = noisy.noise_params(50.0).ok()?;
         Some(PointMetrics {

@@ -239,6 +239,10 @@ impl BandMetrics {
     ) -> BandOutcome {
         static OBS_BAND_EVALS: rfkit_obs::Counter = rfkit_obs::Counter::new("band.evaluations");
         OBS_BAND_EVALS.add(1);
+        let _span = rfkit_obs::span("band.evaluate");
+        // The bias point does not depend on frequency: solve it once and
+        // sweep the grid through the biased view.
+        let biased = amp.biased();
         // The combined in-band + stability buffer is cached on the spec;
         // evaluation allocates no frequency grids.
         let n_in_band = band.n_points();
@@ -250,7 +254,7 @@ impl BandMetrics {
             if faults::inject("band.point", f.to_bits()).is_some() {
                 return None;
             }
-            amp.metrics(f)
+            biased.as_ref()?.metrics(f)
         });
 
         let mut diagnostics = Vec::new();
@@ -294,7 +298,7 @@ impl BandMetrics {
         if !diagnostics.is_empty() {
             OBS_BAND_POINTS_FAILED.add(diagnostics.len() as u64);
         }
-        if diagnostics.len() == freqs.len() && amp.operating_point().is_none() {
+        if diagnostics.len() == freqs.len() && biased.is_none() {
             // Every point failed because the bias itself is unreachable: a
             // deterministic property of the design, not solver trouble.
             return BandOutcome::Infeasible;

@@ -103,14 +103,16 @@ pub fn cached_band_objectives<'a>(
 pub fn spot_objectives<'a>(device: &'a Phemt, f0_hz: f64) -> impl Fn(&[f64]) -> Vec<f64> + 'a {
     move |x: &[f64]| {
         let vars = DesignVariables::from_vec(x);
-        let amp = Amplifier::new(device, vars);
-        let spot = match amp.metrics(f0_hz) {
+        let Some(biased) = Amplifier::new(device, vars).biased() else {
+            return vec![INFEASIBLE; 3];
+        };
+        let spot = match biased.metrics(f0_hz) {
             Some(m) => m,
             None => return vec![INFEASIBLE; 3],
         };
         let mut min_mu = f64::INFINITY;
         for &f in BandSpec::stability_grid() {
-            match amp.metrics(f) {
+            match biased.metrics(f) {
                 Some(m) => min_mu = min_mu.min(m.mu),
                 None => return vec![INFEASIBLE; 3],
             }

@@ -40,7 +40,7 @@ pub mod thermal;
 pub mod verify;
 pub mod yield_analysis;
 
-pub use amplifier::{Amplifier, DesignVariables, PointMetrics};
+pub use amplifier::{Amplifier, BiasedAmplifier, DesignVariables, PointMetrics};
 pub use band::{BandMetrics, BandOutcome, BandSpec};
 pub use cache::{DesignCache, DEFAULT_CACHE_CAPACITY};
 pub use design::{

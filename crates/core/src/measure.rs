@@ -9,10 +9,10 @@
 //! nominal design reproduces the design-vs-measurement gap of the paper's
 //! final figures.
 
-use crate::amplifier::{Amplifier, DesignVariables};
+use crate::amplifier::{Amplifier, BiasedAmplifier, DesignVariables};
 use rfkit_circuit::{ip3_sweep, time_domain, Ip3Sweep, TwoToneSpec};
 use rfkit_device::Phemt;
-use rfkit_net::{FrequencyResponse, SParams};
+use rfkit_net::{FrequencyResponse, NoisyAbcd, SParams};
 use rfkit_num::rng::Rng64;
 use rfkit_num::units::db_from_amplitude_ratio;
 use rfkit_num::Complex;
@@ -91,19 +91,22 @@ impl BuiltAmplifier {
     /// The true (noise-free) S-parameters of the built unit including the
     /// launch lines, or `None` if the perturbed bias is unreachable.
     pub fn true_s_params(&self, device: &Phemt, freq_hz: f64) -> Option<SParams> {
-        let amp = Amplifier::new(device, self.actual_vars);
-        let core = amp.noisy_two_port(freq_hz)?;
-        let line = self.launch.two_port(freq_hz, 296.5);
-        line.cascade(&core).cascade(&line).abcd.to_s(50.0).ok()
+        let biased = Amplifier::new(device, self.actual_vars).biased()?;
+        self.with_launch(&biased, freq_hz).abcd.to_s(50.0).ok()
     }
 
     /// The true noise factor (50 Ω source, linear) of the built unit.
     pub fn true_noise_factor(&self, device: &Phemt, freq_hz: f64) -> Option<f64> {
-        let amp = Amplifier::new(device, self.actual_vars);
-        let core = amp.noisy_two_port(freq_hz)?;
+        let biased = Amplifier::new(device, self.actual_vars).biased()?;
+        let np = self.with_launch(&biased, freq_hz).noise_params(50.0).ok()?;
+        Some(np.noise_factor(Complex::ZERO))
+    }
+
+    /// The built unit (biased at its perturbed operating point) between
+    /// its two launch lines at `freq_hz`.
+    fn with_launch(&self, biased: &BiasedAmplifier, freq_hz: f64) -> NoisyAbcd {
         let line = self.launch.two_port(freq_hz, 296.5);
-        let chain = line.cascade(&core).cascade(&line);
-        Some(chain.noise_params(50.0).ok()?.noise_factor(Complex::ZERO))
+        line.cascade(&biased.noisy_two_port(freq_hz)).cascade(&line)
     }
 }
 
@@ -126,11 +129,13 @@ pub fn measure(
     freqs: &[f64],
     config: &BuildConfig,
 ) -> Option<MeasurementSession> {
+    let biased = Amplifier::new(device, built.actual_vars).biased()?;
     let mut rng = Rng64::new(config.seed.wrapping_add(0x5ca1e));
     let mut response = FrequencyResponse::new();
     let mut nf_db = Vec::with_capacity(freqs.len());
     for &f in freqs {
-        let s = built.true_s_params(device, f)?;
+        let chain = built.with_launch(&biased, f);
+        let s = chain.abcd.to_s(50.0).ok()?;
         let jitter = |rng: &mut Rng64, sigma: f64| {
             Complex::new(sigma * gaussian(rng), sigma * gaussian(rng))
         };
@@ -142,7 +147,12 @@ pub fn measure(
             50.0,
         );
         response.push(f, noisy, None);
-        let nf_true = 10.0 * built.true_noise_factor(device, f)?.log10();
+        let nf_true = 10.0
+            * chain
+                .noise_params(50.0)
+                .ok()?
+                .noise_factor(Complex::ZERO)
+                .log10();
         nf_db.push(nf_true + config.nf_meter_sigma_db * gaussian(&mut rng));
     }
     Some(MeasurementSession { response, nf_db })

@@ -11,15 +11,10 @@
 //!   mobility law `gm(T) ≈ gm(T₀)·(T/T₀)^−1.3`, dragging gain down and
 //!   noise up at the hot end.
 
-use crate::amplifier::{Amplifier, DesignVariables, PointMetrics};
+use crate::amplifier::{Amplifier, BiasedAmplifier, DesignVariables, PointMetrics};
 use crate::band::BandSpec;
 use rfkit_device::smallsignal::NoiseTemperatures;
 use rfkit_device::Phemt;
-use rfkit_net::gains::transducer_gain;
-use rfkit_net::stability::{mu_load, mu_source, rollett_k};
-use rfkit_num::units::{db_from_amplitude_ratio, nf_db_from_factor};
-use rfkit_num::Complex;
-use rfkit_passive::{Capacitor, Component, Inductor, Orientation};
 
 /// Ambient operating condition.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -51,6 +46,28 @@ impl ThermalCondition {
     }
 }
 
+/// The amplifier biased at an ambient condition: derated gm, device noise
+/// temperatures referenced to ambient, passives at ambient.
+///
+/// Returns `None` for an unreachable bias.
+fn biased_at_temperature(
+    device: &Phemt,
+    vars: DesignVariables,
+    cond: &ThermalCondition,
+) -> Option<BiasedAmplifier> {
+    let amp = Amplifier::new(device, vars);
+    let op = amp.operating_point()?;
+    let t_amb = cond.kelvin();
+    let mut ss = device.small_signal(&op);
+    ss.intrinsic.gm = op.gm * cond.gm_derating();
+    let temps = NoiseTemperatures {
+        tg: t_amb + 3.5,
+        td: (device.noise.td0 * op.ids / device.noise.ids_ref * t_amb / 296.5).max(t_amb),
+        ambient: t_amb,
+    };
+    Some(amp.biased_at(ss, temps, t_amb))
+}
+
 /// Point metrics of the amplifier at one frequency and ambient condition.
 ///
 /// Returns `None` for an unreachable bias.
@@ -60,43 +77,7 @@ pub fn metrics_at_temperature(
     freq_hz: f64,
     cond: &ThermalCondition,
 ) -> Option<PointMetrics> {
-    let amp = Amplifier::new(device, vars);
-    let op = amp.operating_point()?;
-    let t_amb = cond.kelvin();
-
-    // Device: derated gm, all noise temperatures referenced to ambient.
-    let mut ss = device.small_signal(&op);
-    ss.intrinsic.gm = op.gm * cond.gm_derating();
-    ss.extrinsic.ls += vars.ls_deg;
-    let temps = NoiseTemperatures {
-        tg: t_amb + 3.5,
-        td: (device.noise.td0 * op.ids / device.noise.ids_ref * t_amb / 296.5).max(t_amb),
-        ambient: t_amb,
-    };
-    let core = ss.noisy_two_port(freq_hz, &temps);
-
-    // Passives at ambient.
-    let c_blk = Capacitor::chip_0402(amp.c_block).two_port(freq_hz, Orientation::Series, t_amb);
-    let l1 = Inductor::chip_0402(vars.l1).two_port(freq_hz, Orientation::Series, t_amb);
-    let z_feed = Complex::real(vars.r_bias) + Inductor::chip_0402(vars.l2).impedance(freq_hz);
-    let l2 = rfkit_net::NoisyAbcd::passive_shunt(z_feed.recip(), t_amb);
-    let c2 = Capacitor::chip_0402(vars.c2).two_port(freq_hz, Orientation::Series, t_amb);
-    let chain = c_blk.cascade(&l1).cascade(&core).cascade(&l2).cascade(&c2);
-
-    let s = chain.abcd.to_s(50.0).ok()?;
-    let np = chain.noise_params(50.0).ok()?;
-    Some(PointMetrics {
-        freq_hz,
-        gain_db: 10.0
-            * transducer_gain(&s, Complex::ZERO, Complex::ZERO)
-                .max(1e-30)
-                .log10(),
-        nf_db: nf_db_from_factor(np.noise_factor(Complex::ZERO)),
-        s11_db: db_from_amplitude_ratio(s.s11().abs()),
-        s22_db: db_from_amplitude_ratio(s.s22().abs()),
-        k: rollett_k(&s),
-        mu: mu_load(&s).min(mu_source(&s)),
-    })
+    biased_at_temperature(device, vars, cond)?.metrics(freq_hz)
 }
 
 /// Worst-case in-band NF and minimum gain at each ambient temperature.
@@ -110,11 +91,11 @@ pub fn band_sweep_over_temperature(
     celsius
         .iter()
         .filter_map(|&t| {
-            let cond = ThermalCondition::at(t);
+            let biased = biased_at_temperature(device, vars, &ThermalCondition::at(t))?;
             let mut worst_nf = f64::NEG_INFINITY;
             let mut min_gain = f64::INFINITY;
             for &f in band.grid() {
-                let m = metrics_at_temperature(device, vars, f, &cond)?;
+                let m = biased.metrics(f)?;
                 worst_nf = worst_nf.max(m.nf_db);
                 min_gain = min_gain.min(m.gain_db);
             }

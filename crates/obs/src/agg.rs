@@ -1,7 +1,8 @@
 //! In-process streaming profile aggregation (`RFKIT_TRACE_MODE=agg`).
 //!
 //! Instead of one JSONL line per span, closing spans fold into a
-//! process-wide hierarchical call-path tree: each node is keyed by
+//! hierarchical call-path tree, one per thread and merged by path at
+//! flush: each node is keyed by
 //! `(parent, name)` and accumulates call count, total wall time, self
 //! time (duration minus child spans) and a mergeable
 //! [`QuantileSketch`] of durations. Events fold into per-name
@@ -12,16 +13,20 @@
 //! (`tree`), folded flamegraph stacks (`flame`), and diffs against a
 //! baseline as the CI perf-regression gate (`diff`).
 //!
-//! Costs when armed: one mutex-guarded tree lookup per span enter and
-//! one per exit; span paths are tracked per thread, so spans opened on
-//! pool workers root at the worker's own stack (see `par.task` in
-//! rfkit-par). Counters and histograms keep their lock-free hot path;
-//! only the sketch feed in [`crate::metrics`] adds a short uncontended
-//! lock per histogram sample.
+//! Costs when armed: one tree lookup per span enter and one per exit,
+//! in a tree of the calling thread's own. Span paths are tracked per
+//! thread, so spans opened on pool workers root at the worker's own
+//! stack (see `par.task` in rfkit-par), and each thread folds its spans
+//! into its own tree behind a mutex only [`reset`] and the flush ever
+//! contend for: workers closing spans at the same time never wait on one
+//! another. The flush merges the trees path by path. Counters and
+//! histograms keep their lock-free hot path; only the sketch feed in
+//! [`crate::metrics`] adds a short uncontended lock per histogram sample.
 
 use std::cell::RefCell;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use rfkit_num::QuantileSketch;
 
@@ -32,6 +37,7 @@ use crate::metrics;
 const ROOT: u32 = u32::MAX;
 
 /// One call-path node: everything spans at this path accumulated.
+#[derive(Clone)]
 struct Node {
     name: &'static str,
     parent: u32,
@@ -49,37 +55,46 @@ struct EventAgg {
     last: Vec<(String, f64)>,
 }
 
+/// One thread's call-path tree; node ids index `nodes`.
 #[derive(Default)]
 struct Tree {
     nodes: Vec<Node>,
     index: BTreeMap<(u32, &'static str), u32>,
-    events: BTreeMap<String, EventAgg>,
 }
 
-static TREE: Mutex<Tree> = Mutex::new(Tree {
-    nodes: Vec::new(),
-    index: BTreeMap::new(),
-    events: BTreeMap::new(),
-});
+/// Every thread's tree, in the order threads first opened a span. Trees
+/// live until the process ends, one per thread that ever opened a span
+/// (the main thread, pool and server workers).
+static TREES: Mutex<Vec<Arc<Mutex<Tree>>>> = Mutex::new(Vec::new());
+static EVENTS: Mutex<BTreeMap<String, EventAgg>> = Mutex::new(BTreeMap::new());
 
 thread_local! {
     // Per-thread stack of live node ids, parallel to the span stack in
     // `crate::span`.
     static NODE_STACK: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
+    // This thread's tree, registered in `TREES` on first use so it
+    // outlives the thread and reaches the flush.
+    static LOCAL: Arc<Mutex<Tree>> = {
+        let tree = Arc::new(Mutex::new(Tree::default()));
+        lock(&TREES).push(Arc::clone(&tree));
+        tree
+    };
 }
 
-fn lock() -> std::sync::MutexGuard<'static, Tree> {
-    TREE.lock().unwrap_or_else(PoisonError::into_inner)
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Drop all aggregated state. Called when (re)arming aggregation so a
-/// profile covers exactly one armed window; stale ids left on other
-/// threads' stacks are bounds-checked away in [`exit`].
+/// profile covers exactly one armed window; stale ids left on threads'
+/// stacks are bounds-checked away in [`exit`].
 pub(crate) fn reset() {
-    let mut t = lock();
-    t.nodes.clear();
-    t.index.clear();
-    t.events.clear();
+    for tree in lock(&TREES).iter() {
+        let mut t = lock(tree);
+        t.nodes.clear();
+        t.index.clear();
+    }
+    lock(&EVENTS).clear();
 }
 
 /// Open a span at `name` under the current thread's path.
@@ -87,25 +102,26 @@ pub(crate) fn enter(name: &'static str) {
     let parent = NODE_STACK
         .with(|s| s.borrow().last().copied())
         .unwrap_or(ROOT);
-    let mut t = lock();
-    let id = match t.index.get(&(parent, name)) {
-        Some(&id) => id,
-        None => {
-            let id = t.nodes.len() as u32;
-            t.nodes.push(Node {
-                name,
-                parent,
-                count: 0,
-                total_ns: 0,
-                self_ns: 0,
-                max_ns: 0,
-                durations_us: QuantileSketch::new(),
-            });
-            t.index.insert((parent, name), id);
-            id
+    let id = LOCAL.with(|tree| {
+        let mut t = lock(tree);
+        match t.index.get(&(parent, name)) {
+            Some(&id) => id,
+            None => {
+                let id = t.nodes.len() as u32;
+                t.nodes.push(Node {
+                    name,
+                    parent,
+                    count: 0,
+                    total_ns: 0,
+                    self_ns: 0,
+                    max_ns: 0,
+                    durations_us: QuantileSketch::new(),
+                });
+                t.index.insert((parent, name), id);
+                id
+            }
         }
-    };
-    drop(t);
+    });
     NODE_STACK.with(|s| s.borrow_mut().push(id));
 }
 
@@ -114,23 +130,25 @@ pub(crate) fn exit(dur_ns: u64, self_ns: u64) {
     let Some(id) = NODE_STACK.with(|s| s.borrow_mut().pop()) else {
         return;
     };
-    let mut t = lock();
-    // A reset between enter and exit (re-init mid-span) may have
-    // invalidated the id; drop the sample rather than misattributing.
-    let Some(node) = t.nodes.get_mut(id as usize) else {
-        return;
-    };
-    node.count += 1;
-    node.total_ns = node.total_ns.saturating_add(dur_ns);
-    node.self_ns = node.self_ns.saturating_add(self_ns);
-    node.max_ns = node.max_ns.max(dur_ns);
-    node.durations_us.record(dur_ns as f64 / 1_000.0);
+    LOCAL.with(|tree| {
+        let mut t = lock(tree);
+        // A reset between enter and exit (re-init mid-span) may have
+        // invalidated the id; drop the sample rather than misattributing.
+        let Some(node) = t.nodes.get_mut(id as usize) else {
+            return;
+        };
+        node.count += 1;
+        node.total_ns = node.total_ns.saturating_add(dur_ns);
+        node.self_ns = node.self_ns.saturating_add(self_ns);
+        node.max_ns = node.max_ns.max(dur_ns);
+        node.durations_us.record(dur_ns as f64 / 1_000.0);
+    });
 }
 
 /// Fold one event into its per-name summary.
 pub(crate) fn record_event(name: &str, fields: &[(&str, f64)]) {
-    let mut t = lock();
-    match t.events.get_mut(name) {
+    let mut events = lock(&EVENTS);
+    match events.get_mut(name) {
         Some(agg) => {
             agg.points += 1;
             agg.last = fields.iter().map(|(k, v)| (k.to_string(), *v)).collect();
@@ -138,7 +156,7 @@ pub(crate) fn record_event(name: &str, fields: &[(&str, f64)]) {
         None => {
             let snap: Vec<(String, f64)> =
                 fields.iter().map(|(k, v)| (k.to_string(), *v)).collect();
-            t.events.insert(
+            events.insert(
                 name.to_string(),
                 EventAgg {
                     points: 1,
@@ -150,45 +168,57 @@ pub(crate) fn record_event(name: &str, fields: &[(&str, f64)]) {
     }
 }
 
+/// Every thread's tree merged by call path. Paths are rebuilt by walking
+/// parents, and the map orders them by path string, so the serialized
+/// profile is independent of node discovery order and of which thread
+/// ran what.
+fn merged_paths() -> BTreeMap<String, Node> {
+    let mut merged: BTreeMap<String, Node> = BTreeMap::new();
+    for tree in lock(&TREES).iter() {
+        let t = lock(tree);
+        for n in &t.nodes {
+            let mut parts = vec![n.name];
+            let mut p = n.parent;
+            while let Some(parent) = t.nodes.get(p as usize) {
+                parts.push(parent.name);
+                p = parent.parent;
+            }
+            parts.reverse();
+            match merged.entry(parts.join(";")) {
+                Entry::Vacant(slot) => {
+                    slot.insert(n.clone());
+                }
+                Entry::Occupied(mut slot) => {
+                    let m = slot.get_mut();
+                    m.count += n.count;
+                    m.total_ns = m.total_ns.saturating_add(n.total_ns);
+                    m.self_ns = m.self_ns.saturating_add(n.self_ns);
+                    m.max_ns = m.max_ns.max(n.max_ns);
+                    m.durations_us.merge(&n.durations_us);
+                }
+            }
+        }
+    }
+    merged
+}
+
 /// Serialize the whole aggregate — tree, counters, histograms, events —
 /// as one profile JSON document and hand it to the sink.
 pub(crate) fn flush_profile() {
     // The flush itself is telemetry: record it as a `profile.flush`
     // event so the artifact documents its own shape, then snapshot.
     let (counters, hists) = metrics::registry_snapshot();
-    let pre = lock();
-    let nodes = pre.nodes.len();
-    let events = pre.events.len();
-    drop(pre);
+    let rows = merged_paths();
+    let events = lock(&EVENTS).len();
     crate::event(
         "profile.flush",
         &[
-            ("nodes", nodes as f64),
+            ("nodes", rows.len() as f64),
             ("counters", counters.len() as f64),
             ("hists", hists.len() as f64),
             ("events", events as f64),
         ],
     );
-
-    let t = lock();
-    // Paths are rebuilt by walking parents; rows sort by path string so
-    // the serialized profile is independent of node discovery order.
-    let mut rows: Vec<(String, &Node)> = t
-        .nodes
-        .iter()
-        .map(|n| {
-            let mut parts = vec![n.name];
-            let mut p = n.parent;
-            while p != ROOT {
-                let parent = &t.nodes[p as usize];
-                parts.push(parent.name);
-                p = parent.parent;
-            }
-            parts.reverse();
-            (parts.join(";"), n)
-        })
-        .collect();
-    rows.sort_by(|a, b| a.0.cmp(&b.0));
 
     let mut out = String::from("{\n");
     out.push_str("\"kind\":\"rfkit-profile\",\n\"version\":1,\n");
@@ -261,7 +291,8 @@ pub(crate) fn flush_profile() {
     out.push_str("],\n");
 
     out.push_str("\"events\":[\n");
-    for (i, (name, e)) in t.events.iter().enumerate() {
+    let events = lock(&EVENTS);
+    for (i, (name, e)) in events.iter().enumerate() {
         let mut o = JsonObj::new();
         o.str("name", name);
         o.num("points", e.points as f64);
@@ -276,10 +307,10 @@ pub(crate) fn flush_profile() {
         }
         o.raw("last", &last.finish());
         out.push_str(&o.finish());
-        out.push_str(if i + 1 == t.events.len() { "\n" } else { ",\n" });
+        out.push_str(if i + 1 == events.len() { "\n" } else { ",\n" });
     }
     out.push_str("]\n}\n");
-    drop(t);
+    drop(events);
 
     crate::sink::write_whole(&out);
 }

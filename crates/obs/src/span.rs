@@ -82,7 +82,9 @@ pub fn span(name: &'static str) -> Span {
         inner: Some(SpanInner {
             name,
             start: Instant::now(),
-            t0_us: crate::now_us(),
+            // Only the JSONL record carries a start timestamp; skipping
+            // the clock read keeps aggregate-mode spans cheaper.
+            t0_us: if agg { 0 } else { crate::now_us() },
             agg,
         }),
     }

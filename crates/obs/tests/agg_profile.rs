@@ -51,6 +51,18 @@ fn agg_mode_folds_spans_into_a_call_path_profile() {
             ITERS.record(v);
         }
     }
+    // Each thread folds spans into its own tree; the flush merges them
+    // by path.
+    std::thread::scope(|s| {
+        for _ in 0..2 {
+            s.spawn(|| {
+                for _ in 0..5 {
+                    let _work = rfkit_obs::span("test.worker");
+                    busy_wait_us(20);
+                }
+            });
+        }
+    });
     rfkit_obs::flush();
 
     let text = std::fs::read_to_string(&path).expect("profile file readable");
@@ -91,6 +103,13 @@ fn agg_mode_folds_spans_into_a_call_path_profile() {
     }
     let zero = node("test.run;test.zero");
     assert_eq!(zero.count, 1, "zero-duration span still counts");
+    let worker = node("test.worker");
+    assert_eq!(worker.count, 10, "both threads' spans merge into one path");
+    assert!(
+        worker.total_us >= 10 * 20,
+        "merged total {}us",
+        worker.total_us
+    );
 
     assert_eq!(p.counters.get("test.agg.tasks"), Some(&11));
     let h = p.hists.get("test.agg.iters").expect("hist in profile");

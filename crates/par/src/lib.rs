@@ -28,7 +28,11 @@
 //! `ParConfig::serial_threshold` run serially on the caller — dispatching
 //! a handful of microsecond-scale evaluations costs more than it saves.
 //! Nested calls (a `par_map` inside a worker) also run serially, which
-//! makes composition deadlock-free by construction.
+//! makes composition deadlock-free by construction. Both serial cases are
+//! decided before the thread count is resolved, so a small or nested
+//! batch (a 15-point band sweep, say) costs a comparison and a
+//! thread-local read. `RFKIT_THREADS` is re-read whenever the count is
+//! needed; `available_parallelism()` is resolved once per process.
 //!
 //! ## Example
 //!
@@ -125,15 +129,19 @@ impl ParConfig {
 /// Effective auto thread count: `RFKIT_THREADS` if set to a positive
 /// integer, else `available_parallelism()`, clamped to [`MAX_THREADS`].
 ///
-/// Read dynamically on every call so tests and callers can vary
-/// `RFKIT_THREADS` at runtime.
+/// `RFKIT_THREADS` is read on every call so tests and callers can vary it
+/// at runtime; `available_parallelism()` (which may read cgroup files) is
+/// resolved once per process.
 pub fn num_threads() -> usize {
+    static AVAILABLE: OnceLock<usize> = OnceLock::new();
     let n = match std::env::var("RFKIT_THREADS") {
         Ok(s) => s.trim().parse::<usize>().ok().filter(|&v| v >= 1),
         Err(_) => None,
     };
-    n.unwrap_or_else(|| thread::available_parallelism().map_or(1, |p| p.get()))
-        .min(MAX_THREADS)
+    n.unwrap_or_else(|| {
+        *AVAILABLE.get_or_init(|| thread::available_parallelism().map_or(1, |p| p.get()))
+    })
+    .min(MAX_THREADS)
 }
 
 /// True while the current thread is executing inside a parallel region;
@@ -199,17 +207,19 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
+    // The two serial conditions that need no thread count come first: a
+    // band sweep is below the threshold on every call and should not pay
+    // for resolving the pool size.
+    if n <= cfg.serial_threshold || in_parallel_region() {
+        return run_serial(n, f);
+    }
     let threads = if cfg.threads == 0 {
         num_threads()
     } else {
         cfg.threads.min(MAX_THREADS)
     };
-    if n <= cfg.serial_threshold || threads <= 1 || in_parallel_region() {
-        if rfkit_obs::enabled() {
-            OBS_SERIAL_FALLBACK.add(1);
-            OBS_TASKS.add(n as u64);
-        }
-        return (0..n).map(f).collect();
+    if threads <= 1 {
+        return run_serial(n, f);
     }
 
     let chunk = if cfg.chunk == 0 {
@@ -224,11 +234,7 @@ where
     let wanted_helpers = (threads - 1).min(total_chunks.saturating_sub(1));
     let helpers = Pool::global().ensure_workers(wanted_helpers);
     if helpers == 0 {
-        if rfkit_obs::enabled() {
-            OBS_SERIAL_FALLBACK.add(1);
-            OBS_TASKS.add(n as u64);
-        }
-        return (0..n).map(f).collect();
+        return run_serial(n, f);
     }
 
     // Telemetry is gated once per batch; queue wait is measured from just
@@ -315,6 +321,15 @@ where
     // over `UnsafeCell<MaybeUninit<R>>`, which has the layout of `R`.
     let mut raw = ManuallyDrop::new(results);
     unsafe { Vec::from_raw_parts(raw.as_mut_ptr() as *mut R, raw.len(), raw.capacity()) }
+}
+
+/// The serial fallback of [`par_collect`]: `f` over `0..n` on the caller.
+fn run_serial<R, F: Fn(usize) -> R>(n: usize, f: F) -> Vec<R> {
+    if rfkit_obs::enabled() {
+        OBS_SERIAL_FALLBACK.add(1);
+        OBS_TASKS.add(n as u64);
+    }
+    (0..n).map(f).collect()
 }
 
 thread_local! {
