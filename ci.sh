@@ -194,10 +194,13 @@ cargo run --release -q -p rfkit-obs --bin rfkit-trace -- --json \
   results/PROFILE_surrogate.json >/dev/null || fail=1
 # bench_surrogate smoke on a small study, written to a scratch path so
 # the committed full-size artifact survives. Proves the two-arm
-# warm-continuation protocol runs end to end, the screen actually
-# rejects at this size, and well-formed JSON lands on disk; the ≥3x
-# reduction target is only meaningful at full size (`bench_surrogate`
-# with default arguments).
+# warm-continuation protocol runs end to end and well-formed JSON lands
+# on disk; the ≥3x reduction target is only meaningful at full size
+# (`bench_surrogate` with default arguments). The screen's decision
+# counters are pinned exactly: decisions are made serially from a
+# seeded RNG, so they move only when a prediction's bits move.
+# band.evaluations stays unpinned because parallel duplicate misses can
+# vary it.
 rm -f results/BENCH_surrogate_smoke.json results/PROFILE_bench_surrogate_smoke.json
 cargo run --release -q -p lna-bench --bin bench_surrogate -- \
   --pop 24 --gens 8 --warm-gens 16 \
@@ -205,6 +208,12 @@ cargo run --release -q -p lna-bench --bin bench_surrogate -- \
   --profile-out results/PROFILE_bench_surrogate_smoke.json \
   >/dev/null || fail=1
 grep -q '"reduction"' results/BENCH_surrogate_smoke.json || fail=1
+cargo run --release -q -p rfkit-obs --bin rfkit-trace -- --json \
+  --expect-min surrogate.fit:3 --expect-max surrogate.fit:3 \
+  --expect-min surrogate.reject:109 --expect-max surrogate.reject:109 \
+  --expect-min surrogate.accept:83 --expect-max surrogate.accept:83 \
+  --expect-min surrogate.true_evals:83 --expect-max surrogate.true_evals:83 \
+  results/PROFILE_bench_surrogate_smoke.json >/dev/null || fail=1
 
 echo "== serve smoke (traced bench_serve, mixed concurrent load)"
 # In-process load generator against the rfkit-serve batch server with

@@ -41,6 +41,9 @@ pub struct CallSite {
     pub str_args: Vec<Option<String>>,
     /// Identifiers appearing anywhere in the argument list.
     pub arg_idents: Vec<String>,
+    /// Identifiers appearing in the last argument (the out-parameter
+    /// slot of `*_into` calls).
+    pub last_arg_idents: Vec<String>,
     /// True when any argument contains a numeric/string literal.
     pub has_literal_arg: bool,
     /// 1-based line of the call.
@@ -444,12 +447,17 @@ impl Walker {
             collect_idents(a, &mut arg_idents);
             has_literal_arg |= contains_literal(a);
         }
+        let mut last_arg_idents = Vec::new();
+        if let Some(a) = args.last() {
+            collect_idents(a, &mut last_arg_idents);
+        }
         self.calls.push(CallSite {
             kind,
             name,
             recv_root,
             str_args,
             arg_idents,
+            last_arg_idents,
             has_literal_arg,
             line: span.line,
             col: span.col,

@@ -9,7 +9,9 @@
 //!
 //! Flagged: an identifier initialized (directly or through a def-use
 //! chain) from a surrogate prediction call (`predict`, `predict_into`,
-//! `predict_lcb`, `lcb_into`) that then appears as an argument to a
+//! `predict_lcb`, `lcb_into`), or passed as the output argument of an
+//! out-parameter prediction (`predict_into`, `lcb_into`), that then
+//! appears as an argument to a
 //! store-like sink — `push`/`insert`/`extend`/`store` on a
 //! front/population/cache/report-ish receiver, a `report`/`write`-named
 //! call, or a screen's own `observe`/`seed_training` (feeding
@@ -31,6 +33,10 @@ pub const DESCRIPTION: &str =
 /// Prediction call names whose results are tainted.
 const PREDICT_FNS: [&str; 4] = ["predict", "predict_into", "predict_lcb", "lcb_into"];
 
+/// Prediction calls that write their predictions into their last
+/// argument.
+const OUT_PARAM_FNS: [&str; 2] = ["predict_into", "lcb_into"];
+
 /// Store-like method names that count as sinks on result-ish receivers.
 const STORE_METHODS: [&str; 4] = ["push", "insert", "extend", "store"];
 
@@ -48,10 +54,14 @@ const RESULT_RECEIVERS: [&str; 7] = [
 /// Sinks that feed a model's own training set.
 const TRAIN_METHODS: [&str; 2] = ["observe", "seed_training"];
 
-fn is_predict_call(name: &str) -> bool {
-    PREDICT_FNS
+fn is_call_to(names: &[&str], name: &str) -> bool {
+    names
         .iter()
         .any(|p| name == *p || name.ends_with(&format!("::{p}")))
+}
+
+fn is_predict_call(name: &str) -> bool {
+    is_call_to(&PREDICT_FNS, name)
 }
 
 fn resultish(recv: &str) -> bool {
@@ -60,8 +70,9 @@ fn resultish(recv: &str) -> bool {
 }
 
 /// Closure of identifiers carrying a predicted value: seeded by defs
-/// initialized from a prediction call, propagated through defs whose
-/// initializer mentions an already-tainted name.
+/// initialized from a prediction call and by the output arguments of
+/// out-parameter predictions, propagated through defs whose initializer
+/// mentions an already-tainted name.
 fn tainted_idents(f: &FnAnalysis) -> BTreeSet<&str> {
     // A prediction may be post-processed in the same initializer
     // (`screen.predict_lcb(x).unwrap()` trails in `unwrap`), so any
@@ -75,6 +86,14 @@ fn tainted_idents(f: &FnAnalysis) -> BTreeSet<&str> {
         })
         .map(|d| d.name.as_str())
         .collect();
+    // `model.predict_into(x, &mut mu)` fills `mu` whatever `mu` was
+    // initialized from.
+    tainted.extend(
+        f.calls
+            .iter()
+            .filter(|c| is_call_to(&OUT_PARAM_FNS, &c.name))
+            .flat_map(|c| c.last_arg_idents.iter().map(String::as_str)),
+    );
     loop {
         let before = tainted.len();
         for d in &f.defs {
@@ -170,6 +189,41 @@ pub fn f(screen: &SurrogateScreen, x: &[f64], front: &mut Front) {
         assert_eq!(hits.len(), 1, "{hits:?}");
         assert!(hits[0].message.contains("predicted"));
         assert!(hits[0].message.contains("prune-never-propagate"));
+    }
+
+    #[test]
+    fn flags_out_parameter_pushed_into_front() {
+        let src = "\
+pub fn f(model: &ResponseSurface, x: &[f64], front: &mut Front) {
+    let mut mu = vec![0.0; 2];
+    model.predict_into(x, &mut mu);
+    front.push(mu);
+}
+";
+        let hits = run(src);
+        assert_eq!(hits.len(), 1, "{hits:?}");
+        assert!(hits[0].message.contains("`mu`"));
+        let chained = "\
+pub fn f(screen: &SurrogateScreen, x: &[f64], cache: &mut Map, key: u64) {
+    let mut lcb = [0.0];
+    screen.lcb_into(x, &mut lcb);
+    let best = lcb[0];
+    cache.insert(key, best);
+}
+";
+        assert_eq!(run(chained).len(), 1);
+    }
+
+    #[test]
+    fn quiet_for_the_input_argument_of_predict_into() {
+        let src = "\
+pub fn f(model: &ResponseSurface, x: Vec<f64>, front: &mut Front) {
+    let mut mu = vec![0.0; 2];
+    model.predict_into(&x, &mut mu);
+    front.push(x);
+}
+";
+        assert!(run(src).is_empty());
     }
 
     #[test]

@@ -1,19 +1,24 @@
 //! Performance benches for the computational kernels behind the
-//! experiments: network algebra, FFT, MNA, DC Newton, the optimizers and
-//! one full design-objective evaluation.
+//! experiments: network algebra, FFT, MNA, DC Newton, the optimizers,
+//! one full design-objective evaluation and the study's surrogate screen.
 //!
 //! Hand-rolled `harness = false` timing (criterion is unavailable in the
 //! offline build environment): each kernel is timed over enough
 //! iterations to dominate clock granularity and reported as ns/iter,
 //! best of three batches. Run with `cargo bench -p lna-bench`.
 
-use lna::{band_objectives, Amplifier, BandSpec, DesignVariables};
+use lna::{
+    band_objectives, nf_gain_objectives, study_screen_config, surrogate_training_set, Amplifier,
+    BandSpec, DesignCache, DesignVariables,
+};
 use rfkit_circuit::{solve_dc, two_port_s, AcStamps, Circuit, RetryPolicy};
 use rfkit_device::dc::{Angelov, DcModel as _};
 use rfkit_device::Phemt;
 use rfkit_net::{Abcd, NoisyAbcd};
+use rfkit_num::rng::Rng64;
 use rfkit_num::{fft, Complex};
 use rfkit_opt::{differential_evolution, nelder_mead, Bounds, DeConfig, NelderMeadConfig};
+use rfkit_surrogate::{ModelKind, ResponseSurface, SurrogateScreen};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -148,5 +153,32 @@ fn main() {
     let biased = amp.biased().expect("reachable bias");
     bench_kernel("biased_point_metrics", 20_000, || {
         black_box(biased.metrics(black_box(1.4e9)));
+    });
+
+    // The study's surrogate screen at its own sizes: an RBF over 256
+    // band-swept training points, 7 variables, 2 objectives.
+    let cache = DesignCache::new(512);
+    let study_objectives = nf_gain_objectives(&device, &band, &cache);
+    let design_bounds = DesignVariables::bounds();
+    let mut rng = Rng64::new(0x5ca1e);
+    for _ in 0..256 {
+        study_objectives(&design_bounds.sample(&mut rng));
+    }
+    let training = surrogate_training_set(&cache);
+    let (xs, fs): (Vec<Vec<f64>>, Vec<Vec<f64>>) = training.iter().cloned().unzip();
+    let screen_cfg = study_screen_config(1);
+    bench_kernel("surrogate_rbf_fit_256", 100, || {
+        black_box(ResponseSurface::fit(ModelKind::Rbf, &xs, &fs, screen_cfg.ridge).expect("fits"));
+    });
+    // One candidate's lower confidence bound: the screen's per-candidate
+    // model work (kernel row, predictions, data support).
+    let mut screen = SurrogateScreen::new(design_bounds.dim(), 2, screen_cfg);
+    screen.seed_training(&training);
+    screen.screen_multi(&[design_bounds.sample(&mut rng)], &fs[..1]);
+    let candidates: Vec<Vec<f64>> = (0..64).map(|_| design_bounds.sample(&mut rng)).collect();
+    let mut next = 0;
+    bench_kernel("surrogate_screen_candidate", 20_000, || {
+        next = (next + 1) % candidates.len();
+        black_box(screen.predict_lcb(&candidates[next]).expect("fitted model"));
     });
 }

@@ -115,7 +115,9 @@ impl ResponseSurface {
         let ys: Vec<Vec<f64>> = (0..n_obj)
             .map(|j| fs.iter().map(|f| f[j]).collect())
             .collect();
-        let mut surface = match kind {
+        // Each arm also returns the in-sample prediction at every
+        // training point, for the residual pass below.
+        let (mut surface, fitted): (ResponseSurface, Vec<Vec<f64>>) = match kind {
             ModelKind::Quadratic => {
                 let m = n_quad_terms(norm.dim());
                 let rows: Vec<Vec<f64>> = us
@@ -128,7 +130,7 @@ impl ResponseSurface {
                     .collect();
                 let a = RMatrix::from_fn(us.len(), m, |i, j| rows[i][j]);
                 let weights = ridge_solve(&a, &ys, ridge)?;
-                ResponseSurface {
+                let surface = ResponseSurface {
                     kind,
                     norm,
                     n_obj,
@@ -139,17 +141,24 @@ impl ResponseSurface {
                     sigma: vec![0.0; n_obj],
                     half_spread: vec![0.0; n_obj],
                     robust_spread: vec![0.0; n_obj],
-                }
+                };
+                let fitted = xs.iter().map(|x| surface.predict(x)).collect();
+                (surface, fitted)
             }
             ModelKind::Rbf => {
                 let n = us.len();
                 // Shape parameter from the mean pairwise squared
                 // distance so the kernel width tracks the data cloud.
+                // Each pair's distance waits in the kernel's upper
+                // triangle until γ is known.
+                let mut k = RMatrix::zeros(n, n);
                 let mut sum_d2 = 0.0;
                 let mut pairs = 0u64;
                 for i in 0..n {
                     for j in (i + 1)..n {
-                        sum_d2 += sq_dist(&us[i], &us[j]);
+                        let d2 = sq_dist(&us[i], &us[j]);
+                        k[(i, j)] = d2;
+                        sum_d2 += d2;
                         pairs += 1;
                     }
                 }
@@ -162,7 +171,16 @@ impl ResponseSurface {
                     return Err(MatrixError::Singular { pivot: 0 });
                 }
                 let gamma = 1.0 / mean_d2;
-                let mut k = RMatrix::from_fn(n, n, |i, j| (-gamma * sq_dist(&us[i], &us[j])).exp());
+                // The kernel is symmetric with diagonal exp(−γ·0) = 1:
+                // one `exp` per pair, mirrored into the lower triangle.
+                for i in 0..n {
+                    k[(i, i)] = 1.0;
+                    for j in (i + 1)..n {
+                        let v = (-gamma * k[(i, j)]).exp();
+                        k[(i, j)] = v;
+                        k[(j, i)] = v;
+                    }
+                }
                 // Kernel diagonal is exactly 1, so `ridge` is already a
                 // dimensionless damping of the interpolation system.
                 for i in 0..n {
@@ -187,7 +205,12 @@ impl ResponseSurface {
                         lu.solve(&centered)
                     })
                     .collect();
-                ResponseSurface {
+                // Without its ridge, row i of the kernel is exactly the
+                // kernel row `predict_into` computes at training point i.
+                for i in 0..n {
+                    k[(i, i)] = 1.0;
+                }
+                let surface = ResponseSurface {
                     kind,
                     norm,
                     n_obj,
@@ -198,17 +221,23 @@ impl ResponseSurface {
                     sigma: vec![0.0; n_obj],
                     half_spread: vec![0.0; n_obj],
                     robust_spread: vec![0.0; n_obj],
-                }
+                };
+                let fitted = (0..n)
+                    .map(|i| {
+                        let mut pred = vec![0.0; n_obj];
+                        surface.combine_kernel_row(k.row(i), &mut pred);
+                        pred
+                    })
+                    .collect();
+                (surface, fitted)
             }
         };
         // In-sample residual RMS and training spread per objective: the
         // raw material for the screening layer's confidence band.
-        let mut pred = vec![0.0; n_obj];
         let mut sq_sum = vec![0.0; n_obj];
         let mut lo = vec![f64::INFINITY; n_obj];
         let mut hi = vec![f64::NEG_INFINITY; n_obj];
-        for (x, f) in xs.iter().zip(fs) {
-            surface.predict_into(x, &mut pred);
+        for (pred, f) in fitted.iter().zip(fs) {
             for j in 0..n_obj {
                 let r = pred[j] - f[j];
                 sq_sum[j] += r * r;
@@ -274,31 +303,21 @@ impl ResponseSurface {
         out
     }
 
-    /// Data support for a prediction at `x`, in `[0, 1]`: how close the
-    /// point sits to the training cloud on the model's own length
-    /// scale. For the RBF this is the largest kernel value against any
-    /// center (1 at a training point, → 0 far away); the quadratic is a
-    /// global trend fit and always reports full support. Screening
-    /// layers widen their confidence band as support drops.
-    pub fn support(&self, x: &[f64]) -> f64 {
-        match self.kind {
-            ModelKind::Quadratic => 1.0,
-            ModelKind::Rbf => {
-                let u = self.norm.normalize(x);
-                self.centers
-                    .iter()
-                    .map(|c| (-self.gamma * sq_dist(&u, c)).exp())
-                    .fold(0.0, f64::max)
-            }
-        }
-    }
-
-    /// Predicts all objectives of a raw design point into `out`.
+    /// Predicts all objectives of a raw design point into `out` and
+    /// returns the data support of that prediction.
+    ///
+    /// Support lies in `[0, 1]`: how close the point sits to the
+    /// training cloud on the model's own length scale. For the RBF it is
+    /// the largest kernel value against any center (1 at a training
+    /// point, → 0 far away); the quadratic is a global trend fit and
+    /// always reports full support. Screening layers widen their
+    /// confidence band as support drops. The RBF computes one kernel row
+    /// for both the predictions and the support.
     ///
     /// # Panics
     ///
     /// Panics if `x.len() != self.dim()` or `out.len() != self.n_obj()`.
-    pub fn predict_into(&self, x: &[f64], out: &mut [f64]) {
+    pub fn predict_into(&self, x: &[f64], out: &mut [f64]) -> f64 {
         assert_eq!(out.len(), self.n_obj, "objective count mismatch");
         let u = self.norm.normalize(x);
         match self.kind {
@@ -308,17 +327,26 @@ impl ResponseSurface {
                 for (o, w) in out.iter_mut().zip(&self.weights) {
                     *o = terms.iter().zip(w).map(|(t, c)| t * c).sum();
                 }
+                1.0
             }
             ModelKind::Rbf => {
-                for ((o, w), m) in out.iter_mut().zip(&self.weights).zip(&self.offsets) {
-                    *o = m + self
-                        .centers
-                        .iter()
-                        .zip(w)
-                        .map(|(c, wi)| (-self.gamma * sq_dist(&u, c)).exp() * wi)
-                        .sum::<f64>();
-                }
+                let row: Vec<f64> = self
+                    .centers
+                    .iter()
+                    .map(|c| (-self.gamma * sq_dist(&u, c)).exp())
+                    .collect();
+                self.combine_kernel_row(&row, out);
+                row.iter().copied().fold(0.0, f64::max)
             }
+        }
+    }
+
+    /// RBF predictions from one kernel row (the kernel value against
+    /// every center, in center order): the training mean plus the
+    /// weighted row sum, per objective.
+    fn combine_kernel_row(&self, row: &[f64], out: &mut [f64]) {
+        for ((o, w), m) in out.iter_mut().zip(&self.weights).zip(&self.offsets) {
+            *o = m + row.iter().zip(w).map(|(k, wi)| k * wi).sum::<f64>();
         }
     }
 }
@@ -404,6 +432,131 @@ mod tests {
         let xs = vec![vec![1.0, 2.0]; 12];
         let fs = vec![vec![3.0]; 12];
         assert!(ResponseSurface::fit(ModelKind::Rbf, &xs, &fs, 0.0).is_err());
+    }
+
+    /// Training points or objective rows, one vector per sample.
+    type Rows = Vec<Vec<f64>>;
+
+    /// Seeded 7-variable training set of `n` rows on the design
+    /// variables' mixed physical scales, with exact duplicate rows and a
+    /// minority of rows on an infeasibility penalty plateau.
+    fn messy_training(seed: u64, n: usize) -> (Rows, Rows) {
+        const PENALTY: f64 = 1e3;
+        let lo = [2.0, 0.01, 1e-9, 0.1e-9, 1e-9, 0.5e-12, 10.0];
+        let hi = [4.0, 0.08, 20e-9, 1.5e-9, 30e-9, 10e-12, 100.0];
+        let mut rng = rfkit_num::rng::Rng64::new(seed);
+        let mut xs: Rows = Vec::with_capacity(n);
+        let mut fs: Rows = Vec::with_capacity(n);
+        while xs.len() < n {
+            if xs.len() >= 2 && rng.chance(0.1) {
+                let k = rng.index(xs.len());
+                xs.push(xs[k].clone());
+                fs.push(fs[k].clone());
+                continue;
+            }
+            let x: Vec<f64> = lo
+                .iter()
+                .zip(&hi)
+                .map(|(l, h)| rng.uniform(*l, *h))
+                .collect();
+            let f = if rng.chance(0.2) {
+                vec![PENALTY, PENALTY]
+            } else {
+                let t: Vec<f64> = x
+                    .iter()
+                    .zip(lo.iter().zip(&hi))
+                    .map(|(v, (l, h))| (v - l) / (h - l))
+                    .collect();
+                vec![
+                    0.5 + t[0] * t[1] + (3.0 * t[2]).sin() + 0.2 * t[6],
+                    -12.0 + 4.0 * t[3] * t[3] - t[4] + t[5] * t[0],
+                ]
+            };
+            xs.push(x);
+            fs.push(f);
+        }
+        (xs, fs)
+    }
+
+    /// The ~50 seeded RBF fits the bit-identity tests sweep: sizes from
+    /// the RBF minimum up to a full 256-point training window.
+    fn messy_fits() -> Vec<(Rows, Rows, ResponseSurface)> {
+        let n_min = ResponseSurface::min_train_points(ModelKind::Rbf, 7);
+        (0..50u64)
+            .map(|s| {
+                let n = n_min + (s as usize * (256 - n_min)) / 49;
+                let (xs, fs) = messy_training(0x5eed + s, n);
+                let m = ResponseSurface::fit(ModelKind::Rbf, &xs, &fs, 1e-6).unwrap();
+                (xs, fs, m)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn rbf_sigma_is_bit_identical_to_predicting_each_training_point() {
+        for (xs, fs, m) in messy_fits() {
+            for j in 0..2 {
+                let mut sq_sum = 0.0;
+                for (x, f) in xs.iter().zip(&fs) {
+                    let r = m.predict(x)[j] - f[j];
+                    sq_sum += r * r;
+                }
+                let rms = (sq_sum / xs.len() as f64).sqrt();
+                assert_eq!(
+                    m.sigma()[j].to_bits(),
+                    rms.to_bits(),
+                    "n = {}, objective {j}: {} vs {rms}",
+                    xs.len(),
+                    m.sigma()[j]
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn rbf_fused_prediction_is_bit_identical_to_separate_kernel_rows() {
+        let mut rng = rfkit_num::rng::Rng64::new(77);
+        for (xs, _, m) in messy_fits() {
+            let mut probes: Vec<Vec<f64>> = xs.iter().step_by(7).cloned().collect();
+            for _ in 0..8 {
+                let k = rng.index(xs.len());
+                probes.push(xs[k].iter().map(|v| v * rng.uniform(0.7, 1.3)).collect());
+            }
+            for x in &probes {
+                let mut fused = vec![0.0; 2];
+                let support = m.predict_into(x, &mut fused);
+                // One kernel row per objective, then a third for the
+                // support: the formulas the fused call replaces.
+                let u = m.norm.normalize(x);
+                for (j, got) in fused.iter().enumerate() {
+                    let want = m.offsets[j]
+                        + m.centers
+                            .iter()
+                            .zip(&m.weights[j])
+                            .map(|(c, wi)| (-m.gamma * sq_dist(&u, c)).exp() * wi)
+                            .sum::<f64>();
+                    assert_eq!(got.to_bits(), want.to_bits(), "objective {j} at {x:?}");
+                }
+                let want_support = m
+                    .centers
+                    .iter()
+                    .map(|c| (-m.gamma * sq_dist(&u, c)).exp())
+                    .fold(0.0, f64::max);
+                assert_eq!(
+                    support.to_bits(),
+                    want_support.to_bits(),
+                    "support at {x:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn quadratic_reports_full_support() {
+        let (xs, fs) = training_grid();
+        let m = ResponseSurface::fit(ModelKind::Quadratic, &xs, &fs, 1e-10).unwrap();
+        let mut out = vec![0.0; 2];
+        assert_eq!(m.predict_into(&[1e3, 1e-9], &mut out), 1.0);
     }
 
     #[test]

@@ -234,17 +234,37 @@ impl SurrogateScreen {
     ///
     /// Panics on dimension mismatches.
     pub fn observe(&mut self, x: &[f64], f: &[f64]) {
+        if self.push_training(x, f) {
+            self.since_fit += 1;
+        }
+    }
+
+    /// Seeds the training set from already-evaluated `(x, f)` pairs —
+    /// e.g. a `DesignCache` snapshot — without counting toward the
+    /// retrain cadence. Rows are filtered as in [`observe`](Self::observe).
+    ///
+    /// # Panics
+    ///
+    /// Panics on dimension mismatches.
+    pub fn seed_training(&mut self, pts: &[(Vec<f64>, Vec<f64>)]) {
+        for (x, f) in pts {
+            self.push_training(x, f);
+        }
+    }
+
+    /// Appends one usable `(x, f)` row to the training window; returns
+    /// whether the row was kept.
+    fn push_training(&mut self, x: &[f64], f: &[f64]) -> bool {
         assert_eq!(x.len(), self.dim, "design-point dimension mismatch");
         assert_eq!(f.len(), self.n_obj, "objective-count mismatch");
         let usable = x.iter().all(|v| v.is_finite())
             && f.iter()
                 .all(|v| v.is_finite() && v.abs() <= self.cfg.outlier_cap);
         if !usable {
-            return;
+            return false;
         }
         self.train_x.push(x.to_vec());
         self.train_f.push(f.to_vec());
-        self.since_fit += 1;
         // Age out old points in deterministic blocks so memory stays
         // bounded on long runs while fits always see the newest window.
         if self.train_x.len() >= 2 * self.cfg.max_train {
@@ -252,15 +272,7 @@ impl SurrogateScreen {
             self.train_x.drain(..cut);
             self.train_f.drain(..cut);
         }
-    }
-
-    /// Seeds the training set from already-evaluated `(x, f)` pairs —
-    /// e.g. a `DesignCache` snapshot — without counting toward the
-    /// retrain cadence.
-    pub fn seed_training(&mut self, pts: &[(Vec<f64>, Vec<f64>)]) {
-        for (x, f) in pts {
-            self.observe(x, f);
-        }
+        true
     }
 
     /// Screens candidates for a scalar (single-objective) optimizer.
@@ -487,7 +499,7 @@ impl SurrogateScreen {
 
     fn lcb_into(&self, x: &[f64], out: &mut [f64]) -> Option<()> {
         let model = self.model.as_ref()?;
-        model.predict_into(x, out);
+        let support = model.predict_into(x, out);
         // Confidence widens as data support drops: at a training point
         // the band is the fit residual (floored), with no support it
         // opens by the robust training spread. Both the floor and the
@@ -495,7 +507,7 @@ impl SurrogateScreen {
         // a penalty plateau in the training values stretches the full
         // spread a thousandfold, and a band on that scale would swallow
         // every comparison ordinary candidates face.
-        let slack = 1.0 - model.support(x);
+        let slack = 1.0 - support;
         let mut ok = true;
         for (j, o) in out.iter_mut().enumerate() {
             let spread = model.robust_spread()[j];
@@ -734,6 +746,30 @@ mod tests {
         }
         s.screen_scalar(&cands, &[10.0]);
         assert_eq!(s.stats().fits, 2, "cadence-due refit did not happen");
+    }
+
+    #[test]
+    fn seeding_does_not_advance_the_retrain_cadence() {
+        let mut cfg = cfg_no_explore(ModelKind::Quadratic);
+        cfg.retrain_every = 10;
+        let mut s = SurrogateScreen::new(2, 1, cfg);
+        let (xs, fs) = scalar_training(70);
+        for (x, f) in xs.iter().zip(&fs).take(60) {
+            s.observe(x, f);
+        }
+        let cands = vec![vec![0.0, 0.0]];
+        s.screen_scalar(&cands, &[10.0]);
+        assert_eq!(s.stats().fits, 1);
+        let seeded: Vec<(Vec<f64>, Vec<f64>)> = xs
+            .iter()
+            .cloned()
+            .zip(fs.iter().cloned())
+            .skip(60)
+            .collect();
+        s.seed_training(&seeded);
+        assert_eq!(s.training_len(), 70);
+        s.screen_scalar(&cands, &[10.0]);
+        assert_eq!(s.stats().fits, 1, "seeded points triggered a refit");
     }
 
     #[test]
