@@ -3,15 +3,15 @@
 //! The observability layer's names are load-bearing in four places at
 //! once: the code that emits them (`rfkit_obs::Counter::new("…")`,
 //! `span("…")`, …), the CI assertions that gate on them
-//! (`rfkit-trace --expect NAME` in `ci.sh`), the recorded artifacts
-//! under `results/` (`TRACE_*.jsonl` event streams and `PROFILE_*.json`
-//! aggregate profiles), and the DESIGN.md telemetry name registry
-//! that documents them. Nothing ties these together — a renamed
-//! counter silently turns a `--expect` into a vacuous check and a
-//! dashboard into a flat line. This pass extracts the emitted-name set
-//! from the AST (string-literal first arguments of obs instrument
-//! constructors and emitters) and diffs it against all three
-//! artifacts; unknown, orphaned, or misspelled names are errors.
+//! (`rfkit-trace --expect NAME` in `ci.sh`), the recorded
+//! `PROFILE_*.json` aggregate profiles under `results/`, and the
+//! DESIGN.md telemetry name registry that documents them. Nothing ties
+//! these together — a renamed counter silently turns a `--expect` into
+//! a vacuous check and a dashboard into a flat line. This pass extracts
+//! the emitted-name set from the AST (string-literal first arguments of
+//! obs instrument constructors and emitters) and diffs it against all
+//! three artifacts; unknown, orphaned, or misspelled names are errors,
+//! and so is a recorded profile that does not parse.
 //!
 //! The pass runs only when the workspace has a `ci.sh` (the fake
 //! workspaces built by engine tests don't, and have no contract to
@@ -28,7 +28,7 @@ use std::path::Path;
 pub const NAME: &str = "counter-name-drift";
 /// One-line description.
 pub const DESCRIPTION: &str =
-    "obs name out of sync between code, ci.sh --expect, recorded traces, and DESIGN.md (error)";
+    "obs name out of sync between code, ci.sh --expect, recorded profiles, and DESIGN.md (error)";
 
 /// One extracted emission site.
 #[derive(Debug, Clone)]
@@ -224,43 +224,46 @@ pub fn check(root: &Path, files: &[SourceFile]) -> Vec<Finding> {
         }
     }
 
-    // 2. Every recorded trace/profile name must still be emitted by the
-    //    code. Traces are per-event JSONL; profiles are the aggregate
-    //    documents written by RFKIT_TRACE_MODE=agg — both carry names.
+    // 2. Every recorded profile name must still be emitted by the code,
+    //    and every recorded profile must parse: an unreadable one would
+    //    otherwise drop out of this check silently.
     let results = root.join("results");
     if let Ok(entries) = fs::read_dir(&results) {
         let mut recorded: Vec<_> = entries
             .filter_map(|e| e.ok().map(|e| e.path()))
             .filter(|p| {
-                p.file_name().and_then(|n| n.to_str()).is_some_and(|n| {
-                    (n.starts_with("TRACE_") && n.ends_with(".jsonl"))
-                        || (n.starts_with("PROFILE_") && n.ends_with(".json"))
-                })
+                p.file_name()
+                    .and_then(|n| n.to_str())
+                    .is_some_and(|n| n.starts_with("PROFILE_") && n.ends_with(".json"))
             })
             .collect();
         recorded.sort();
         for artifact in recorded {
-            let is_profile = artifact
-                .extension()
-                .is_some_and(|e| e.to_str() == Some("json"));
-            let names = if is_profile {
-                rfkit_obs::registry::profile_names(&artifact)
-            } else {
-                rfkit_obs::registry::trace_names(&artifact)
-            };
-            let Ok(names) = names else { continue };
             let rel = format!(
                 "results/{}",
                 artifact.file_name().unwrap_or_default().to_string_lossy()
             );
-            let what = if is_profile { "profile" } else { "trace" };
+            let names = match rfkit_obs::registry::profile_names(&artifact) {
+                Ok(names) => names,
+                Err(e) => {
+                    out.push(finding(
+                        &rel,
+                        1,
+                        format!(
+                            "recorded profile cannot be read ({e}); its names are unchecked \
+                             — regenerate via ci.sh"
+                        ),
+                    ));
+                    continue;
+                }
+            };
             for name in names {
                 if !emitted.contains(name.as_str()) {
                     out.push(finding(
                         &rel,
                         1,
                         format!(
-                            "recorded {what} names `{name}` but no code emits it; the {what} \
+                            "recorded profile names `{name}` but no code emits it; the profile \
                              is stale or the instrument was renamed — regenerate via ci.sh"
                         ),
                     ));
@@ -375,7 +378,7 @@ cargo run -p rfkit-obs --bin rfkit-trace -- --json \\
   --expect dc.retry.attempts --expect dc.fallback.stage \\
   --expect-max circuit.ac.sweep.refactors:8 \\
   --expect-min plan.cache.hit:40 \\
-  results/TRACE_faults.jsonl
+  results/PROFILE_faults.json
 ";
         let exp = ci_expectations(ci);
         let names: Vec<&str> = exp.iter().map(|(n, _)| n.as_str()).collect();
@@ -410,5 +413,23 @@ cargo run -p rfkit-obs --bin rfkit-trace -- --json \\
         let names = registry_names(md);
         let got: Vec<&str> = names.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(got, ["plan.cache.hit", "design.total"]);
+    }
+
+    #[test]
+    fn truncated_profile_is_a_finding_naming_the_file() {
+        let root =
+            std::env::temp_dir().join(format!("rfkit_contract_trunc_{}", std::process::id()));
+        fs::create_dir_all(root.join("results")).expect("mkdir");
+        fs::write(root.join("ci.sh"), "").expect("write ci.sh");
+        fs::write(
+            root.join("results/PROFILE_cut.json"),
+            "{\"kind\":\"rfkit-profile\",\"version\":1,\"nodes\":[",
+        )
+        .expect("write profile");
+        let findings = check(&root, &[]);
+        let _ = fs::remove_dir_all(&root);
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert_eq!(findings[0].file, "results/PROFILE_cut.json");
+        assert_eq!(findings[0].lint, NAME);
     }
 }

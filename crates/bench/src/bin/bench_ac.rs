@@ -279,14 +279,15 @@ struct AggOverhead {
     profile: String,
 }
 
-/// Overhead of aggregate-mode profiling (`RFKIT_TRACE_MODE=agg`) on the
-/// bordered batch workload: best-of timings of the identical sweep with
-/// telemetry fully disabled and then armed in aggregate mode. The agg
-/// phase leaves its call-path profile at `profile_out` (the flush is
-/// outside the timed region — steady-state recording cost is the claim,
-/// not serialization). Telemetry is restored to the environment's
-/// configuration before returning, so a traced CI invocation still
-/// flushes its own trace afterwards.
+/// Overhead of profiling on the bordered batch workload: best-of timings
+/// of the identical sweep with telemetry fully disabled and then armed.
+/// The armed phase leaves its call-path profile at `profile_out` (the
+/// flush is outside the timed region — steady-state recording cost is
+/// the claim, not serialization). Telemetry is restored to the
+/// environment's configuration before returning, so a traced CI
+/// invocation still flushes its own profile afterwards; re-arming starts
+/// a fresh call tree, so that profile's spans cover only the rest of the
+/// run, while counters and histograms stay process-cumulative.
 fn measure_agg_overhead(
     c: &Circuit,
     grid: &[f64],
@@ -309,9 +310,8 @@ fn measure_agg_overhead(
 
     rfkit_obs::init(&rfkit_obs::TraceConfig {
         trace: true,
-        log: false,
         out: Some(profile_out.into()),
-        mode: rfkit_obs::TraceMode::Agg,
+        ..rfkit_obs::TraceConfig::default()
     });
     let (agg_s, agg_stats) = run(reps);
     rfkit_obs::flush();

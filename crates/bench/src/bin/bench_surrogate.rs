@@ -32,7 +32,7 @@
 //! `surrogate.fit` span cost against the `study.pareto` total, i.e. what
 //! the model fits cost next to the sweeps they avoided. Telemetry is
 //! restored to the environment's configuration afterwards so a traced CI
-//! invocation still flushes its own trace.
+//! invocation still flushes its own profile.
 //!
 //! Usage: `bench_surrogate [--pop N] [--gens N] [--warm-gens N]
 //! [--seed N] [--out PATH] [--profile-out PATH]` plus screen-override
@@ -267,9 +267,8 @@ fn main() {
     // total lands in the committed profile artifact.
     rfkit_obs::init(&rfkit_obs::TraceConfig {
         trace: true,
-        log: false,
         out: Some(args.profile_out.clone().into()),
-        mode: rfkit_obs::TraceMode::Agg,
+        ..rfkit_obs::TraceConfig::default()
     });
     let screened = run_arm(&device, &band, &warm_cfg, &screened_cfg);
     rfkit_obs::flush();

@@ -45,12 +45,11 @@ fn cached_objectives_identical_at_1_and_4_threads() {
     // Arm tracing for the whole comparison: the hit/miss/evict counters
     // must stay write-only with respect to the numerics.
     let trace = std::env::temp_dir().join(format!(
-        "rfkit_cache_determinism_trace_{}.jsonl",
+        "rfkit_cache_determinism_trace_{}.json",
         std::process::id()
     ));
     rfkit_obs::init(&rfkit_obs::TraceConfig {
         trace: true,
-        log: false,
         out: Some(trace.clone()),
         ..rfkit_obs::TraceConfig::default()
     });

@@ -1,17 +1,17 @@
-//! In-process streaming profile aggregation (`RFKIT_TRACE_MODE=agg`).
+//! In-process streaming profile aggregation.
 //!
-//! Instead of one JSONL line per span, closing spans fold into a
-//! hierarchical call-path tree, one per thread and merged by path at
-//! flush: each node is keyed by
+//! Closing spans fold into a hierarchical call-path tree, one per
+//! thread and merged by path at flush: each node is keyed by
 //! `(parent, name)` and accumulates call count, total wall time, self
 //! time (duration minus child spans) and a mergeable
 //! [`QuantileSketch`] of durations. Events fold into per-name
-//! first/last summaries. On [`flush`](crate::flush) the tree plus the
-//! counter/histogram registry serialize into one compact
-//! `PROFILE_*.json` — kilobytes where a traced run writes megabytes —
-//! which `rfkit-trace` renders as an indented call-path profile
-//! (`tree`), folded flamegraph stacks (`flame`), and diffs against a
-//! baseline as the CI perf-regression gate (`diff`).
+//! first/last summaries. On [`flush`](crate::flush) the tree, the
+//! counter/histogram registry and the events become one
+//! [`Profile`], written by [`render_profile_json`] — the serializer
+//! whose output [`crate::profile::parse`] reads back — as one compact
+//! `PROFILE_*.json` that `rfkit-trace` renders as an indented call-path
+//! profile (`tree`), folded flamegraph stacks (`flame`), and diffs
+//! against a baseline as the CI perf-regression gate (`diff`).
 //!
 //! Costs when armed: one tree lookup per span enter and one per exit,
 //! in a tree of the calling thread's own. Span paths are tracked per
@@ -20,8 +20,7 @@
 //! into its own tree behind a mutex only [`reset`] and the flush ever
 //! contend for: workers closing spans at the same time never wait on one
 //! another. The flush merges the trees path by path. Counters and
-//! histograms keep their lock-free hot path; only the sketch feed in
-//! [`crate::metrics`] adds a short uncontended lock per histogram sample.
+//! histograms keep their lock-free hot path.
 
 use std::cell::RefCell;
 use std::collections::btree_map::Entry;
@@ -30,8 +29,9 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use rfkit_num::QuantileSketch;
 
-use crate::json::JsonObj;
 use crate::metrics;
+use crate::profile::{render_profile_json, ProfNode, Profile};
+use crate::summary::SeriesAgg;
 
 /// Parent marker for root-level nodes.
 const ROOT: u32 = u32::MAX;
@@ -48,13 +48,6 @@ struct Node {
     durations_us: QuantileSketch,
 }
 
-/// Aggregate of one event name.
-struct EventAgg {
-    points: u64,
-    first: Vec<(String, f64)>,
-    last: Vec<(String, f64)>,
-}
-
 /// One thread's call-path tree; node ids index `nodes`.
 #[derive(Default)]
 struct Tree {
@@ -66,7 +59,7 @@ struct Tree {
 /// live until the process ends, one per thread that ever opened a span
 /// (the main thread, pool and server workers).
 static TREES: Mutex<Vec<Arc<Mutex<Tree>>>> = Mutex::new(Vec::new());
-static EVENTS: Mutex<BTreeMap<String, EventAgg>> = Mutex::new(BTreeMap::new());
+static EVENTS: Mutex<BTreeMap<String, SeriesAgg>> = Mutex::new(BTreeMap::new());
 
 thread_local! {
     // Per-thread stack of live node ids, parallel to the span stack in
@@ -147,18 +140,18 @@ pub(crate) fn exit(dur_ns: u64, self_ns: u64) {
 
 /// Fold one event into its per-name summary.
 pub(crate) fn record_event(name: &str, fields: &[(&str, f64)]) {
+    let snap: BTreeMap<String, f64> = fields.iter().map(|(k, v)| (k.to_string(), *v)).collect();
     let mut events = lock(&EVENTS);
     match events.get_mut(name) {
         Some(agg) => {
             agg.points += 1;
-            agg.last = fields.iter().map(|(k, v)| (k.to_string(), *v)).collect();
+            agg.last = snap;
         }
         None => {
-            let snap: Vec<(String, f64)> =
-                fields.iter().map(|(k, v)| (k.to_string(), *v)).collect();
             events.insert(
                 name.to_string(),
-                EventAgg {
+                SeriesAgg {
+                    name: name.to_string(),
                     points: 1,
                     first: snap.clone(),
                     last: snap,
@@ -169,10 +162,9 @@ pub(crate) fn record_event(name: &str, fields: &[(&str, f64)]) {
 }
 
 /// Every thread's tree merged by call path. Paths are rebuilt by walking
-/// parents, and the map orders them by path string, so the serialized
-/// profile is independent of node discovery order and of which thread
-/// ran what.
-fn merged_paths() -> BTreeMap<String, Node> {
+/// parents, and the map orders them by path string, so the profile is
+/// independent of node discovery order and of which thread ran what.
+fn merged_nodes() -> Vec<ProfNode> {
     let mut merged: BTreeMap<String, Node> = BTreeMap::new();
     for tree in lock(&TREES).iter() {
         let t = lock(tree);
@@ -200,119 +192,50 @@ fn merged_paths() -> BTreeMap<String, Node> {
         }
     }
     merged
+        .into_iter()
+        .map(|(path, n)| ProfNode {
+            path,
+            name: n.name.to_string(),
+            count: n.count,
+            total_us: n.total_ns / 1_000,
+            self_us: n.self_ns / 1_000,
+            max_us: n.max_ns / 1_000,
+            p50_us: n.durations_us.quantile(0.50),
+            p95_us: n.durations_us.quantile(0.95),
+        })
+        .collect()
 }
 
-/// Serialize the whole aggregate — tree, counters, histograms, events —
-/// as one profile JSON document and hand it to the sink.
+/// Build the whole aggregate — tree, counters, histograms, events — as
+/// one [`Profile`] and hand its document form to the sink.
 pub(crate) fn flush_profile() {
+    let mut p = Profile {
+        nodes: merged_nodes(),
+        ..Profile::default()
+    };
+    metrics::snapshot_into(&mut p);
     // The flush itself is telemetry: record it as a `profile.flush`
-    // event so the artifact documents its own shape, then snapshot.
-    let (counters, hists) = metrics::registry_snapshot();
-    let rows = merged_paths();
+    // event so the artifact documents its own shape.
     let events = lock(&EVENTS).len();
     crate::event(
         "profile.flush",
         &[
-            ("nodes", rows.len() as f64),
-            ("counters", counters.len() as f64),
-            ("hists", hists.len() as f64),
+            ("nodes", p.nodes.len() as f64),
+            ("counters", p.counters.len() as f64),
+            ("hists", p.hists.len() as f64),
             ("events", events as f64),
         ],
     );
-
-    let mut out = String::from("{\n");
-    out.push_str("\"kind\":\"rfkit-profile\",\n\"version\":1,\n");
-    let mut meta = JsonObj::new();
-    meta.num("pid", std::process::id() as f64);
-    meta.str(
-        "threads_env",
-        &std::env::var("RFKIT_THREADS").unwrap_or_default(),
-    );
-    meta.num("wall_us", crate::now_us() as f64);
-    out.push_str(&format!("\"meta\":{},\n", meta.finish()));
-
-    out.push_str("\"nodes\":[\n");
-    for (i, (path, n)) in rows.iter().enumerate() {
-        let mut o = JsonObj::new();
-        o.str("path", path);
-        o.str("name", n.name);
-        o.num("count", n.count as f64);
-        o.num("total_us", (n.total_ns / 1_000) as f64);
-        o.num("self_us", (n.self_ns / 1_000) as f64);
-        o.num("max_us", (n.max_ns / 1_000) as f64);
-        o.num("p50_us", n.durations_us.quantile(0.50));
-        o.num("p95_us", n.durations_us.quantile(0.95));
-        out.push_str(&o.finish());
-        out.push_str(if i + 1 == rows.len() { "\n" } else { ",\n" });
-    }
-    out.push_str("],\n");
-
-    let mut cobj = JsonObj::new();
-    for (name, value) in &counters {
-        cobj.num(name, *value as f64);
-    }
-    out.push_str(&format!("\"counters\":{},\n", cobj.finish()));
-
-    out.push_str("\"hists\":[\n");
-    for (i, h) in hists.iter().enumerate() {
-        let mut o = JsonObj::new();
-        o.str("name", h.name);
-        o.num("count", h.count as f64);
-        o.num("sum", h.sum as f64);
-        o.num("p50", h.p50);
-        o.num("p90", h.p90);
-        o.num("p99", h.p99);
-        let mut arr = String::from("[");
-        for (j, (upper, c)) in h.buckets.iter().enumerate() {
-            if j > 0 {
-                arr.push(',');
-            }
-            arr.push_str(&format!("[{upper},{c}]"));
-        }
-        arr.push(']');
-        o.raw("buckets", &arr);
-        if let Some(sk) = &h.sketch {
-            let mut sobj = JsonObj::new();
-            sobj.num("zeros", sk.zeros() as f64);
-            let mut sarr = String::from("[");
-            for (j, (k, c)) in sk.buckets().enumerate() {
-                if j > 0 {
-                    sarr.push(',');
-                }
-                sarr.push_str(&format!("[{k},{c}]"));
-            }
-            sarr.push(']');
-            sobj.raw("buckets", &sarr);
-            o.raw("sketch", &sobj.finish());
-        }
-        out.push_str(&o.finish());
-        out.push_str(if i + 1 == hists.len() { "\n" } else { ",\n" });
-    }
-    out.push_str("],\n");
-
-    out.push_str("\"events\":[\n");
-    let events = lock(&EVENTS);
-    for (i, (name, e)) in events.iter().enumerate() {
-        let mut o = JsonObj::new();
-        o.str("name", name);
-        o.num("points", e.points as f64);
-        let mut first = JsonObj::new();
-        for (k, v) in &e.first {
-            first.num(k, *v);
-        }
-        o.raw("first", &first.finish());
-        let mut last = JsonObj::new();
-        for (k, v) in &e.last {
-            last.num(k, *v);
-        }
-        o.raw("last", &last.finish());
-        out.push_str(&o.finish());
-        out.push_str(if i + 1 == events.len() { "\n" } else { ",\n" });
-    }
-    out.push_str("]\n}\n");
-    drop(events);
-
-    crate::sink::write_whole(&out);
+    p.events = lock(&EVENTS).values().cloned().collect();
+    p.meta = BTreeMap::from([
+        ("pid".to_string(), std::process::id().to_string()),
+        (
+            "threads_env".to_string(),
+            std::env::var("RFKIT_THREADS").unwrap_or_default(),
+        ),
+        ("wall_us".to_string(), crate::now_us().to_string()),
+    ]);
+    crate::sink::write_whole(&render_profile_json(&p));
 }
 
 #[cfg(test)]

@@ -1,18 +1,17 @@
-//! Summarize, render and diff rfkit-obs artifacts.
+//! Summarize, render and diff rfkit-obs aggregate profiles.
 //!
 //! ```text
-//! rfkit-trace [--json] [--top N] [--profile] [--expect NAME]...
-//!             [--expect-max NAME:N]... [--expect-min NAME:N]... <file>
+//! rfkit-trace [--json] [--top N] [--expect NAME]...
+//!             [--expect-max NAME:N]... [--expect-min NAME:N]... <profile.json>
 //! rfkit-trace tree  [--top N] <profile.json>
 //! rfkit-trace flame <profile.json>
 //! rfkit-trace diff  [--rel-tol X] [--min-self-us N] <baseline.json> <current.json>
 //! ```
 //!
-//! The default mode summarizes either artifact format — a JSONL trace
-//! or an aggregate `PROFILE_*.json` (auto-detected; `--profile` forces
-//! the latter) — and prints top spans by self-time, counter totals,
-//! histogram percentiles and a convergence table; `--json` emits the
-//! same aggregates as one JSON object.
+//! The default mode summarizes a `PROFILE_*.json` and prints top spans
+//! by self-time, counter totals, histogram percentiles and a
+//! convergence table; `--json` emits the same aggregates as one JSON
+//! object. A file that is not a profile exits 2.
 //!
 //! Assertions (all exit 1 on failure; CI builds on them):
 //!
@@ -46,8 +45,8 @@ use rfkit_obs::{profile, summary};
 fn usage(err: &str) -> ExitCode {
     eprintln!("rfkit-trace: {err}");
     eprintln!(
-        "usage: rfkit-trace [--json] [--top N] [--profile] [--expect NAME]... \
-         [--expect-max NAME:N]... [--expect-min NAME:N]... <file>\n\
+        "usage: rfkit-trace [--json] [--top N] [--expect NAME]... \
+         [--expect-max NAME:N]... [--expect-min NAME:N]... <profile.json>\n\
          \x20      rfkit-trace tree  [--top N] <profile.json>\n\
          \x20      rfkit-trace flame <profile.json>\n\
          \x20      rfkit-trace diff  [--rel-tol X] [--min-self-us N] <baseline.json> <current.json>"
@@ -55,15 +54,11 @@ fn usage(err: &str) -> ExitCode {
     ExitCode::from(2)
 }
 
-fn read(path: &PathBuf) -> Result<String, ExitCode> {
-    std::fs::read_to_string(path).map_err(|e| {
+fn read_profile(path: &PathBuf) -> Result<profile::Profile, ExitCode> {
+    let text = std::fs::read_to_string(path).map_err(|e| {
         eprintln!("rfkit-trace: cannot read {}: {e}", path.display());
         ExitCode::from(2)
-    })
-}
-
-fn read_profile(path: &PathBuf) -> Result<profile::Profile, ExitCode> {
-    let text = read(path)?;
+    })?;
     profile::parse(&text).map_err(|e| {
         eprintln!("rfkit-trace: {}: {e}", path.display());
         ExitCode::from(2)
@@ -183,7 +178,6 @@ fn cmd_diff(args: &[String]) -> ExitCode {
 
 fn cmd_summarize(args: &[String]) -> ExitCode {
     let mut json = false;
-    let mut force_profile = false;
     let mut top = 15usize;
     let mut expect: Vec<String> = Vec::new();
     let mut expect_max: Vec<(String, u64)> = Vec::new();
@@ -193,7 +187,6 @@ fn cmd_summarize(args: &[String]) -> ExitCode {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--json" => json = true,
-            "--profile" => force_profile = true,
             "--top" => match it.next().and_then(|v| v.parse().ok()) {
                 Some(n) => top = n,
                 None => return usage("--top needs a number"),
@@ -212,45 +205,31 @@ fn cmd_summarize(args: &[String]) -> ExitCode {
                 Some(Err(e)) => return usage(&e),
                 None => return usage("--expect-min needs NAME:N"),
             },
-            "--help" | "-h" => return usage("trace/profile summarizer and differ"),
+            "--help" | "-h" => return usage("profile summarizer and differ"),
             other if other.starts_with('-') => {
                 return usage(&format!("unknown argument `{other}`"))
             }
             other => {
                 if input.is_some() {
-                    return usage("exactly one trace file expected");
+                    return usage("exactly one profile expected");
                 }
                 input = Some(PathBuf::from(other));
             }
         }
     }
     let Some(path) = input else {
-        return usage("missing trace file");
+        return usage("missing profile file");
     };
 
-    let text = match read(&path) {
-        Ok(t) => t,
+    let s = match read_profile(&path) {
+        Ok(p) => profile::to_summary(&p),
         Err(code) => return code,
     };
-    let s = if force_profile || profile::is_profile(&text) {
-        match profile::parse(&text) {
-            Ok(p) => profile::to_summary(&p),
-            Err(e) => {
-                eprintln!("rfkit-trace: {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        }
-    } else {
-        match summary::summarize(&text) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("rfkit-trace: {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        }
-    };
     if s.records == 0 {
-        eprintln!("rfkit-trace: {} contains no trace records", path.display());
+        eprintln!(
+            "rfkit-trace: {} contains no profile records",
+            path.display()
+        );
         return ExitCode::from(2);
     }
 
@@ -272,7 +251,7 @@ fn cmd_summarize(args: &[String]) -> ExitCode {
         .collect();
     let mut failed = !missing.is_empty();
     for name in &missing {
-        eprintln!("rfkit-trace: expected span/counter/hist `{name}` not found in trace");
+        eprintln!("rfkit-trace: expected span/counter/hist `{name}` not found in profile");
     }
     // Bound checks: a counter that never fired totals 0, which passes
     // every --expect-max and fails any positive --expect-min.

@@ -141,7 +141,7 @@ impl Json {
 }
 
 /// Parse one complete JSON value from `src` (trailing garbage is an
-/// error — trace lines are exactly one value each).
+/// error — a profile document is exactly one value).
 pub fn parse(src: &str) -> Result<Json, String> {
     let bytes = src.as_bytes();
     let mut pos = 0usize;

@@ -1,12 +1,14 @@
 //! rfkit-obs: dependency-free structured tracing + metrics.
 //!
-//! Compiled into every crate but runtime-gated: with `RFKIT_TRACE` and
-//! `RFKIT_LOG` unset, every instrumentation call is a single relaxed
-//! atomic load plus a predictable branch. When armed, the crate records
-//! RAII [`Span`]s with monotonic timing, [`Counter`]s, log2-bucket
-//! [`Hist`]ograms and free-form numeric [`event`]s into a JSONL sink
-//! (default `results/TRACE_<secs>_<pid>.jsonl`, overridable via
-//! `RFKIT_TRACE_OUT`).
+//! Compiled into every crate but runtime-gated: with `RFKIT_TRACE`
+//! unset, every instrumentation call is a single relaxed atomic load
+//! plus a predictable branch. When armed, the crate folds RAII
+//! [`Span`]s into a per-thread call-path tree and keeps [`Counter`]s,
+//! log2-bucket [`Hist`]ograms and per-name [`event`] summaries; at
+//! [`flush`] the run writes one aggregate profile (default
+//! `results/PROFILE_<secs>_<pid>.json`, overridable via
+//! `RFKIT_TRACE_OUT`) that [`profile::parse`] reads back and
+//! `rfkit-trace` summarizes, renders and diffs.
 //!
 //! Determinism contract (PR 1): telemetry is strictly write-only with
 //! respect to the numeric pipeline. Nothing in this crate is ever read
@@ -17,12 +19,10 @@
 //!
 //! Environment variables:
 //!
-//! | Variable           | Effect                                            |
-//! |--------------------|---------------------------------------------------|
-//! | `RFKIT_TRACE`      | non-empty & not `0`: record a trace               |
-//! | `RFKIT_TRACE_MODE` | `agg`: fold into one `PROFILE_*.json` ([`agg`])   |
-//! | `RFKIT_TRACE_OUT`  | sink path (implies `RFKIT_TRACE`)                 |
-//! | `RFKIT_LOG`        | non-empty & not `0`: echo human lines to stderr   |
+//! | Variable          | Effect                                     |
+//! |-------------------|--------------------------------------------|
+//! | `RFKIT_TRACE`     | non-empty & not `0`: record a profile      |
+//! | `RFKIT_TRACE_OUT` | profile path (implies `RFKIT_TRACE`)       |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -47,11 +47,9 @@ use std::time::Instant;
 
 /// Global arming state: 0 = uninitialised, 1 = disabled, 2 = armed.
 static STATE: AtomicU8 = AtomicU8::new(0);
-/// Recording mode of the armed state: 0 = JSONL, 1 = aggregate.
-static MODE: AtomicU8 = AtomicU8::new(0);
 /// Serialises lazy init so exactly one thread installs the sink.
 static INIT_LOCK: Mutex<()> = Mutex::new(());
-/// Monotonic epoch for all `t_us` timestamps in one process.
+/// Monotonic epoch for [`now_us`] in one process.
 static EPOCH: OnceLock<Instant> = OnceLock::new();
 
 /// True when telemetry is armed. This is the hot-path gate: a relaxed
@@ -79,7 +77,7 @@ fn init_from_env() -> bool {
     apply(&cfg)
 }
 
-/// Install an explicit configuration, replacing any previous sink.
+/// Install an explicit configuration, replacing any previous one.
 /// Intended for tests and embedding; normal use lets [`enabled`]
 /// self-initialise from the environment on first touch.
 pub fn init(cfg: &TraceConfig) {
@@ -90,24 +88,15 @@ pub fn init(cfg: &TraceConfig) {
 /// Shared tail of init paths; caller holds `INIT_LOCK`.
 fn apply(cfg: &TraceConfig) -> bool {
     let _ = EPOCH.set(Instant::now());
-    let armed = cfg.trace || cfg.log;
-    let agg = cfg.trace && cfg.mode == TraceMode::Agg;
-    if agg {
-        // A profile covers exactly one armed window: re-arming
-        // aggregation starts a fresh call-path tree.
+    let armed = cfg.trace;
+    if armed {
+        // A profile's call-path tree and events cover exactly one armed
+        // window; counters and histograms stay process-cumulative.
         agg::reset();
     }
     sink::install(cfg);
-    MODE.store(if agg { 1 } else { 0 }, Ordering::Relaxed);
     STATE.store(if armed { 2 } else { 1 }, Ordering::Relaxed);
     armed
-}
-
-/// True when armed in aggregate-profile mode. Only meaningful after
-/// [`enabled`] returned true.
-#[inline]
-pub(crate) fn agg_mode() -> bool {
-    MODE.load(Ordering::Relaxed) == 1
 }
 
 /// Microseconds since the trace epoch (first telemetry touch). Returns
@@ -121,40 +110,27 @@ pub fn now_us() -> u64 {
     }
 }
 
-/// Record a named event with numeric fields. No-op unless armed. In
-/// JSONL mode the event streams to the sink (non-finite values
-/// serialise as JSON `null`); in aggregate mode it folds into a
-/// per-name first/last summary in the profile.
+/// Record a named event with numeric fields. No-op unless armed. The
+/// event folds into a per-name first/last summary in the profile;
+/// non-finite fields are left out of the written file.
 #[inline]
 pub fn event(name: &str, fields: &[(&str, f64)]) {
-    if !enabled() {
-        return;
-    }
-    if agg_mode() {
+    if enabled() {
         agg::record_event(name, fields);
-    } else {
-        sink::emit_event(name, fields);
     }
 }
 
-/// Dump cumulative state to the sink: in JSONL mode every registered
-/// counter and histogram (spans and events stream as they happen); in
-/// aggregate mode the whole profile — call-path tree, counters,
-/// histogram sketches, event summaries — as one `PROFILE_*.json`.
+/// Write the whole profile — call-path tree, counters, histograms,
+/// event summaries — as one `PROFILE_*.json`, replacing the file.
 /// Call at the end of a run (binaries do; the traced CI stages rely
 /// on it).
 pub fn flush() {
-    if !enabled() {
-        return;
-    }
-    if agg_mode() {
+    if enabled() {
         agg::flush_profile();
-    } else {
-        metrics::flush_registry();
     }
 }
 
-/// Path of the active JSONL sink, if tracing to a file.
+/// Path of the profile an armed run writes on [`flush`].
 pub fn trace_path() -> Option<std::path::PathBuf> {
     sink::path()
 }

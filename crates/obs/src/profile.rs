@@ -1,15 +1,17 @@
-//! Aggregate-profile ingestion, rendering and diffing.
+//! The aggregate profile: its one writer, its one reader, and the views
+//! built on them.
 //!
-//! A `PROFILE_*.json` (written by [`crate::agg`] in
-//! `RFKIT_TRACE_MODE=agg` runs) parses into a [`Profile`]: a call-path
-//! tree plus counter/histogram/event snapshots. `rfkit-trace` renders
-//! it as an indented call-path profile ([`render_tree`]), folded
-//! flamegraph stacks ([`render_flame`] — one `path self_us` line per
-//! call path, directly consumable by flamegraph tooling), or
-//! converts it to a [`Summary`] so the `--expect*` assertion machinery
-//! works identically on traces and profiles. [`diff`] compares two
-//! profiles path-by-path with noise-aware thresholds and backs the CI
-//! perf-regression gate.
+//! An armed run's flush ([`crate::agg`]) builds a [`Profile`] — a
+//! call-path tree plus counter/histogram/event snapshots — and writes
+//! it with [`render_profile_json`]; [`parse`] reads a `PROFILE_*.json`
+//! back, and re-serializing what it returns reproduces the file byte
+//! for byte. `rfkit-trace` renders a profile as an indented call-path
+//! profile ([`render_tree`]), folded flamegraph stacks
+//! ([`render_flame`] — one `path self_us` line per call path, directly
+//! consumable by flamegraph tooling), or converts it to the by-name
+//! [`Summary`] that the `--expect*` assertions check. [`diff`] compares
+//! two profiles path-by-path with noise-aware thresholds and backs the
+//! CI perf-regression gate.
 
 use std::collections::BTreeMap;
 
@@ -69,17 +71,6 @@ pub struct Profile {
     pub events: Vec<SeriesAgg>,
 }
 
-/// Cheap sniff: does `text` look like an aggregate profile rather than
-/// a JSONL trace? Used by `rfkit-trace` to auto-detect the format.
-pub fn is_profile(text: &str) -> bool {
-    let head: String = text
-        .chars()
-        .take(200)
-        .filter(|c| !c.is_whitespace())
-        .collect();
-    head.starts_with('{') && head.contains("\"kind\":\"rfkit-profile\"")
-}
-
 fn num_of(v: &Json, key: &str) -> f64 {
     v.get(key).and_then(Json::as_f64).unwrap_or(0.0)
 }
@@ -111,8 +102,8 @@ fn fields_of(v: &Json, key: &str) -> BTreeMap<String, f64> {
 }
 
 /// Parse a profile document. Rejects non-profile JSON with a message
-/// naming the expected `kind`, so feeding a summary JSON or a trace
-/// line here fails loudly instead of producing an empty profile.
+/// naming the expected `kind`, so feeding a summary JSON or an event
+/// stream here fails loudly instead of producing an empty profile.
 pub fn parse(text: &str) -> Result<Profile, String> {
     let v = json::parse(text)?;
     if v.get("kind").and_then(Json::as_str) != Some("rfkit-profile") {
@@ -192,11 +183,10 @@ pub fn parse(text: &str) -> Result<Profile, String> {
     Ok(p)
 }
 
-/// Fold a profile into the flat [`Summary`] shape: nodes sharing a
+/// Fold a profile into the flat by-name [`Summary`]: nodes sharing a
 /// span name merge (a name reached via two call paths reports combined
-/// totals, as the JSONL summarizer would). This is what lets
-/// `--expect`/`--expect-min`/`--expect-max` assert on profiles and
-/// traces with the same semantics.
+/// totals). This is the view `--expect`/`--expect-min`/`--expect-max`
+/// assert on.
 pub fn to_summary(p: &Profile) -> Summary {
     let mut s = Summary {
         records: p.nodes.len() + p.counters.len() + p.hists.len() + p.events.len(),
@@ -511,17 +501,18 @@ pub fn render_diff(r: &DiffReport, rel_tol: f64, min_self_us: u64) -> String {
     out
 }
 
-/// Serialise a parsed profile back to its document form. Used by
-/// `rfkit-trace --write-baseline`-style flows in ci.sh (copying a
-/// fresh profile over the checked-in baseline) and by tests that need
-/// profiles without arming tracing.
+/// Serialise a profile to its document form: the writer behind every
+/// armed run's flush, and the inverse of [`parse`] — parsing the output
+/// and serialising again is byte-identical. Meta values that read as
+/// finite numbers are written as numbers, the rest as strings;
+/// non-finite event fields are left out, as `parse` would drop them.
 pub fn render_profile_json(p: &Profile) -> String {
     let mut out = String::from("{\n\"kind\":\"rfkit-profile\",\n\"version\":1,\n");
     let mut meta = JsonObj::new();
     for (k, v) in &p.meta {
         match v.parse::<f64>() {
-            Ok(n) => meta.num(k, n),
-            Err(_) => meta.str(k, v),
+            Ok(n) if n.is_finite() => meta.num(k, n),
+            _ => meta.str(k, v),
         }
     }
     out.push_str(&format!("\"meta\":{},\n", meta.finish()));
@@ -572,21 +563,22 @@ pub fn render_profile_json(p: &Profile) -> String {
         let mut o = JsonObj::new();
         o.str("name", &e.name);
         o.num("points", e.points as f64);
-        let mut first = JsonObj::new();
-        for (k, v) in &e.first {
-            first.num(k, *v);
-        }
-        o.raw("first", &first.finish());
-        let mut last = JsonObj::new();
-        for (k, v) in &e.last {
-            last.num(k, *v);
-        }
-        o.raw("last", &last.finish());
+        o.raw("first", &finite_fields(&e.first));
+        o.raw("last", &finite_fields(&e.last));
         out.push_str(&o.finish());
         out.push_str(if i + 1 == p.events.len() { "\n" } else { ",\n" });
     }
     out.push_str("]\n}\n");
     out
+}
+
+/// An event's fields as a JSON object, without the non-finite ones.
+fn finite_fields(fields: &BTreeMap<String, f64>) -> String {
+    let mut o = JsonObj::new();
+    for (k, v) in fields.iter().filter(|(_, v)| v.is_finite()) {
+        o.num(k, *v);
+    }
+    o.finish()
 }
 
 #[cfg(test)]
@@ -643,7 +635,6 @@ mod tests {
     fn profile_round_trips_through_its_json_form() {
         let p = sample();
         let text = render_profile_json(&p);
-        assert!(is_profile(&text));
         let q = parse(&text).expect("round-trip parse");
         assert_eq!(q.nodes.len(), 2);
         assert_eq!(q.nodes[1].path, "design.total;circuit.ac.sweep");
@@ -657,11 +648,10 @@ mod tests {
     }
 
     #[test]
-    fn is_profile_rejects_jsonl_traces() {
-        assert!(!is_profile(
-            "{\"t_us\":0,\"kind\":\"meta\",\"name\":\"run\"}\n"
-        ));
-        assert!(!is_profile(""));
+    fn parse_rejects_event_streams_and_other_documents() {
+        assert!(parse("{\"t_us\":0,\"kind\":\"meta\",\"name\":\"run\"}\n").is_err());
+        assert!(parse("{\"kind\":\"meta\"}\n{\"kind\":\"span\"}\n").is_err());
+        assert!(parse("").is_err());
         assert!(parse("{\"kind\":\"other\"}").is_err());
     }
 

@@ -1,26 +1,27 @@
-//! Trace aggregation for `rfkit-trace`: fold a JSONL trace into span
-//! totals, counter values, histogram percentiles and per-optimizer
-//! convergence series, then render as text or JSON.
+//! The by-name view of a profile that `rfkit-trace` prints and its
+//! `--expect*` assertions check: span totals merged across call paths,
+//! counter values, histogram percentiles and per-optimizer convergence
+//! series ([`crate::profile::to_summary`] builds it), rendered as text
+//! or JSON.
 
 use std::collections::BTreeMap;
 
-use crate::json::{self, Json, JsonObj};
+use crate::json::JsonObj;
 
-/// Aggregated view of one trace file.
+/// By-name view of one profile.
 #[derive(Debug, Default)]
 pub struct Summary {
-    /// Total parsed records.
+    /// Profile entries: call-path nodes, counters, histograms, events.
     pub records: usize,
-    /// `meta` record fields (pid, threads_env) as strings.
+    /// `meta` fields (pid, threads_env, wall_us) as strings.
     pub meta: BTreeMap<String, String>,
     /// Per-span-name aggregates, sorted by self-time descending.
     pub spans: Vec<SpanAgg>,
-    /// Counter name -> final value (last record wins; counters are
-    /// cumulative so the last flush is the total).
+    /// Counter name -> value.
     pub counters: BTreeMap<String, u64>,
-    /// Histogram name -> final snapshot.
+    /// Histogram name -> snapshot.
     pub hists: BTreeMap<String, HistAgg>,
-    /// Event series by name, in first-seen order.
+    /// Event series, in profile order.
     pub series: Vec<SeriesAgg>,
 }
 
@@ -93,138 +94,6 @@ pub struct SeriesAgg {
     pub last: BTreeMap<String, f64>,
 }
 
-/// A parse failure with its line number.
-#[derive(Debug)]
-pub struct SummarizeError {
-    /// 1-based line number in the trace file.
-    pub line: usize,
-    /// Parser message.
-    pub message: String,
-}
-
-impl std::fmt::Display for SummarizeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "line {}: {}", self.line, self.message)
-    }
-}
-
-/// Parse and aggregate a JSONL trace.
-pub fn summarize(text: &str) -> Result<Summary, SummarizeError> {
-    let mut out = Summary::default();
-    let mut spans: BTreeMap<String, SpanAgg> = BTreeMap::new();
-    let mut series_index: BTreeMap<String, usize> = BTreeMap::new();
-
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let v = json::parse(line).map_err(|message| SummarizeError {
-            line: i + 1,
-            message,
-        })?;
-        out.records += 1;
-        let kind = v.get("kind").and_then(Json::as_str).unwrap_or("");
-        let name = v
-            .get("name")
-            .and_then(Json::as_str)
-            .unwrap_or("")
-            .to_string();
-        let num = |key: &str| v.get(key).and_then(Json::as_f64).unwrap_or(0.0);
-        match kind {
-            "meta" => {
-                if let Json::Obj(m) = &v {
-                    for (k, field) in m {
-                        if matches!(k.as_str(), "kind" | "name" | "t_us") {
-                            continue;
-                        }
-                        let text = match field {
-                            Json::Str(s) => s.clone(),
-                            Json::Num(n) => json::fmt_f64(*n),
-                            other => format!("{other:?}"),
-                        };
-                        out.meta.insert(k.clone(), text);
-                    }
-                }
-            }
-            "span" => {
-                let dur = num("dur_us") as u64;
-                let selft = num("self_us") as u64;
-                let agg = spans.entry(name.clone()).or_insert_with(|| SpanAgg {
-                    name,
-                    count: 0,
-                    total_us: 0,
-                    self_us: 0,
-                    max_us: 0,
-                });
-                agg.count += 1;
-                agg.total_us += dur;
-                agg.self_us += selft;
-                agg.max_us = agg.max_us.max(dur);
-            }
-            "counter" => {
-                out.counters.insert(name, num("value") as u64);
-            }
-            "hist" => {
-                let buckets = v
-                    .get("buckets")
-                    .and_then(Json::as_arr)
-                    .map(|arr| {
-                        arr.iter()
-                            .filter_map(|pair| {
-                                let p = pair.as_arr()?;
-                                Some((p.first()?.as_f64()? as u64, p.get(1)?.as_f64()? as u64))
-                            })
-                            .collect()
-                    })
-                    .unwrap_or_default();
-                out.hists.insert(
-                    name,
-                    HistAgg {
-                        count: num("count") as u64,
-                        sum: num("sum") as u64,
-                        buckets,
-                    },
-                );
-            }
-            "event" => {
-                let mut fields = BTreeMap::new();
-                if let Json::Obj(m) = &v {
-                    for (k, field) in m {
-                        if matches!(k.as_str(), "kind" | "name" | "t_us" | "tid") {
-                            continue;
-                        }
-                        if let Some(x) = field.as_f64() {
-                            fields.insert(k.clone(), x);
-                        }
-                    }
-                }
-                match series_index.get(&name) {
-                    Some(&idx) => {
-                        let s = &mut out.series[idx];
-                        s.points += 1;
-                        s.last = fields;
-                    }
-                    None => {
-                        series_index.insert(name.clone(), out.series.len());
-                        out.series.push(SeriesAgg {
-                            name,
-                            points: 1,
-                            first: fields.clone(),
-                            last: fields,
-                        });
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-
-    out.spans = spans.into_values().collect();
-    out.spans
-        .sort_by(|a, b| b.self_us.cmp(&a.self_us).then(a.name.cmp(&b.name)));
-    Ok(out)
-}
-
 fn fmt_us(us: u64) -> String {
     if us >= 1_000_000 {
         format!("{:.2}s", us as f64 / 1e6)
@@ -246,7 +115,7 @@ fn series_key_line(fields: &BTreeMap<String, f64>) -> String {
 /// Render the human-readable report. `top` caps the span table.
 pub fn render_human(s: &Summary, top: usize) -> String {
     let mut out = String::new();
-    out.push_str(&format!("trace: {} records\n", s.records));
+    out.push_str(&format!("profile: {} records\n", s.records));
     for (k, v) in &s.meta {
         out.push_str(&format!("  {k}: {v}\n"));
     }
@@ -411,60 +280,57 @@ pub fn render_json(s: &Summary) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profile::{to_summary, ProfHist, ProfNode, Profile};
 
-    const SAMPLE: &str = concat!(
-        r#"{"t_us":0,"kind":"meta","name":"run","pid":42,"threads_env":"4"}"#,
-        "\n",
-        r#"{"t_us":5,"kind":"span","name":"design.total","dur_us":1000,"self_us":400,"tid":0}"#,
-        "\n",
-        r#"{"t_us":10,"kind":"span","name":"design.total","dur_us":3000,"self_us":600,"tid":0}"#,
-        "\n",
-        r#"{"t_us":12,"kind":"event","name":"opt.de.gen","tid":0,"gen":0,"best":5.0,"evals":70}"#,
-        "\n",
-        r#"{"t_us":14,"kind":"event","name":"opt.de.gen","tid":0,"gen":9,"best":1.25,"evals":700}"#,
-        "\n",
-        r#"{"t_us":20,"kind":"counter","name":"par.tasks","value":3}"#,
-        "\n",
-        r#"{"t_us":21,"kind":"counter","name":"par.tasks","value":700}"#,
-        "\n",
-        r#"{"t_us":22,"kind":"hist","name":"circuit.dc.iters","count":4,"sum":20,"buckets":[[3,1],[7,3]]}"#,
-        "\n",
-    );
-
-    #[test]
-    fn summarize_aggregates_all_record_kinds() {
-        let s = summarize(SAMPLE).expect("summarize sample");
-        assert_eq!(s.records, 8);
-        assert_eq!(s.meta.get("threads_env").map(String::as_str), Some("4"));
-        assert_eq!(s.spans.len(), 1);
-        assert_eq!(s.spans[0].count, 2);
-        assert_eq!(s.spans[0].total_us, 4000);
-        assert_eq!(s.spans[0].self_us, 1000);
-        assert_eq!(s.spans[0].max_us, 3000);
-        assert_eq!(s.counters.get("par.tasks"), Some(&700));
-        let h = s.hists.get("circuit.dc.iters").expect("hist");
-        assert_eq!(h.count, 4);
-        assert_eq!(h.percentile(0.25), 3);
-        assert_eq!(h.percentile(0.99), 7);
-        assert!((h.mean() - 5.0).abs() < 1e-12);
-        assert_eq!(s.series.len(), 1);
-        assert_eq!(s.series[0].points, 2);
-        assert_eq!(s.series[0].first.get("best"), Some(&5.0));
-        assert_eq!(s.series[0].last.get("best"), Some(&1.25));
+    fn sample() -> Summary {
+        let mut p = Profile::default();
+        p.meta.insert("threads_env".to_string(), "4".to_string());
+        p.nodes.push(ProfNode {
+            path: "design.total".to_string(),
+            name: "design.total".to_string(),
+            count: 2,
+            total_us: 4000,
+            self_us: 1000,
+            max_us: 3000,
+            p50_us: 1000.0,
+            p95_us: 3000.0,
+        });
+        p.counters.insert("par.tasks".to_string(), 700);
+        p.hists.insert(
+            "circuit.dc.iters".to_string(),
+            ProfHist {
+                count: 4,
+                sum: 20,
+                buckets: vec![(3, 1), (7, 3)],
+                ..ProfHist::default()
+            },
+        );
+        p.events.push(SeriesAgg {
+            name: "opt.de.gen".to_string(),
+            points: 2,
+            first: BTreeMap::from([("best".to_string(), 5.0)]),
+            last: BTreeMap::from([("best".to_string(), 1.25)]),
+        });
+        to_summary(&p)
     }
 
     #[test]
     fn renderers_cover_sample_and_json_parses() {
-        let s = summarize(SAMPLE).expect("summarize sample");
+        let s = sample();
+        let h = s.hists.get("circuit.dc.iters").expect("hist");
+        assert_eq!(h.percentile(0.25), 3);
+        assert_eq!(h.percentile(0.99), 7);
+        assert!((h.mean() - 5.0).abs() < 1e-12);
         let human = render_human(&s, 10);
         assert!(human.contains("design.total"));
         assert!(human.contains("opt.de.gen"));
         assert!(human.contains("par.tasks"));
+        assert!(human.contains("threads_env: 4"));
         let j = render_json(&s);
         let v = crate::json::parse(&j).expect("summary json parses");
         assert_eq!(
             v.get("records").and_then(crate::json::Json::as_f64),
-            Some(8.0)
+            Some(4.0)
         );
         assert_eq!(
             v.get("spans")
@@ -472,12 +338,6 @@ mod tests {
                 .map(|a| a.len()),
             Some(1)
         );
-    }
-
-    #[test]
-    fn summarize_reports_line_numbers_on_bad_input() {
-        let err = summarize("{}\nnot json\n").expect_err("bad line");
-        assert_eq!(err.line, 2);
     }
 
     #[test]

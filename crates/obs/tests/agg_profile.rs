@@ -1,11 +1,12 @@
-//! End-to-end aggregate mode: arm `TraceMode::Agg` into a temp file,
-//! run nested / same-name / zero-duration spans plus metrics and
-//! events, flush, and parse the PROFILE json back.
+//! End to end: arm tracing into a temp file, run nested / same-name /
+//! zero-duration spans plus metrics and events, flush, and parse the
+//! PROFILE json back.
 //!
 //! Trace arming is process-global, so this file holds exactly ONE
-//! test (same pattern as trace_roundtrip.rs).
+//! test (the same single-test-per-file pattern as the determinism
+//! test in crates/opt).
 
-use rfkit_obs::{profile, Counter, Hist, TraceConfig, TraceMode};
+use rfkit_obs::{profile, Counter, Hist, TraceConfig};
 
 static TASKS: Counter = Counter::new("test.agg.tasks");
 static ITERS: Hist = Hist::new("test.agg.iters");
@@ -22,11 +23,11 @@ fn agg_mode_folds_spans_into_a_call_path_profile() {
     let path = std::env::temp_dir().join(format!("rfkit_obs_agg_{}.json", std::process::id()));
     rfkit_obs::init(&TraceConfig {
         trace: true,
-        log: false,
         out: Some(path.clone()),
-        mode: TraceMode::Agg,
+        ..TraceConfig::default()
     });
     assert!(rfkit_obs::enabled());
+    assert_eq!(rfkit_obs::trace_path().as_deref(), Some(path.as_path()));
 
     {
         let _run = rfkit_obs::span("test.run");
@@ -46,6 +47,7 @@ fn agg_mode_folds_spans_into_a_call_path_profile() {
         drop(_zero);
         rfkit_obs::event("test.agg.gen", &[("gen", 0.0), ("best", 9.0)]);
         rfkit_obs::event("test.agg.gen", &[("gen", 4.0), ("best", 1.5)]);
+        rfkit_obs::event("test.agg.nan", &[("bad", f64::NAN), ("ok", 2.0)]);
         TASKS.add(11);
         for v in [1u64, 2, 400, 900] {
             ITERS.record(v);
@@ -67,8 +69,11 @@ fn agg_mode_folds_spans_into_a_call_path_profile() {
 
     let text = std::fs::read_to_string(&path).expect("profile file readable");
     let _ = std::fs::remove_file(&path);
-    assert!(profile::is_profile(&text), "not a profile:\n{text}");
     let p = profile::parse(&text).expect("profile parses");
+    // One writer, one reader: the flushed file is a serialization fixed
+    // point, so re-rendering what the reader returns is byte-identical.
+    assert_eq!(profile::render_profile_json(&p), text);
+    assert!(p.meta.contains_key("pid"), "meta without pid:\n{text}");
 
     let node = |path: &str| {
         p.nodes
@@ -115,8 +120,7 @@ fn agg_mode_folds_spans_into_a_call_path_profile() {
     let h = p.hists.get("test.agg.iters").expect("hist in profile");
     assert_eq!(h.count, 4);
     assert_eq!(h.sum, 1303);
-    // Interpolated percentile: within the 512..=1023 bucket for p99,
-    // and the agg-mode sketch tightens the estimate to ~2% of 900.
+    // Interpolated percentile: within the 512..=1023 log2 bucket.
     assert!(h.p99 >= 512.0 && h.p99 <= 1023.0, "p99 = {}", h.p99);
 
     let gen = p
@@ -127,6 +131,13 @@ fn agg_mode_folds_spans_into_a_call_path_profile() {
     assert_eq!(gen.points, 2);
     assert_eq!(gen.first.get("best"), Some(&9.0));
     assert_eq!(gen.last.get("best"), Some(&1.5));
+    // A non-finite field drops out of the written event; the rest stay.
+    let nan = p
+        .events
+        .iter()
+        .find(|e| e.name == "test.agg.nan")
+        .expect("nan event present");
+    assert_eq!(nan.last.keys().collect::<Vec<_>>(), ["ok"]);
     // The flush records its own shape.
     assert!(p.events.iter().any(|e| e.name == "profile.flush"));
 

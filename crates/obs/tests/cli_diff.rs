@@ -147,7 +147,7 @@ fn expect_min_enforces_a_counter_floor_on_profiles() {
 }
 
 #[test]
-fn summarize_auto_detects_profiles_and_honours_expect() {
+fn summarize_reads_profiles_and_honours_expect() {
     let p = write_profile("sum_prof.json", &profile_text(20_000, 10));
     let path = p.to_str().expect("utf8 path");
     let out = trace(&[path, "--expect", "circuit.ac.sweep"]);
@@ -174,6 +174,23 @@ fn tree_and_flame_render_profiles() {
     let out = trace(&["flame", path]);
     assert!(out.status.success());
     assert!(stdout(&out).contains("design.total;circuit.ac.sweep 20000\n"));
+}
+
+#[test]
+fn summarize_rejects_event_streams_with_usage_exit() {
+    // One JSON object per line is not a profile document: exit 2, even
+    // when every line names an instrument the --expect asks for.
+    let jsonl = write_profile(
+        "events.jsonl",
+        "{\"t_us\":0,\"kind\":\"meta\",\"name\":\"run\",\"pid\":1}\n\
+         {\"t_us\":5,\"kind\":\"span\",\"name\":\"design.total\",\"dur_us\":9,\"self_us\":9,\"tid\":0}\n",
+    );
+    let out = trace(&[
+        jsonl.to_str().expect("utf8 path"),
+        "--expect",
+        "design.total",
+    ]);
+    assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr(&out));
 }
 
 #[test]

@@ -73,12 +73,11 @@ fn fixed_seed_output_identical_at_1_and_4_threads() {
     // with the sink recording (this is the strongest form of the
     // determinism guarantee the observability layer promises).
     let trace = std::env::temp_dir().join(format!(
-        "rfkit_determinism_trace_{}.jsonl",
+        "rfkit_determinism_trace_{}.json",
         std::process::id()
     ));
     rfkit_obs::init(&rfkit_obs::TraceConfig {
         trace: true,
-        log: false,
         out: Some(trace.clone()),
         ..rfkit_obs::TraceConfig::default()
     });

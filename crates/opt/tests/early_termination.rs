@@ -1,10 +1,10 @@
 //! Budgets smaller than one generation/swarm/population must terminate
 //! cleanly — no panic, no infinite loop — and, with tracing armed, leave
-//! a truncation event in the trace.
+//! a truncation event in the profile.
 //!
-//! One `#[test]` only: trace arming is process-global (the sink and the
-//! armed flag are statics), so splitting this into several tests would
-//! race on the shared trace file under the parallel test runner.
+//! One `#[test]` only: trace arming is process-global (the profile path
+//! and the armed flag are statics), so splitting this into several tests
+//! would race on the shared profile under the parallel test runner.
 
 use rfkit_opt::{
     differential_evolution, nsga2, particle_swarm, Bounds, DeConfig, Nsga2Config, PsoConfig,
@@ -17,12 +17,11 @@ fn sphere(x: &[f64]) -> f64 {
 #[test]
 fn tiny_budgets_terminate_cleanly_and_emit_truncation_events() {
     let trace = std::env::temp_dir().join(format!(
-        "rfkit_early_termination_{}.jsonl",
+        "rfkit_early_termination_{}.json",
         std::process::id()
     ));
     rfkit_obs::init(&rfkit_obs::TraceConfig {
         trace: true,
-        log: false,
         out: Some(trace.clone()),
         ..rfkit_obs::TraceConfig::default()
     });
@@ -86,13 +85,15 @@ fn tiny_budgets_terminate_cleanly_and_emit_truncation_events() {
     );
 
     rfkit_obs::flush();
-    let text = std::fs::read_to_string(&trace).expect("trace file written");
-    for needle in [
-        "\"opt.de.truncated\"",
-        "\"opt.pso.truncated\"",
-        "\"opt.nsga2.truncated\"",
-    ] {
-        assert!(text.contains(needle), "missing {needle} in trace:\n{text}");
-    }
+    let text = std::fs::read_to_string(&trace).expect("profile written");
     let _ = std::fs::remove_file(&trace);
+    let profile = rfkit_obs::profile::parse(&text).expect("profile parses");
+    let events: Vec<&str> = profile.events.iter().map(|e| e.name.as_str()).collect();
+    for name in [
+        "opt.de.truncated",
+        "opt.pso.truncated",
+        "opt.nsga2.truncated",
+    ] {
+        assert!(events.contains(&name), "missing {name} in {events:?}");
+    }
 }

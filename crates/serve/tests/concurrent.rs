@@ -43,12 +43,11 @@ fn fixed_request_is_bit_identical_alone_vs_16_way_interleaved() {
     // Tracing armed for the whole comparison: telemetry must stay
     // write-only with respect to every served result.
     let trace = std::env::temp_dir().join(format!(
-        "rfkit_serve_concurrent_trace_{}.jsonl",
+        "rfkit_serve_concurrent_trace_{}.json",
         std::process::id()
     ));
     rfkit_obs::init(&rfkit_obs::TraceConfig {
         trace: true,
-        log: false,
         out: Some(trace.clone()),
         ..rfkit_obs::TraceConfig::default()
     });

@@ -35,9 +35,8 @@ fn drain_joins_every_thread_and_flushes_the_profile() {
     ));
     rfkit_obs::init(&rfkit_obs::TraceConfig {
         trace: true,
-        log: false,
         out: Some(profile.clone()),
-        mode: rfkit_obs::TraceMode::Agg,
+        ..rfkit_obs::TraceConfig::default()
     });
 
     let server = Server::start(ServeConfig {

@@ -9,7 +9,7 @@
 //! ```
 //!
 //! With `RFKIT_TRACE=1` the retry/fallback/degradation counters land in
-//! the trace for `rfkit-trace` to summarize (this is the CI smoke).
+//! the profile for `rfkit-trace` to summarize (this is the CI smoke).
 //! Without the `rfkit-faults` feature the hooks compile out and this
 //! example just says so.
 

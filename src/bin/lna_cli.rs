@@ -52,7 +52,7 @@ fn main() -> ExitCode {
     };
     rfkit_obs::flush();
     if let Some(path) = rfkit_obs::trace_path() {
-        eprintln!("trace written to {}", path.display());
+        eprintln!("profile written to {}", path.display());
     }
     match result {
         Ok(()) => ExitCode::SUCCESS,
