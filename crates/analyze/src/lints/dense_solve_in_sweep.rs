@@ -1,19 +1,18 @@
 //! `dense-solve-in-sweep`: O(n³) dense factorizations inside
 //! per-frequency loops. Library code that calls `.inverse()`, `.lu()`,
 //! `.lu_into()`, `.solve_matrix()` or `.solve_matrix_into()` directly in
-//! a loop over a frequency grid re-pays the full dense factorization at
+//! a loop over a frequency grid re-pays the full pivoted factorization at
 //! every point — exactly the cost the batched sweep engine
-//! (`StampPlan::sweep_batch`, pivot reuse + banded/bordered kernels)
-//! exists to amortize. Route grid sweeps through `sweep_batch` (or hoist
-//! the factorization out of the loop) instead.
+//! (`StampPlan::sweep_batch`, which reuses one pivot order across the
+//! grid) exists to amortize. Route grid sweeps through `sweep_batch` (or
+//! hoist the factorization out of the loop) instead.
 //!
 //! Runs over the dataflow layer: a call is flagged when its enclosing
 //! loop *nest* (real nesting from the AST, not brace counting) has a
 //! grid-like identifier in any loop header — anything containing
 //! `freq` or `grid`, or named `band`, `sweep`, `points` or `omega`.
 //! Substitutions against a factorization computed outside the loop
-//! (`LuWorkspace::solve_into`, `BandedLu::solve_in_place`) are fine and
-//! not flagged.
+//! (`LuWorkspace::solve_into`) are fine and not flagged.
 
 use crate::dataflow::CallKind;
 use crate::report::{Finding, Severity};

@@ -1,18 +1,16 @@
-//! BENCH_ac: batched structure-aware AC sweeps vs the legacy per-call
-//! MNA solve.
+//! BENCH_ac: batched AC sweeps vs the legacy per-call MNA solve.
 //!
-//! Four sweep workloads over the GNSS band — the reference-design
+//! Three sweep workloads over the GNSS band — the reference-design
 //! netlist as pure RLC assembly/solve, the small output-match network
-//! the design example verifies, the reference netlist with the
-//! linearized-pHEMT two-port stamps applied, and a 50+-node multi-stage
-//! chain that exercises the bordered-block solve path — each timed
-//! through two engines:
+//! the design example verifies, and the reference netlist with the
+//! linearized-pHEMT two-port stamps applied — each timed through two
+//! engines:
 //!
 //! * `legacy`: per-call `two_port_s` (allocates every matrix every call),
 //!   the reference oracle;
 //! * `batch`: `shared_plan` + `StampPlan::sweep_batch` — the pivot-reuse
-//!   / banded / bordered engine behind the process-wide plan cache
-//!   (cache lookup inside the timed region).
+//!   engine behind the process-wide plan cache (cache lookup inside the
+//!   timed region).
 //!
 //! Before any timing the batch path is pinned to legacy within the
 //! documented `SWEEP_TOL` contract on every grid point, and its
@@ -37,8 +35,8 @@
 //! artifact survives).
 
 use lna::{
-    cached_band_objectives, multistage_netlist, output_match_network, reference_netlist,
-    snap_to_catalog, BandSpec, DesignCache, DesignVariables,
+    cached_band_objectives, output_match_network, reference_netlist, snap_to_catalog, BandSpec,
+    DesignCache, DesignVariables,
 };
 use lna_bench::timing::time_until_stable;
 use rfkit_circuit::{
@@ -119,7 +117,6 @@ struct SweepResult {
     points: usize,
     reps_used: usize,
     stable: bool,
-    path: &'static str,
     refactors: usize,
 }
 
@@ -169,7 +166,7 @@ fn bench_sweep(
             );
         }
     }
-    let (path, refactors) = (batch.stats().path, batch.stats().refactors);
+    let refactors = batch.stats().refactors;
 
     let (legacy_s, r1, s1) = time_until_stable(min_reps, max_reps, TIMING_TOL, || {
         for &f in grid {
@@ -190,16 +187,14 @@ fn bench_sweep(
         points: grid.len(),
         reps_used: r1.max(r2),
         stable: s1 && s2,
-        path,
         refactors,
     };
     println!(
-        "{:>24}: legacy {:>9.1} us/pt | batch {:>8.1} us/pt ({:.2}x, {}, {} refactor(s))",
+        "{:>24}: legacy {:>9.1} us/pt | batch {:>8.1} us/pt ({:.2}x, {} refactor(s))",
         r.name,
         r.legacy_us_per_point(),
         r.batch_us_per_point(),
         r.batch_speedup(),
-        r.path,
         r.refactors,
     );
     (r, warmups, reuses)
@@ -279,7 +274,7 @@ struct AggOverhead {
     profile: String,
 }
 
-/// Overhead of profiling on the bordered batch workload: best-of timings
+/// Overhead of profiling on the RLC batch workload: best-of timings
 /// of the identical sweep with telemetry fully disabled and then armed.
 /// The armed phase leaves its call-path profile at `profile_out` (the
 /// flush is outside the timed region — steady-state recording cost is
@@ -359,7 +354,6 @@ fn to_json(
         out.push_str(&format!("      \"points\": {},\n", s.points));
         out.push_str(&format!("      \"reps_used\": {},\n", s.reps_used));
         out.push_str(&format!("      \"stable\": {},\n", s.stable));
-        out.push_str(&format!("      \"path\": \"{}\",\n", s.path));
         out.push_str(&format!("      \"refactors\": {},\n", s.refactors));
         out.push_str(&format!("      \"legacy_s\": {:e},\n", s.legacy_s));
         out.push_str(&format!("      \"batch_s\": {:e},\n", s.batch_s));
@@ -394,7 +388,7 @@ fn to_json(
     out.push_str("  \"agg_overhead\": {\n");
     out.push_str(&format!(
         "    \"workload\": \"{}\",\n",
-        "multistage_bordered_solve"
+        "rlc_assembly_solve"
     ));
     out.push_str(&format!("    \"reps\": {},\n", agg.reps));
     out.push_str(&format!("    \"off_s\": {:e},\n", agg.off_s));
@@ -429,7 +423,7 @@ fn main() {
     let (points, min_reps, out_path, profile_out) = parse_args();
     lna_bench::header(
         "BENCH_ac",
-        "batched structure-aware AC sweeps: plan cache + pivot reuse vs legacy solve",
+        "batched AC sweeps: plan cache + pivot reuse vs legacy solve",
     );
     let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
     println!(
@@ -482,33 +476,15 @@ fn main() {
     let stamps = AcStamps::none().two_port(gate, drain, &y_of);
     let (stamped, _, _) = bench_sweep("phemt_stamped_solve", &c, &stamps, &grid, min_reps);
 
-    // Workload 4: the 50+-node multi-stage chain — a long near-tridiagonal
-    // internal block plus the shared supply hub, so the classifier selects
-    // the bordered-block kernel and per-point cost drops from O(n^3) to
-    // near O(n*b^2). This is where the batch engine's headline speedup
-    // comes from.
-    let multi = multistage_netlist(26);
-    let (multistage, _, _) = bench_sweep(
-        "multistage_bordered_solve",
-        &multi,
-        &AcStamps::none(),
-        &grid,
-        min_reps,
-    );
-    assert_eq!(
-        multistage.path, "bordered",
-        "multi-stage workload must exercise the bordered kernel"
-    );
+    let timing_noisy = !(rlc.stable && match_sweep.stable && stamped.stable);
 
-    let timing_noisy = !(rlc.stable && match_sweep.stable && stamped.stable && multistage.stable);
-
-    // Aggregate-profiling overhead on the bordered workload. Done after
-    // the contract sweeps so the timed regions compare like with like,
-    // and before the cache exercise so a traced run's cache counters
-    // land in the final environment-configured flush.
-    let agg = measure_agg_overhead(&multi, &grid, min_reps, &profile_out);
+    // Aggregate-profiling overhead on the RLC workload. Done after the
+    // contract sweeps so the timed regions compare like with like, and
+    // before the cache exercise so a traced run's cache counters land in
+    // the final environment-configured flush.
+    let agg = measure_agg_overhead(&c, &grid, min_reps, &profile_out);
     println!(
-        "\nagg-mode profiling overhead (bordered batch, best of {} reps): \
+        "\nagg-mode profiling overhead (RLC batch, best of {} reps): \
          off {:.1} us/sweep | agg {:.1} us/sweep | overhead {:+.1}% -> {}",
         agg.reps,
         agg.off_s * 1e6,
@@ -542,7 +518,7 @@ fn main() {
         cores,
         points,
         min_reps,
-        &[rlc, match_sweep, stamped, multistage],
+        &[rlc, match_sweep, stamped],
         warmups,
         reuses,
         &cache,

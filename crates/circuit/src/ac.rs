@@ -71,13 +71,6 @@ impl<'a> AcStamps<'a> {
         AcStamps::default()
     }
 
-    /// Node pairs of every registered stamp, for structural classification
-    /// of the swept matrix (the sweep engine must know which extra
-    /// off-diagonals the device stamps will touch).
-    pub(crate) fn node_pairs(&self) -> impl Iterator<Item = (Option<usize>, Option<usize>)> + '_ {
-        self.stamps.iter().map(|(a, b, _)| (*a, *b))
-    }
-
     /// Adds a grounded two-port between nodes `a` (port 1) and `b`
     /// (port 2), whose Y-parameters are produced per frequency.
     pub fn two_port(

@@ -39,7 +39,7 @@ static OBS_AC_ASSEMBLE_US: rfkit_obs::Hist = rfkit_obs::Hist::new("circuit.ac.as
 /// One frequency-scaled stamp slot: the element value with its admittance
 /// law, `jωC` or `-j/(ωL)`.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum BLaw {
+enum BLaw {
     /// Capacitance in farads: admittance `jωC`.
     Cap(f64),
     /// Inductance in henries: admittance `-j/(ωL)`.
@@ -48,10 +48,10 @@ pub(crate) enum BLaw {
 
 /// A compiled reactive stamp: resolved node pair plus admittance law.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct BStamp {
-    pub(crate) a: Option<usize>,
-    pub(crate) b: Option<usize>,
-    pub(crate) law: BLaw,
+struct BStamp {
+    a: Option<usize>,
+    b: Option<usize>,
+    law: BLaw,
 }
 
 /// A netlist compiled for repeated AC solves over one topology.
@@ -71,14 +71,11 @@ pub struct StampPlan {
     pub(crate) z0: f64,
     /// Frequency-independent admittance part (R stamps, V-source shorts),
     /// pre-accumulated in element order.
-    pub(crate) g: CMatrix,
+    g: CMatrix,
     /// Frequency-scaled stamp slots (C and L interleaved in element order,
     /// preserving the legacy accumulation order within the imaginary
     /// component).
-    pub(crate) b_stamps: Vec<BStamp>,
-    /// Structural classification of the internal block, computed once at
-    /// compile time and consumed by [`StampPlan::sweep_batch`].
-    pub(crate) structure: crate::sweep::PlanStructure,
+    b_stamps: Vec<BStamp>,
 }
 
 impl StampPlan {
@@ -129,7 +126,6 @@ impl StampPlan {
                 }
             }
         }
-        let structure = crate::sweep::classify(&g, &b_stamps, &internal);
         Ok(StampPlan {
             n,
             port_nodes,
@@ -137,17 +133,7 @@ impl StampPlan {
             z0,
             g,
             b_stamps,
-            structure,
         })
-    }
-
-    /// Name of the structure-aware solve path the compile-time classifier
-    /// selected for the internal block: `"dense"`, `"banded"` or
-    /// `"bordered"`. [`StampPlan::sweep_batch`] may still downgrade to
-    /// dense at sweep time when external device stamps add coupling the
-    /// classified structure cannot hold.
-    pub fn solve_path_name(&self) -> &'static str {
-        self.structure.path_name()
     }
 
     /// Assembles the full Y matrix at `freq_hz` into `ws.y`: copy G, apply
@@ -198,11 +184,11 @@ impl StampPlan {
 
 /// Reusable scratch storage for [`StampPlan`] solves.
 ///
-/// All intermediate matrices, the LU workspace and the column scratch
-/// buffers live here, so a band sweep re-solving one plan performs zero
-/// matrix allocations after the first frequency point. The warm-up/reuse
-/// counters act as an allocation proxy: a sweep of `k` points over one
-/// topology must report `warmup_count() == 1` and `reuse_count() == k - 1`.
+/// All intermediate matrices and the LU workspaces live here, so a band
+/// sweep re-solving one plan performs zero matrix allocations after the
+/// first frequency point. The warm-up/reuse counters act as an
+/// allocation proxy: a sweep of `k` points over one topology must report
+/// `warmup_count() == 1` and `reuse_count() == k - 1`.
 ///
 /// A workspace may be shared across plans of different sizes; changing
 /// dimensions just triggers another warm-up.
@@ -224,14 +210,10 @@ pub struct AcWorkspace {
     pub(crate) smat: CMatrix,
     pub(crate) lu: LuWorkspace<Complex>,
     pub(crate) x: Vec<Complex>,
-    // Batched-sweep state: the dense pivot-reuse factorization persists
-    // across grid points (`lu` is clobbered by the S conversion every
-    // point), and the structure-aware kernels keep their band/border
-    // storage here so a whole sweep allocates nothing after warm-up.
+    // Batched-sweep state: the pivot-reuse factorization of the internal
+    // block persists across grid points (`lu` is clobbered by the S
+    // conversion every point).
     pub(crate) sweep_lu: LuWorkspace<Complex>,
-    pub(crate) banded: rfkit_num::BandedLu<Complex>,
-    pub(crate) bordered: rfkit_num::BorderedLu<Complex>,
-    pub(crate) col: Vec<Complex>,
     dims: (usize, usize),
     warmups: u64,
     reuses: u64,

@@ -1,24 +1,14 @@
-//! Batched, structure-aware AC sweep engine.
+//! Batched AC sweep engine.
 //!
 //! Every caller in the suite (band verification, yield Monte-Carlo,
 //! benchmark sweeps) wants a whole frequency *grid*, so a compiled
 //! [`StampPlan`](crate::StampPlan) has one solve entry point,
-//! [`StampPlan::sweep_batch`]. Two pieces of machinery make it fast:
-//!
-//! * **Structure classification.** At compile time the plan's internal
-//!   (non-port) block is classified from its stamp adjacency. Ladder
-//!   networks reorder (reverse Cuthill–McKee) to a narrow band and take a
-//!   banded-LU kernel; multi-stage networks with a few high-degree hub
-//!   nodes (shared bias rails, splitter junctions) peel the hubs into a
-//!   bordered block and take a banded-plus-Schur kernel; everything else
-//!   stays dense. The per-point factorization cost drops from `O(n³)` to
-//!   `O(n·b²)` on the structured paths.
-//! * **Pivot reuse.** On the dense path the MNA matrix changes smoothly
-//!   along the grid, so the pivot sequence chosen at one point is reused
-//!   at the next via
-//!   [`LuWorkspace::try_refactor_with_current_perm`](rfkit_num::LuWorkspace::try_refactor_with_current_perm)
-//!   — no pivot search, no row swaps — with a growth guard that forces a
-//!   full refactorization only when the reused order turns unstable.
+//! [`StampPlan::sweep_batch`]. It is fast through **pivot reuse**: the
+//! MNA matrix changes smoothly along the grid, so the pivot sequence
+//! chosen at one point is reused at the next via
+//! [`LuWorkspace::try_refactor_with_current_perm`](rfkit_num::LuWorkspace::try_refactor_with_current_perm)
+//! — no pivot search, no row swaps — with a growth guard that forces a
+//! full refactorization only when the reused order turns unstable.
 //!
 //! Results are stored in split re/im (SoA) buffers
 //! ([`rfkit_num::soa::SoaComplex`]).
@@ -30,10 +20,9 @@
 //! contract** against it: every S-matrix entry it produces agrees with the
 //! legacy result to within `1e-8` absolute error (see [`SWEEP_TOL`]), and
 //! `Err` outcomes (singular systems, non-positive frequencies, injected
-//! faults) are point-for-point identical. The banded/bordered kernels and
-//! the pivot-reuse dense path all refuse numerically risky factorizations
-//! (growth guard) and fall back to fully pivoted dense LU, so the bound
-//! holds on pathological grids too — at dense-path cost.
+//! faults) are point-for-point identical. The pivot-reuse path refuses
+//! numerically risky factorizations (growth guard) and falls back to a
+//! fully pivoted LU, so the bound holds on pathological grids too.
 //! `tests/fastpath_equivalence.rs` pins the contract with seeded random
 //! netlists.
 //!
@@ -48,19 +37,14 @@ use std::sync::{Arc, OnceLock};
 
 use crate::ac::{AcError, AcStamps};
 use crate::netlist::{Circuit, Element};
-use crate::plan::{AcWorkspace, BStamp, StampPlan};
+use crate::plan::{AcWorkspace, StampPlan};
 use rfkit_net::SParams;
 use rfkit_num::soa::SoaComplex;
-use rfkit_num::{CMatrix, Complex, Fetched, MemoMap};
+use rfkit_num::{Complex, Fetched, MemoMap};
 
 static OBS_SWEEP_POINTS: rfkit_obs::Counter = rfkit_obs::Counter::new("circuit.ac.sweep.points");
 static OBS_SWEEP_REFACTORS: rfkit_obs::Counter =
     rfkit_obs::Counter::new("circuit.ac.sweep.refactors");
-static OBS_PATH_DENSE: rfkit_obs::Counter = rfkit_obs::Counter::new("circuit.ac.sweep.path.dense");
-static OBS_PATH_BANDED: rfkit_obs::Counter =
-    rfkit_obs::Counter::new("circuit.ac.sweep.path.banded");
-static OBS_PATH_BORDERED: rfkit_obs::Counter =
-    rfkit_obs::Counter::new("circuit.ac.sweep.path.bordered");
 static OBS_SWEEP_US: rfkit_obs::Hist = rfkit_obs::Hist::new("circuit.ac.sweep_us");
 static OBS_PLAN_HIT: rfkit_obs::Counter = rfkit_obs::Counter::new("plan.cache.hit");
 static OBS_PLAN_MISS: rfkit_obs::Counter = rfkit_obs::Counter::new("plan.cache.miss");
@@ -68,244 +52,10 @@ static OBS_PLAN_MISS: rfkit_obs::Counter = rfkit_obs::Counter::new("plan.cache.m
 /// Absolute per-entry tolerance of the batched sweep against the legacy
 /// per-call solver. S-parameters are bounded by ~1 in magnitude for
 /// passive networks and stay O(1) for the amplifier stamps the suite
-/// uses, so an absolute bound is meaningful; the structured kernels'
-/// growth guards keep element growth (and therefore backward error) far
-/// inside this margin.
+/// uses, so an absolute bound is meaningful; the pivot-reuse growth
+/// guard keeps element growth (and therefore backward error) far inside
+/// this margin.
 pub const SWEEP_TOL: f64 = 1e-8;
-
-/// Minimum internal-block size before a structured path is worth the
-/// bookkeeping; below this, dense LU on a cache-resident matrix wins.
-const MIN_STRUCTURED: usize = 8;
-
-/// Maximum number of hub rows the bordered path will peel off.
-const MAX_BORDER: usize = 4;
-
-/// Classifier-selected solve path for a plan's internal block. Orders are
-/// permutations of internal *slots* (positions in `StampPlan::internal`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum SolvePath {
-    /// Fully pivoted dense LU with cross-point pivot reuse.
-    Dense,
-    /// Banded LU over the RCM-permuted internal block.
-    Banded {
-        /// Permuted position → internal slot.
-        order: Vec<usize>,
-        /// Half-bandwidth under `order`.
-        bw: usize,
-    },
-    /// Banded-plus-Schur: band rows first, then `k` peeled hub rows.
-    Bordered {
-        /// Permuted position → internal slot; last `k` entries are hubs.
-        order: Vec<usize>,
-        /// Band dimension (`order.len() - k`).
-        nb: usize,
-        /// Border rank.
-        k: usize,
-        /// Half-bandwidth of the band part.
-        bw: usize,
-    },
-}
-
-impl SolvePath {
-    fn name(&self) -> &'static str {
-        match self {
-            SolvePath::Dense => "dense",
-            SolvePath::Banded { .. } => "banded",
-            SolvePath::Bordered { .. } => "bordered",
-        }
-    }
-}
-
-/// Compile-time structural classification of a plan's internal block:
-/// the stamp adjacency graph plus the solve path chosen from it.
-#[derive(Debug, Clone)]
-pub(crate) struct PlanStructure {
-    /// Sorted neighbor lists over internal slots (G pattern ∪ reactive
-    /// stamps). Device stamps added at sweep time are checked against
-    /// this and trigger reclassification when they add new coupling.
-    adj: Vec<Vec<usize>>,
-    pub(crate) path: SolvePath,
-}
-
-impl PlanStructure {
-    pub(crate) fn path_name(&self) -> &'static str {
-        self.path.name()
-    }
-
-    fn has_edge(&self, a: usize, b: usize) -> bool {
-        self.adj[a].binary_search(&b).is_ok()
-    }
-}
-
-/// Classifies the internal block of a plan under compilation: builds the
-/// adjacency of internal slots from the G pattern and the reactive stamp
-/// list, then applies the decision rule (see [`choose_path`]).
-pub(crate) fn classify(g: &CMatrix, b_stamps: &[BStamp], internal: &[usize]) -> PlanStructure {
-    let n_nodes = g.rows();
-    let mut slot_of = vec![None; n_nodes];
-    for (s, &node) in internal.iter().enumerate() {
-        slot_of[node] = Some(s);
-    }
-    let n_i = internal.len();
-    let mut edges = std::collections::BTreeSet::new();
-    for (i, &ni) in internal.iter().enumerate() {
-        for (j, &nj) in internal.iter().enumerate().skip(i + 1) {
-            if g[(ni, nj)] != Complex::ZERO || g[(nj, ni)] != Complex::ZERO {
-                edges.insert((i, j));
-            }
-        }
-    }
-    for s in b_stamps {
-        if let (Some(a), Some(b)) = (s.a, s.b) {
-            if let (Some(sa), Some(sb)) = (
-                slot_of.get(a).copied().flatten(),
-                slot_of.get(b).copied().flatten(),
-            ) {
-                if sa != sb {
-                    edges.insert((sa.min(sb), sa.max(sb)));
-                }
-            }
-        }
-    }
-    let adj = adjacency_from_edges(n_i, &edges);
-    let path = choose_path(&adj);
-    PlanStructure { adj, path }
-}
-
-fn adjacency_from_edges(
-    n: usize,
-    edges: &std::collections::BTreeSet<(usize, usize)>,
-) -> Vec<Vec<usize>> {
-    let mut adj = vec![Vec::new(); n];
-    for &(a, b) in edges {
-        adj[a].push(b);
-        adj[b].push(a);
-    }
-    for l in &mut adj {
-        l.sort_unstable();
-        l.dedup();
-    }
-    adj
-}
-
-/// The classifier decision rule (documented in DESIGN.md):
-///
-/// 1. `n < 8` → **dense** (structured bookkeeping costs more than it
-///    saves on cache-resident matrices).
-/// 2. RCM-order the graph; with half-bandwidth `b`, accept **banded**
-///    when `2b + 1 ≤ n / 2` (the band stores at most half the dense
-///    entries, so the `O(n·b²)` factorization is a clear win).
-/// 3. Otherwise peel the `k ∈ 1..=4` highest-degree nodes (ties broken
-///    by slot index) into a border; accept **bordered** with the
-///    smallest such `k` whose remainder has `nb = n − k ≥ 8` and
-///    re-RCM'd half-bandwidth `b'` with `2b' + 1 ≤ nb / 2`.
-/// 4. Otherwise → **dense**.
-///
-/// Every step is deterministic: RCM starts from the minimum
-/// `(degree, slot)` node per component and expands neighbors in
-/// `(degree, slot)` order.
-// rfkit-cold: runs once per plan compile / stamp repath, never per point.
-fn choose_path(adj: &[Vec<usize>]) -> SolvePath {
-    let n = adj.len();
-    if n < MIN_STRUCTURED {
-        return SolvePath::Dense;
-    }
-    let members: Vec<usize> = (0..n).collect();
-    let order = rcm_order(adj, &members);
-    let bw = bandwidth(adj, &order);
-    // Band test `2b+1 ≤ n/2` (band width at most half the matrix).
-    if 2 * bw < n / 2 {
-        return SolvePath::Banded { order, bw };
-    }
-    // Hub extraction: try peeling the highest-degree nodes.
-    let mut by_degree: Vec<usize> = (0..n).collect();
-    by_degree.sort_by_key(|&i| (std::cmp::Reverse(adj[i].len()), i));
-    for k in 1..=MAX_BORDER.min(n) {
-        if n - k < MIN_STRUCTURED {
-            break;
-        }
-        let mut hubs: Vec<usize> = by_degree[..k].to_vec();
-        hubs.sort_unstable();
-        let rest: Vec<usize> = (0..n).filter(|i| !hubs.contains(i)).collect();
-        let sub = subgraph(adj, &rest);
-        let sub_order = rcm_order(&sub, &(0..rest.len()).collect::<Vec<_>>());
-        let bw_r = bandwidth(&sub, &sub_order);
-        if 2 * bw_r < (n - k) / 2 {
-            let mut order: Vec<usize> = sub_order.iter().map(|&l| rest[l]).collect();
-            order.extend_from_slice(&hubs);
-            return SolvePath::Bordered {
-                order,
-                nb: n - k,
-                k,
-                bw: bw_r,
-            };
-        }
-    }
-    SolvePath::Dense
-}
-
-/// Induced subgraph on `keep` (ascending), relabeled to local indices.
-fn subgraph(adj: &[Vec<usize>], keep: &[usize]) -> Vec<Vec<usize>> {
-    let mut local = vec![None; adj.len()];
-    for (l, &g) in keep.iter().enumerate() {
-        local[g] = Some(l);
-    }
-    keep.iter()
-        .map(|&g| {
-            adj[g]
-                .iter()
-                .filter_map(|&nb| local[nb])
-                .collect::<Vec<usize>>()
-        })
-        .collect()
-}
-
-/// Reverse Cuthill–McKee ordering of `members` (local node ids of `adj`).
-/// Deterministic: each component starts from its minimum `(degree, id)`
-/// node, and neighbors are appended in `(degree, id)` order.
-// rfkit-cold: structural analysis, once per plan compile — not per point.
-fn rcm_order(adj: &[Vec<usize>], members: &[usize]) -> Vec<usize> {
-    let n = adj.len();
-    let mut visited = vec![false; n];
-    let mut order = Vec::with_capacity(members.len());
-    loop {
-        let start = members
-            .iter()
-            .copied()
-            .filter(|&i| !visited[i])
-            .min_by_key(|&i| (adj[i].len(), i));
-        let Some(start) = start else { break };
-        visited[start] = true;
-        let mut queue = std::collections::VecDeque::from([start]);
-        while let Some(u) = queue.pop_front() {
-            order.push(u);
-            let mut nbs: Vec<usize> = adj[u].iter().copied().filter(|&v| !visited[v]).collect();
-            nbs.sort_by_key(|&v| (adj[v].len(), v));
-            for v in nbs {
-                visited[v] = true;
-                queue.push_back(v);
-            }
-        }
-    }
-    order.reverse();
-    order
-}
-
-/// Half-bandwidth of `adj` under `order` (max |pos(u) − pos(v)| over
-/// edges).
-fn bandwidth(adj: &[Vec<usize>], order: &[usize]) -> usize {
-    let mut pos = vec![0usize; adj.len()];
-    for (p, &node) in order.iter().enumerate() {
-        pos[node] = p;
-    }
-    let mut bw = 0usize;
-    for (u, nbs) in adj.iter().enumerate() {
-        for &v in nbs {
-            bw = bw.max(pos[u].abs_diff(pos[v]));
-        }
-    }
-    bw
-}
 
 /// Aggregate statistics of one [`StampPlan::sweep_batch`] call.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -313,14 +63,11 @@ pub struct SweepStats {
     /// Grid points processed (successful or not).
     pub points: usize,
     /// Full pivoted refactorizations forced *beyond* the initial one:
-    /// growth-guard trips on the pivot-reuse dense path plus per-point
-    /// fallbacks from the banded/bordered kernels. Healthy sweeps keep
+    /// growth-guard trips on the pivot-reuse path. Healthy sweeps keep
     /// this ≪ `points`.
     pub refactors: usize,
     /// Points that returned an error.
     pub failures: usize,
-    /// Solve path actually used: `"dense"`, `"banded"` or `"bordered"`.
-    pub path: &'static str,
 }
 
 /// Results of a batched frequency sweep: the S-matrix grid in SoA (split
@@ -404,14 +151,14 @@ impl SweepBatch {
         &self.failures
     }
 
-    /// Sweep statistics (path taken, refactor count, …).
+    /// Sweep statistics (refactor count, failures, …).
     pub fn stats(&self) -> &SweepStats {
         &self.stats
     }
 }
 
 impl StampPlan {
-    /// Sweeps the whole frequency grid through the structure-aware batch
+    /// Sweeps the whole frequency grid through the pivot-reuse batch
     /// engine, returning the S grid in SoA storage.
     ///
     /// Per-point errors (non-positive frequency, singular system,
@@ -428,23 +175,17 @@ impl StampPlan {
     ) -> SweepBatch {
         let watch = rfkit_obs::stopwatch();
         let m = self.port_nodes.len();
-        let path = self.effective_path(stamps);
-        match path {
-            SolvePath::Dense => OBS_PATH_DENSE.add(1),
-            SolvePath::Banded { .. } => OBS_PATH_BANDED.add(1),
-            SolvePath::Bordered { .. } => OBS_PATH_BORDERED.add(1),
-        }
         OBS_SWEEP_POINTS.add(freqs.len() as u64);
 
         let mut s = SoaComplex::with_capacity(freqs.len() * m * m);
         let mut failures = Vec::new();
         let mut refactors = 0usize;
-        // Dense pivot reuse: valid once the first full factorization of
-        // the internal block lands in `ws.sweep_lu`.
+        // Pivot reuse: valid once the first full factorization of the
+        // internal block lands in `ws.sweep_lu`.
         let mut have_factor = false;
 
         for (p, &freq_hz) in freqs.iter().enumerate() {
-            match self.sweep_point(freq_hz, stamps, ws, &path, &mut have_factor, &mut refactors) {
+            match self.sweep_point(freq_hz, stamps, ws, &mut have_factor, &mut refactors) {
                 Ok(()) => {
                     for i in 0..m {
                         for j in 0..m {
@@ -469,7 +210,6 @@ impl StampPlan {
             points: freqs.len(),
             refactors,
             failures: failures.len(),
-            path: path.name(),
         };
         SweepBatch {
             n_ports: m,
@@ -481,48 +221,12 @@ impl StampPlan {
         }
     }
 
-    /// The compile-time path, downgraded/reclassified when external
-    /// device stamps couple internal nodes the classified structure does
-    /// not connect.
-    fn effective_path(&self, stamps: &AcStamps<'_>) -> SolvePath {
-        let mut slot_of = vec![None; self.n];
-        for (s, &node) in self.internal.iter().enumerate() {
-            slot_of[node] = Some(s);
-        }
-        let mut extra = Vec::new();
-        for (a, b) in stamps.node_pairs() {
-            if let (Some(a), Some(b)) = (a, b) {
-                if a == b {
-                    continue;
-                }
-                if let (Some(sa), Some(sb)) = (slot_of[a], slot_of[b]) {
-                    if !self.structure.has_edge(sa, sb) {
-                        extra.push((sa.min(sb), sa.max(sb)));
-                    }
-                }
-            }
-        }
-        if extra.is_empty() {
-            return self.structure.path.clone();
-        }
-        // Reclassify with the stamp edges merged in.
-        let mut edges = std::collections::BTreeSet::new();
-        for (u, nbs) in self.structure.adj.iter().enumerate() {
-            for &v in nbs {
-                edges.insert((u.min(v), u.max(v)));
-            }
-        }
-        edges.extend(extra);
-        choose_path(&adjacency_from_edges(self.internal.len(), &edges))
-    }
-
     /// Solves one grid point, leaving the S-matrix in `ws.smat`.
     fn sweep_point(
         &self,
         freq_hz: f64,
         stamps: &AcStamps<'_>,
         ws: &mut AcWorkspace,
-        path: &SolvePath,
         have_factor: &mut bool,
         refactors: &mut usize,
     ) -> Result<(), AcError> {
@@ -546,22 +250,7 @@ impl StampPlan {
         ws.ypp
             .gather_from(&ws.y, &self.port_nodes, &self.port_nodes);
         ws.ypi.gather_from(&ws.y, &self.port_nodes, &self.internal);
-
-        let structured_ok = match path {
-            SolvePath::Dense => false,
-            SolvePath::Banded { order, bw } => self.solve_banded(ws, order, *bw),
-            SolvePath::Bordered { order, nb, k, bw } => {
-                self.solve_bordered(ws, order, *nb, *k, *bw)
-            }
-        };
-        if !structured_ok {
-            // Dense solve — as a path of its own (with pivot reuse) or as
-            // the growth-guard fallback of a structured kernel.
-            if !matches!(path, SolvePath::Dense) {
-                *refactors += 1;
-            }
-            self.solve_dense(freq_hz, ws, have_factor, refactors)?;
-        }
+        self.solve_internal(freq_hz, ws, have_factor, refactors)?;
 
         ws.ypi
             .matmul_into(&ws.solved, &mut ws.prod)
@@ -570,9 +259,9 @@ impl StampPlan {
         self.s_convert(freq_hz, ws)
     }
 
-    /// Dense internal solve with cross-point pivot reuse. Leaves
+    /// Internal-block solve with cross-point pivot reuse. Leaves
     /// `yii⁻¹·yip` in `ws.solved`.
-    fn solve_dense(
+    fn solve_internal(
         &self,
         freq_hz: f64,
         ws: &mut AcWorkspace,
@@ -584,9 +273,8 @@ impl StampPlan {
         let reused = *have_factor && ws.sweep_lu.try_refactor_with_current_perm(&ws.yii);
         if !reused {
             if *have_factor {
-                // The reused pivot order went unstable (or the first
-                // structured fallback landed here after a prior dense
-                // factorization): full pivot search again.
+                // The reused pivot order went unstable: full pivot search
+                // again.
                 *refactors += 1;
             }
             *have_factor = false;
@@ -599,75 +287,6 @@ impl StampPlan {
             .solve_matrix_into(&ws.yip, &mut ws.solved, &mut ws.x)
             .map_err(|_| AcError::Singular(freq_hz))?;
         Ok(())
-    }
-
-    /// Banded internal solve; `false` = growth guard tripped, caller
-    /// falls back to dense for this point.
-    fn solve_banded(&self, ws: &mut AcWorkspace, order: &[usize], bw: usize) -> bool {
-        let n_i = self.internal.len();
-        let m = self.port_nodes.len();
-        let AcWorkspace {
-            ref mut banded,
-            ref y,
-            ref mut solved,
-            ref mut col,
-            ..
-        } = *ws;
-        let internal = &self.internal;
-        banded.load(n_i, bw, bw, |p, q| {
-            y[(internal[order[p]], internal[order[q]])]
-        });
-        if banded.factor().is_err() {
-            return false;
-        }
-        solved.reset(n_i, m);
-        for (j, &port_node) in self.port_nodes.iter().enumerate() {
-            col.clear();
-            col.extend(order.iter().map(|&slot| y[(internal[slot], port_node)]));
-            banded.solve_in_place(col);
-            for (p, &v) in col.iter().enumerate() {
-                solved[(order[p], j)] = v;
-            }
-        }
-        true
-    }
-
-    /// Bordered internal solve; `false` = growth guard tripped.
-    fn solve_bordered(
-        &self,
-        ws: &mut AcWorkspace,
-        order: &[usize],
-        nb: usize,
-        k: usize,
-        bw: usize,
-    ) -> bool {
-        let n_i = self.internal.len();
-        debug_assert_eq!(n_i, nb + k);
-        let m = self.port_nodes.len();
-        let AcWorkspace {
-            ref mut bordered,
-            ref y,
-            ref mut solved,
-            ref mut col,
-            ..
-        } = *ws;
-        let internal = &self.internal;
-        bordered.load(nb, k, bw, bw, |p, q| {
-            y[(internal[order[p]], internal[order[q]])]
-        });
-        if bordered.factor().is_err() {
-            return false;
-        }
-        solved.reset(n_i, m);
-        for (j, &port_node) in self.port_nodes.iter().enumerate() {
-            col.clear();
-            col.extend(order.iter().map(|&slot| y[(internal[slot], port_node)]));
-            bordered.solve_in_place(col);
-            for (p, &v) in col.iter().enumerate() {
-                solved[(order[p], j)] = v;
-            }
-        }
-        true
     }
 }
 
@@ -797,28 +416,6 @@ mod tests {
     }
 
     #[test]
-    fn ladder_classifies_banded() {
-        let plan = StampPlan::compile(&lc_ladder(12)).unwrap();
-        assert_eq!(plan.solve_path_name(), "banded");
-    }
-
-    #[test]
-    fn hub_network_classifies_bordered() {
-        let plan = StampPlan::compile(&hub_network(12)).unwrap();
-        assert_eq!(plan.solve_path_name(), "bordered");
-    }
-
-    #[test]
-    fn small_network_stays_dense() {
-        let mut c = Circuit::new();
-        c.resistor("in", "out", 50.0)
-            .port("in", 50.0)
-            .port("out", 50.0);
-        let plan = StampPlan::compile(&c).unwrap();
-        assert_eq!(plan.solve_path_name(), "dense");
-    }
-
-    #[test]
     fn sweep_batch_matches_legacy_within_tolerance() {
         for c in [lc_ladder(12), hub_network(10)] {
             let plan = StampPlan::compile(&c).unwrap();
@@ -828,9 +425,9 @@ mod tests {
             assert_eq!(batch.len(), 40);
             assert!(batch.failures().is_empty());
             // A pure-LC ladder has node resonances inside the band where
-            // the unpivoted pivot degenerates; the growth guard must fall
-            // back on those points (correctness) but only on a minority of
-            // the grid (performance).
+            // a reused pivot order can degenerate; the growth guard must
+            // refactor on those points (correctness) but only on a
+            // minority of the grid (performance).
             assert!(
                 batch.stats().refactors < freqs.len() / 2,
                 "guard fell back on {}/{} points",
@@ -880,13 +477,12 @@ mod tests {
     }
 
     #[test]
-    fn stamps_between_internal_nodes_trigger_reclassification() {
+    fn stamp_bridging_distant_internal_nodes_matches_legacy() {
         // A device stamp bridging the first and last internal ladder nodes
-        // destroys the band; the sweep must not silently produce wrong
-        // numbers.
+        // couples rows the netlist alone never couples; the sweep must
+        // still agree with the legacy solver.
         let c = lc_ladder(12);
         let plan = StampPlan::compile(&c).unwrap();
-        assert_eq!(plan.solve_path_name(), "banded");
         let y_of = |f: f64| {
             let w = rfkit_num::units::angular(f);
             rfkit_net::YParams::new(

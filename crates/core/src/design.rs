@@ -212,7 +212,7 @@ pub fn design_lna(device: &Phemt, goals: &DesignGoals, config: &DesignConfig) ->
 
     let snapped = {
         let _span = rfkit_obs::span("design.snap_repair");
-        repair_snapped(device, &config.band, &problem, snap_to_catalog(continuous))
+        repair_snapped(&problem, snap_to_catalog(continuous))
     };
     let snapped_metrics = cache
         .evaluate(device, snapped, &config.band)
@@ -245,14 +245,8 @@ pub fn design_lna(device: &Phemt, goals: &DesignGoals, config: &DesignConfig) ->
 /// variables (bias point, board degeneration, bias-feed resistor) are
 /// re-polished against the same attainment function — the snap may
 /// otherwise erode a hard constraint (typically the stability margin).
-fn repair_snapped(
-    device: &Phemt,
-    band: &BandSpec,
-    problem: &GoalProblem<'_>,
-    snapped: DesignVariables,
-) -> DesignVariables {
+fn repair_snapped(problem: &GoalProblem<'_>, snapped: DesignVariables) -> DesignVariables {
     use rfkit_opt::{pattern_search, Bounds, PatternConfig};
-    let _ = (device, band);
     // Free dims in the 7-vector: vds (0), ids_mA (1), ls_nH (3), r_bias (6).
     let frozen = snapped.to_vec();
     let full = DesignVariables::bounds();

@@ -56,5 +56,5 @@ pub use study::{
     ParetoStudy, ParetoStudyConfig, STUDY_REFERENCE,
 };
 pub use thermal::{band_sweep_over_temperature, metrics_at_temperature, ThermalCondition};
-pub use verify::{cached_sweep, multistage_netlist, output_match_network, reference_netlist};
+pub use verify::{cached_sweep, output_match_network, reference_netlist};
 pub use yield_analysis::{yield_analysis_robust, YieldOutcome, YieldReport, YieldSpec};

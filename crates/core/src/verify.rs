@@ -48,38 +48,8 @@ pub fn output_match_network(vars: &DesignVariables) -> Circuit {
     c
 }
 
-/// A multi-stage verification netlist with `stages` cascaded LC/RC
-/// sections sharing one supply rail — the structure-aware sweep
-/// workload. Each stage adds a series inductor, a damped shunt
-/// capacitor, a coupling capacitor and a drain resistor to the shared
-/// `vdd` node, so the internal block is a long near-tridiagonal chain
-/// plus one high-degree hub: the classifier's bordered case. `stages ≥
-/// 25` gives a 50+-node MNA system.
-pub fn multistage_netlist(stages: usize) -> Circuit {
-    assert!(stages >= 1, "need at least one stage");
-    let mut c = Circuit::new();
-    c.vsource("vdd", "gnd", 3.0);
-    let mut prev = "in".to_string();
-    for i in 0..stages {
-        let mid = format!("m{i}");
-        let next = if i + 1 == stages {
-            "out".to_string()
-        } else {
-            format!("n{i}")
-        };
-        c.inductor(&prev, &mid, 2.4e-9 + 0.05e-9 * i as f64)
-            .capacitor(&mid, "gnd", 0.9e-12 + 0.02e-12 * i as f64)
-            .resistor(&mid, "gnd", 2_200.0)
-            .capacitor(&mid, &next, 3.3e-12 + 0.04e-12 * i as f64)
-            .resistor(&next, "vdd", 180.0 + 5.0 * i as f64);
-        prev = next;
-    }
-    c.port("in", 50.0).port("out", 50.0);
-    c
-}
-
 /// Sweeps `circuit` over `freqs` through the process-wide shared plan
-/// cache and the batched structure-aware engine. Repeated calls for one
+/// cache and the batched pivot-reuse engine. Repeated calls for one
 /// topology — from any thread — reuse a single compiled plan with zero
 /// re-stamping; per-call mutable state lives in the caller's workspace.
 ///
@@ -114,14 +84,6 @@ mod tests {
     }
 
     #[test]
-    fn multistage_has_fifty_plus_nodes_and_borders() {
-        let c = multistage_netlist(25);
-        assert!(c.n_nodes() >= 50, "{} nodes", c.n_nodes());
-        let plan = rfkit_circuit::StampPlan::compile(&c).unwrap();
-        assert_eq!(plan.solve_path_name(), "bordered");
-    }
-
-    #[test]
     fn cached_sweep_matches_legacy_and_shares_plan() {
         let c = reference_netlist(&vars());
         let freqs = rfkit_num::linspace(1.1e9, 1.7e9, 11);
@@ -146,7 +108,7 @@ mod tests {
     fn parallel_cached_sweeps_are_deterministic() {
         // 1-vs-4-thread bit-identity: workers share one Arc'd plan but
         // own their workspaces; the SoA grids must agree bit for bit.
-        let c = multistage_netlist(25);
+        let c = reference_netlist(&vars());
         let freqs = rfkit_num::linspace(1.1e9, 1.7e9, 16);
         let mut ws = AcWorkspace::new();
         let serial = cached_sweep(&c, &freqs, &mut ws).unwrap();

@@ -28,7 +28,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod banded;
 mod complex;
 pub mod diff;
 pub mod fft;
@@ -45,7 +44,6 @@ pub mod soa;
 pub mod stats;
 pub mod units;
 
-pub use banded::{BandedError, BandedLu, BorderedLu};
 pub use complex::Complex;
 pub use lstsq::{ridge_solve, Normalizer};
 pub use matrix::{CMatrix, Lu, LuWorkspace, Matrix, MatrixError, RMatrix, Scalar};

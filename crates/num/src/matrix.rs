@@ -912,6 +912,21 @@ impl<T: Scalar> LuWorkspace<T> {
     }
 }
 
+/// Largest elimination multiplier
+/// [`LuWorkspace::try_refactor_with_current_perm`] accepts. With partial
+/// pivoting every multiplier is ≤ 1; a reused pivot order can exceed
+/// that, and bounded multipliers bound the element growth (and therefore
+/// the backward error) of the factorization.
+///
+/// The budget: one multiplier of magnitude `L` amplifies local roundoff
+/// by ~`L`, and `k` consecutive oversized multipliers along one column
+/// compound to ~`Lᵏ`. At `L = 256`, even three consecutive guard-limit
+/// multipliers give `256³·ε ≈ 3e-9` relative error — inside the `1e-8`
+/// sweep tolerance contract — and reactive MNA matrices hit oversized
+/// multipliers only at isolated node resonances, not in runs. Anything
+/// beyond the guard falls back to a fresh pivoted factorization.
+const GROWTH_LIMIT: f64 = 256.0;
+
 impl<T: Scalar> LuWorkspace<T> {
     /// Refactors a **new** matrix `a` through the pivot sequence of the
     /// previous factorization, skipping the pivot search and row swaps.
@@ -921,7 +936,7 @@ impl<T: Scalar> LuWorkspace<T> {
     /// point almost always remains a stable choice at the next. Rows of
     /// `a` are gathered through the stored permutation and eliminated in
     /// that fixed order, guarding every multiplier against
-    /// [`crate::banded::GROWTH_LIMIT`].
+    /// `GROWTH_LIMIT` (256).
     ///
     /// Returns `true` on success: the workspace then holds a valid
     /// factorization of `a` and every solve behaves exactly as after
@@ -946,7 +961,7 @@ impl<T: Scalar> LuWorkspace<T> {
             let row = &a.data[src * n..(src + 1) * n];
             self.lu.data[dst * n..(dst + 1) * n].copy_from_slice(row);
         }
-        let limit_sq = crate::banded::GROWTH_LIMIT * crate::banded::GROWTH_LIMIT;
+        let limit_sq = GROWTH_LIMIT * GROWTH_LIMIT;
         let data = &mut self.lu.data;
         for k in 0..n {
             let pivot = data[k * n + k];

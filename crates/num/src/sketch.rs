@@ -10,8 +10,8 @@
 //! is a pure bucket increment and [`merge`](QuantileSketch::merge) is a
 //! bucket-wise add, so the structure is exactly associative *and*
 //! commutative: any merge order of any partition of a stream yields the
-//! same serialized summary as ingesting the stream whole. The price is
-//! a bounded relative error on reported quantile values (≈ 2.2% with 16
+//! same sketch as ingesting the stream whole. The price is a bounded
+//! relative error on reported quantile values (≈ 2.2% with 16
 //! sub-buckets per octave) instead of a rank guarantee.
 //!
 //! The observability layer folds span durations and histogram samples
@@ -87,11 +87,6 @@ impl QuantileSketch {
         self.zeros + self.buckets.values().sum::<u64>()
     }
 
-    /// Exact count of samples `<= 0`.
-    pub fn zeros(&self) -> u64 {
-        self.zeros
-    }
-
     /// True when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
         self.count() == 0
@@ -134,41 +129,6 @@ impl QuantileSketch {
             .map(|(&k, _)| 0.5 * (lower_of(k) + upper_of(k)))
             .unwrap_or(0.0)
     }
-
-    /// Sorted `(bucket_key, count)` pairs, ascending by key. Stable
-    /// across runs, merge orders, and thread counts — the serialization
-    /// surface the determinism tests pin.
-    pub fn buckets(&self) -> impl Iterator<Item = (i64, u64)> + '_ {
-        self.buckets.iter().map(|(&k, &c)| (k, c))
-    }
-
-    /// Rebuild a sketch from serialized parts (profile ingestion).
-    /// Duplicate keys accumulate, so any bucket order round-trips.
-    pub fn from_parts(zeros: u64, buckets: impl IntoIterator<Item = (i64, u64)>) -> Self {
-        let mut out = QuantileSketch {
-            zeros,
-            ..Self::default()
-        };
-        for (k, c) in buckets {
-            if c > 0 {
-                *out.buckets.entry(k).or_insert(0) += c;
-            }
-        }
-        out
-    }
-
-    /// Canonical serialization: `zeros;key:count,key:count,...` with
-    /// keys ascending. Equal sketches serialize identically.
-    pub fn serialize(&self) -> String {
-        let mut out = format!("{};", self.zeros);
-        for (i, (&k, &c)) in self.buckets.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{k}:{c}"));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -205,7 +165,10 @@ mod tests {
         s.record(f64::NAN);
         s.record(f64::INFINITY);
         assert_eq!(s.count(), 2);
-        assert_eq!(s.zeros(), 2);
+        let mut two_zeros = QuantileSketch::new();
+        two_zeros.record(0.0);
+        two_zeros.record(0.0);
+        assert_eq!(s, two_zeros);
         assert!(s.quantile(0.99).abs() < f64::EPSILON);
     }
 
@@ -227,19 +190,8 @@ mod tests {
         ab.merge(&b);
         let mut ba = b.clone();
         ba.merge(&a);
-        assert_eq!(ab.serialize(), whole.serialize());
-        assert_eq!(ba.serialize(), whole.serialize());
-    }
-
-    #[test]
-    fn from_parts_round_trips() {
-        let mut s = QuantileSketch::new();
-        for v in [0.0, 1.5, 1.5, 80.0, 1e6] {
-            s.record(v);
-        }
-        let rebuilt = QuantileSketch::from_parts(s.zeros(), s.buckets());
-        assert_eq!(rebuilt.serialize(), s.serialize());
-        assert_eq!(rebuilt, s);
+        assert_eq!(ab, whole);
+        assert_eq!(ba, whole);
     }
 
     #[test]
@@ -247,6 +199,5 @@ mod tests {
         let s = QuantileSketch::new();
         assert!(s.is_empty());
         assert!(s.quantile(0.5).abs() < f64::EPSILON);
-        assert_eq!(s.serialize(), "0;");
     }
 }

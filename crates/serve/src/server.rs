@@ -746,7 +746,6 @@ fn verify_response(
     let mut result = JsonObj::new();
     result.num("points", batch.len() as f64);
     result.num("failed", failed as f64);
-    result.str("solve_path", batch.stats().path);
     result.raw("s21_db", &s21_db);
     result.raw("s11_db", &s11_db);
     let mut o = protocol::response_base(id, status);
