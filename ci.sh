@@ -73,6 +73,26 @@ echo "== cargo check perfbench (the benchmark still compiles)"
 # fails when a dependency change would rewrite perfbench/Cargo.lock.
 cargo check --release --offline --locked --manifest-path perfbench/Cargo.toml || fail=1
 
+echo "== committed experiment outputs (byte-diff against results/)"
+# Reruns each experiment binary whose committed output matches the code
+# and fails on any byte of difference: a change that moves one of these
+# results must commit the new output, and its diff shows the move.
+# The outputs are deterministic at any RFKIT_THREADS. An output joins
+# this list once it is regenerated and its EXPERIMENTS.md claims re-read.
+diffed_outputs=(table5_tsplitter table6_yield)
+outputs_tmp="$(mktemp -d)"
+for bin in "${diffed_outputs[@]}"; do
+  if ! cargo run --release -q -p lna-bench --bin "$bin" >"$outputs_tmp/$bin.txt"; then
+    echo "   $bin failed to run"
+    fail=1
+  elif ! cmp -s "results/$bin.txt" "$outputs_tmp/$bin.txt"; then
+    echo "   results/$bin.txt differs from a fresh run:"
+    diff "results/$bin.txt" "$outputs_tmp/$bin.txt" | head -20
+    fail=1
+  fi
+done
+rm -rf "$outputs_tmp"
+
 echo "== cargo test -q"
 cargo test -q --workspace --release || fail=1
 

@@ -48,6 +48,27 @@ impl Default for BuildConfig {
     }
 }
 
+impl BuildConfig {
+    /// Draws one unit's as-manufactured design variables from `self.seed`:
+    /// every passive perturbed within its purchase tolerance, the bias
+    /// current by its trim error. Grading a unit needs nothing more;
+    /// [`BuiltAmplifier::build`] adds the launch lines a measurement
+    /// session reads.
+    pub fn draw(&self, design: &DesignVariables) -> DesignVariables {
+        let mut rng = Rng64::new(self.seed);
+        let mut perturb = |v: f64, rel: f64| v * (1.0 + rel * gaussian(&mut rng));
+        DesignVariables {
+            vds: perturb(design.vds, 0.01),
+            ids: perturb(design.ids, self.bias_error),
+            l1: perturb(design.l1, self.tolerance),
+            ls_deg: perturb(design.ls_deg, 0.10), // board inductance is less controlled
+            l2: perturb(design.l2, self.tolerance),
+            c2: perturb(design.c2, self.tolerance),
+            r_bias: perturb(design.r_bias, 0.01),
+        }
+    }
+}
+
 fn gaussian(rng: &mut Rng64) -> f64 {
     loop {
         let u: f64 = rng.uniform(-1.0, 1.0);
@@ -69,37 +90,13 @@ pub struct BuiltAmplifier {
 }
 
 impl BuiltAmplifier {
-    /// "Manufactures" one unit of the design.
+    /// "Manufactures" one unit of the design: the tolerance draw of
+    /// [`BuildConfig::draw`] plus the launch lines.
     pub fn build(design: &DesignVariables, config: &BuildConfig) -> BuiltAmplifier {
-        let mut rng = Rng64::new(config.seed);
-        let mut perturb = |v: f64, rel: f64| v * (1.0 + rel * gaussian(&mut rng));
-        let actual_vars = DesignVariables {
-            vds: perturb(design.vds, 0.01),
-            ids: perturb(design.ids, config.bias_error),
-            l1: perturb(design.l1, config.tolerance),
-            ls_deg: perturb(design.ls_deg, 0.10), // board inductance is less controlled
-            l2: perturb(design.l2, config.tolerance),
-            c2: perturb(design.c2, config.tolerance),
-            r_bias: perturb(design.r_bias, 0.01),
-        };
         BuiltAmplifier {
-            actual_vars,
+            actual_vars: config.draw(design),
             launch: Microstrip::for_impedance(Substrate::ro4350b(), 50.0, config.launch_length),
         }
-    }
-
-    /// The true (noise-free) S-parameters of the built unit including the
-    /// launch lines, or `None` if the perturbed bias is unreachable.
-    pub fn true_s_params(&self, device: &Phemt, freq_hz: f64) -> Option<SParams> {
-        let biased = Amplifier::new(device, self.actual_vars).biased()?;
-        self.with_launch(&biased, freq_hz).abcd.to_s(50.0).ok()
-    }
-
-    /// The true noise factor (50 Ω source, linear) of the built unit.
-    pub fn true_noise_factor(&self, device: &Phemt, freq_hz: f64) -> Option<f64> {
-        let biased = Amplifier::new(device, self.actual_vars).biased()?;
-        let np = self.with_launch(&biased, freq_hz).noise_params(50.0).ok()?;
-        Some(np.noise_factor(Complex::ZERO))
     }
 
     /// The built unit (biased at its perturbed operating point) between

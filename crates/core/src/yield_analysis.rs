@@ -9,7 +9,7 @@
 
 use crate::amplifier::{Amplifier, DesignVariables};
 use crate::band::{BandMetrics, BandSpec};
-use crate::measure::{BuildConfig, BuiltAmplifier};
+use crate::measure::BuildConfig;
 use rfkit_device::Phemt;
 use rfkit_par::par_collect;
 use rfkit_robust::{faults, DegradePolicy, PointDiagnostic};
@@ -103,7 +103,9 @@ pub struct YieldOutcome {
 }
 
 /// Manufactures `units` boards of `design` (seeds `0..units` offset by
-/// `seed_base`) and grades each against `spec` over `band`.
+/// `seed_base`) and grades each against `spec` over `band`. A unit is
+/// its tolerance draw ([`BuildConfig::draw`]): grading reads no launch
+/// line, so none is synthesized.
 ///
 /// The units are evaluated in parallel through `rfkit-par`: every unit's
 /// tolerance draw is seeded from `seed_base + unit` before dispatch, so
@@ -140,8 +142,7 @@ pub fn yield_analysis_robust(
                 seed: seed_base.wrapping_add(unit as u64),
                 ..*build
             };
-            let built = BuiltAmplifier::build(design, &cfg);
-            let amp = Amplifier::new(device, built.actual_vars);
+            let amp = Amplifier::new(device, cfg.draw(design));
             Ok(BandMetrics::evaluate(&amp, band))
         });
 
