@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Tier-1 gate for the workspace: formatting, lints (best-effort — the
-# offline toolchain may lack the clippy component), release build, tests.
-# Run before committing and as the run_all_experiments.sh preflight.
+# Tier-1 gate for the workspace: formatting, lints (clippy with the
+# workspace lint table, comment markers, rfkit-analyze), release build,
+# tests. Run before committing and as the run_all_experiments.sh
+# preflight.
 #
 # --write-baseline: refresh results/PROFILE_BASELINE.json from this
 # run's aggregate profile instead of gating against it. Use after an
@@ -25,31 +26,31 @@ else
   echo "   (rustfmt unavailable; skipping)"
 fi
 
-echo "== cargo clippy -D warnings (best-effort)"
-if cargo clippy --version >/dev/null 2>&1; then
-  cargo clippy --workspace --all-targets -- -D warnings || fail=1
-else
-  echo "   (clippy unavailable; skipping)"
-fi
+echo "== cargo clippy -D warnings (workspace lint table)"
+# Required: the root Cargo.toml's [workspace.lints] table denies
+# `unsafe_code` outside rfkit-par, undocumented `unsafe` blocks,
+# `.unwrap()` outside tests, and `todo!`/`unimplemented!`, and all but
+# `unsafe_code` are clippy lints. A toolchain without clippy fails here.
+cargo clippy --workspace --all-targets -- -D warnings || fail=1
 
-echo "== rfkit-analyze --baseline (fail on NEW findings only)"
-# Diff a fresh run against the committed results/ANALYZE.json before the
-# absolute gate below overwrites it. Keyed on (lint, file, message), so
-# line drift from unrelated edits never re-flags an old finding, while
-# anything this change introduces fails with a readable NEW delta.
-analyze_tmp="$(mktemp)"
-cargo run --release -q -p rfkit-analyze -- --deny warnings \
-  --baseline results/ANALYZE.json --json "$analyze_tmp" || fail=1
-rm -f "$analyze_tmp"
+echo "== unfinished-work comment markers (git grep)"
+# clippy's `todo`/`unimplemented` lints cover the macros; no rustc or
+# clippy lint reads comments, so the four marker words are grepped here.
+# Finish the work or file it in ROADMAP.md.
+markers="$(git grep --untracked -nwE 'TODO|FIXME|XXX|HACK' -- '*.rs')"
+case $? in
+  0) echo "$markers"; fail=1 ;;
+  1) ;;
+  *) echo "   git grep failed (not a git checkout?)"; fail=1 ;;
+esac
 
-echo "== rfkit-analyze --deny warnings"
-# Workspace lint engine: NaN-safe ordering, determinism, unsafe confinement,
-# dataflow lints (hot-loop allocs, guards across solves, unseeded RNGs,
-# fault-hook coverage), and the cross-artifact obs-name contract. Any
-# non-suppressed warning or error fails the gate; suppressions are
-# per-line `// rfkit-allow(<lint>[, until = "YYYY-MM-DD"])` comments and
-# show up in review diffs (expired dates escalate to errors).
-cargo run --release -q -p rfkit-analyze -- --deny warnings || fail=1
+echo "== rfkit-analyze"
+# Workspace lint engine: NaN-safe ordering, determinism, dataflow lints
+# (hot-loop allocs, guards across solves, unseeded RNGs, fault-hook
+# coverage, surrogate leaks), and the cross-artifact obs-name contract.
+# Any unsuppressed finding fails the gate; suppressions are per-line
+# `// rfkit-allow(<lint>)` comments and show up in review diffs.
+cargo run --release -q -p rfkit-analyze || fail=1
 
 echo "== obs name contract (counter-name-drift registry export)"
 # The drift errors themselves fail the gate above; this stage guards the
@@ -79,7 +80,7 @@ echo "== committed experiment outputs (byte-diff against results/)"
 # results must commit the new output, and its diff shows the move.
 # The outputs are deterministic at any RFKIT_THREADS. An output joins
 # this list once it is regenerated and its EXPERIMENTS.md claims re-read.
-diffed_outputs=(table5_tsplitter table6_yield)
+diffed_outputs=(table5_tsplitter table6_yield fig9_dispersion fig12_harmonic_balance)
 outputs_tmp="$(mktemp -d)"
 for bin in "${diffed_outputs[@]}"; do
   if ! cargo run --release -q -p lna-bench --bin "$bin" >"$outputs_tmp/$bin.txt"; then
@@ -185,8 +186,7 @@ RFKIT_TRACE=1 RFKIT_TRACE_OUT=results/PROFILE_bench_ac_run.json \
 # healthy run solves 192+ points against the 64-point floor; and the
 # shared-plan cache must hit at least once per reused workload.
 cargo run --release -q -p rfkit-obs --bin rfkit-trace -- --json \
-  --expect circuit.ac.assemble_us --expect design.cache.hit \
-  --expect design.cache.miss \
+  --expect design.cache.hit --expect design.cache.miss \
   --expect-min circuit.ac.sweep.points:64 \
   --expect-min plan.cache.hit:1 \
   --expect-min design.cache.evict:1 \

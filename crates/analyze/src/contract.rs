@@ -16,6 +16,9 @@
 //! The pass runs only when the workspace has a `ci.sh` (the fake
 //! workspaces built by engine tests don't, and have no contract to
 //! check).
+//!
+//! Contract: observability. An instrument name means the same thing in
+//! the code, the CI gates, the recorded profiles and the registry.
 
 use crate::dataflow::CallKind;
 use crate::report::{Finding, Severity};
@@ -195,7 +198,6 @@ fn finding(file: &str, line: u32, message: String) -> Finding {
         col: 1,
         message,
         suppressed: false,
-        suggestion: None,
     }
 }
 

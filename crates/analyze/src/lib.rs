@@ -2,23 +2,25 @@
 //! rfkit workspace.
 //!
 //! The workspace's numeric guarantees — NaN-safe ordering, bit-for-bit
-//! reproducibility across thread counts, `unsafe` confined to
-//! `rfkit-par` — are invariants a compiler cannot check. This crate
-//! enforces them mechanically: a hand-rolled Rust lexer (no `syn`; the
-//! zero-external-crate rule covers tooling too) feeds token-pattern
-//! lints that walk every workspace source file and report findings as
+//! reproducibility across thread counts, allocation-free sweeps,
+//! structured solver failures, prune-never-propagate surrogates — are
+//! invariants neither rustc nor clippy checks. (`unsafe` confinement,
+//! `.unwrap()` and unfinished-code macros are theirs: see the
+//! `[workspace.lints]` table in the root `Cargo.toml`.) This crate
+//! enforces them mechanically: a hand-rolled Rust lexer and parser (no
+//! `syn`; the zero-external-crate rule covers tooling too) feed lints
+//! that walk every workspace source file and report findings as
 //! `severity[lint] file:line:col: message` diagnostics plus a JSON
 //! report under `results/ANALYZE.json`.
 //!
 //! Individual findings can be suppressed with a `// rfkit-allow(<lint>)`
-//! comment on the offending line or the line directly above. CI runs
-//! `cargo run -p rfkit-analyze -- --deny warnings`, so every suppression
-//! is a reviewable artifact in the diff rather than a silent opt-out.
+//! comment on the offending line or the line directly above. Any
+//! unsuppressed finding fails the run, so every suppression is a
+//! reviewable artifact in the diff rather than a silent opt-out.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod contract;
 pub mod dataflow;
 pub mod lints;
@@ -142,7 +144,6 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use report::Severity;
 
     #[test]
     fn suppression_marks_but_keeps_findings() {
@@ -163,7 +164,7 @@ pub fn g(x: f64) -> bool {
 
     #[test]
     fn suppression_only_covers_its_own_lint() {
-        let src = "pub fn f(x: f64) -> bool { x == 0.0 } // rfkit-allow(todo-markers)\n";
+        let src = "pub fn f(x: f64) -> bool { x == 0.0 } // rfkit-allow(nondeterminism)\n";
         let findings = analyze_source("crates/x/src/lib.rs", src);
         assert!(findings
             .iter()
@@ -174,7 +175,7 @@ pub fn g(x: f64) -> bool {
     fn findings_are_sorted_by_position() {
         let src = "\
 pub fn f(x: f64) -> bool { x == 2.0 }
-pub fn g(o: Option<u32>) -> u32 { o.unwrap() }
+pub fn g(v: &mut [f64]) { v.sort_by(|a, b| a.partial_cmp(b).unwrap()); }
 ";
         let findings = analyze_source("crates/x/src/lib.rs", src);
         assert!(findings.len() >= 2);
@@ -188,13 +189,5 @@ pub fn g(o: Option<u32>) -> u32 { o.unwrap() }
         dedup.sort_unstable();
         dedup.dedup();
         assert_eq!(names.len(), dedup.len());
-    }
-
-    #[test]
-    fn severity_threshold_semantics() {
-        // `--deny warnings` must also deny errors.
-        assert!(Severity::Error >= Severity::Warning);
-        assert!(Severity::Warning >= Severity::Warning);
-        assert!(Severity::Info < Severity::Warning);
     }
 }

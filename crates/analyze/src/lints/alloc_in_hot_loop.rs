@@ -11,6 +11,9 @@
 //! container-ish receivers is *not* flagged (too noisy; clones of
 //! scalars dominate). Hoist the allocation into a workspace that the
 //! caller owns, or pre-size it before entering the loop.
+//!
+//! Contract: the batched sweep's inner loop is allocation-free after the
+//! warm-up point.
 
 use crate::dataflow::{self, CallKind};
 use crate::report::{Finding, Severity};
@@ -78,7 +81,6 @@ pub fn check(file: &SourceFile, out: &mut Vec<Finding>) {
                     f.name, c.loop_depth
                 ),
                 suppressed: false,
-                suggestion: None,
             });
         }
     }

@@ -13,6 +13,9 @@
 //! `freq` or `grid`, or named `band`, `sweep`, `points` or `omega`.
 //! Substitutions against a factorization computed outside the loop
 //! (`LuWorkspace::solve_into`) are fine and not flagged.
+//!
+//! Contract: one AC sweep path. Grid sweeps reuse one pivot order through
+//! `StampPlan::sweep_batch` instead of refactoring at every point.
 
 use crate::dataflow::CallKind;
 use crate::report::{Finding, Severity};
@@ -76,7 +79,6 @@ pub fn check(file: &SourceFile, out: &mut Vec<Finding>) {
                     c.name
                 ),
                 suppressed: false,
-                suggestion: None,
             });
         }
     }

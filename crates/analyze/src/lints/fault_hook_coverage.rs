@@ -12,6 +12,9 @@
 //! are `solve_dc` (the DC ladder), `sweep_batch` (the only solve of a
 //! compiled plan) and `hb::solve`; the legacy `s_matrix` oracle carries
 //! its own hook at the same `ac.solve` site.
+//!
+//! Contract: fault parity. Fault injection reaches every solve path, so the
+//! `rfkit-faults` suites check the same outcome on each.
 
 use crate::dataflow::{CallKind, FnAnalysis};
 use crate::report::{Finding, Severity};
@@ -92,7 +95,6 @@ pub fn check(file: &SourceFile, out: &mut Vec<Finding>) {
                     f.name
                 ),
                 suppressed: false,
-                suggestion: None,
             });
         }
     }

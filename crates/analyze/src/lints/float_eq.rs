@@ -4,6 +4,11 @@
 //! is *always* false). Intentional bit-exact zero guards should say so
 //! with `rfkit_num::is_exact_zero`, which also documents that NaN must
 //! not slip through.
+//!
+//! Contract: NaN-safe numerics. Every exact float comparison is a named,
+//! deliberate bit-zero guard (`rfkit_num::is_exact_zero`). This lint stays
+//! beside the workspace clippy table because `clippy::float_cmp` skips
+//! `x == 0.0` and `x == f64::INFINITY`, exactly the guards routed here.
 
 use crate::report::{Finding, Severity};
 use crate::source::SourceFile;
@@ -38,35 +43,6 @@ fn operand_is_floaty(code: &[&Tok], mut j: usize) -> bool {
     code.get(j).copied().is_some_and(is_floaty)
 }
 
-fn is_zero_lit(t: &Tok) -> bool {
-    t.kind == TokKind::Float
-        && matches!(
-            t.text.trim_end_matches("f64").trim_end_matches("f32"),
-            "0.0" | "0." | "0.0_"
-        )
-}
-
-/// Machine-applicable replacement for the `<ident> ==/!= 0.0` shape:
-/// `rfkit_num::is_exact_zero(x)` (negated for `!=`). Other shapes have
-/// no single right rewrite (the tolerance is context-dependent).
-fn zero_guard_suggestion(code: &[&Tok], i: usize) -> Option<String> {
-    let op = code[i];
-    let (ident, lit) = (code.get(i.checked_sub(1)?)?, code.get(i + 1)?);
-    let (ident, lit) =
-        if ident.kind == TokKind::Ident && !FLOAT_CONSTS.contains(&ident.text.as_str()) {
-            (ident, lit)
-        } else if lit.kind == TokKind::Ident && !FLOAT_CONSTS.contains(&lit.text.as_str()) {
-            (lit, ident)
-        } else {
-            return None;
-        };
-    if !is_zero_lit(lit) {
-        return None;
-    }
-    let not = if op.is_punct("!=") { "!" } else { "" };
-    Some(format!("{not}rfkit_num::is_exact_zero({})", ident.text))
-}
-
 /// Runs the lint over one file.
 pub fn check(file: &SourceFile, out: &mut Vec<Finding>) {
     let code: Vec<&Tok> = file.toks.iter().filter(|t| !t.is_comment()).collect();
@@ -89,7 +65,6 @@ pub fn check(file: &SourceFile, out: &mut Vec<Finding>) {
                     t.text
                 ),
                 suppressed: false,
-                suggestion: zero_guard_suggestion(&code, i),
             });
         }
     }
@@ -112,28 +87,13 @@ mod tests {
         assert_eq!(hits.len(), 3);
         assert_eq!(hits[0].severity, Severity::Warning);
         assert!(hits[0].message.contains("is_exact_zero"));
-        // Zero guard gets a machine-applicable rewrite; the others don't
-        // (the right tolerance is context-dependent).
-        assert_eq!(
-            hits[0].suggestion.as_deref(),
-            Some("rfkit_num::is_exact_zero(x)")
-        );
-        assert!(hits[1].suggestion.is_none());
-        assert!(hits[2].suggestion.is_none());
     }
 
     #[test]
-    fn zero_ne_suggestion_is_negated_and_side_agnostic() {
-        let hits = run("fn f(x: f64) -> bool { x != 0.0 || 0.0 == x }");
-        assert_eq!(hits.len(), 2);
-        assert_eq!(
-            hits[0].suggestion.as_deref(),
-            Some("!rfkit_num::is_exact_zero(x)")
-        );
-        assert_eq!(
-            hits[1].suggestion.as_deref(),
-            Some("rfkit_num::is_exact_zero(x)")
-        );
+    fn flags_zero_guards_on_either_side() {
+        // The zero and infinity guards `clippy::float_cmp` skips.
+        let hits = run("fn f(x: f64) -> bool { x != 0.0 || 0.0 == x || f64::INFINITY == x }");
+        assert_eq!(hits.len(), 3);
     }
 
     #[test]

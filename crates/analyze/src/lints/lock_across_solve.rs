@@ -11,6 +11,9 @@
 //! from its line to the end of its enclosing scope unless an explicit
 //! `drop(g)` appears first; any solver call strictly inside that range
 //! is flagged.
+//!
+//! Contract: rfkit-serve workers never serialize on a lock held across a
+//! solve, which keeps per-request latency independent of the other workers.
 
 use crate::dataflow::{CallKind, CallSite, Def, FnAnalysis};
 use crate::report::{Finding, Severity};
@@ -81,7 +84,6 @@ pub fn check(file: &SourceFile, out: &mut Vec<Finding>) {
                             c.name, d.name, d.line
                         ),
                         suppressed: false,
-                        suggestion: None,
                     });
                 }
             }

@@ -3,7 +3,6 @@
 
 pub mod alloc_in_hot_loop;
 pub mod dense_solve_in_sweep;
-pub mod expired_suppression;
 pub mod fault_hook_coverage;
 pub mod float_eq;
 pub mod lock_across_solve;
@@ -12,10 +11,7 @@ pub mod nondeterminism;
 pub mod obs_span_leak;
 pub mod surrogate_leak;
 pub mod swallowed_error;
-pub mod todo_markers;
-pub mod unsafe_outside_par;
 pub mod unseeded_rng_flow;
-pub mod unwrap_in_lib;
 
 use crate::report::Finding;
 use crate::source::SourceFile;
@@ -44,19 +40,9 @@ pub fn all() -> Vec<Lint> {
             check: nan_unsafe_sort::check,
         },
         Lint {
-            name: unwrap_in_lib::NAME,
-            description: unwrap_in_lib::DESCRIPTION,
-            check: unwrap_in_lib::check,
-        },
-        Lint {
             name: nondeterminism::NAME,
             description: nondeterminism::DESCRIPTION,
             check: nondeterminism::check,
-        },
-        Lint {
-            name: unsafe_outside_par::NAME,
-            description: unsafe_outside_par::DESCRIPTION,
-            check: unsafe_outside_par::check,
         },
         Lint {
             name: obs_span_leak::NAME,
@@ -67,11 +53,6 @@ pub fn all() -> Vec<Lint> {
             name: swallowed_error::NAME,
             description: swallowed_error::DESCRIPTION,
             check: swallowed_error::check,
-        },
-        Lint {
-            name: todo_markers::NAME,
-            description: todo_markers::DESCRIPTION,
-            check: todo_markers::check,
         },
         Lint {
             name: dense_solve_in_sweep::NAME,
@@ -102,11 +83,6 @@ pub fn all() -> Vec<Lint> {
             name: fault_hook_coverage::NAME,
             description: fault_hook_coverage::DESCRIPTION,
             check: fault_hook_coverage::check,
-        },
-        Lint {
-            name: expired_suppression::NAME,
-            description: expired_suppression::DESCRIPTION,
-            check: expired_suppression::check,
         },
     ]
 }

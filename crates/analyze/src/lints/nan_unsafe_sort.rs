@@ -3,6 +3,9 @@
 //! the data panics the whole run — after hours of optimization, in the
 //! worst case. `rfkit_num::total_cmp_f64` gives a total order that is
 //! also deterministic across platforms.
+//!
+//! Contract: failures come back as structured outcomes, not panics; a NaN
+//! objective must not abort a study from inside a comparator.
 
 use crate::report::{Finding, Severity};
 use crate::source::SourceFile;
@@ -51,30 +54,6 @@ pub fn check(file: &SourceFile, out: &mut Vec<Finding>) {
                 has_unwrap = true;
             }
         }
-        // `(|a, b| …)` closure head → the whole-closure replacement
-        // `|a, b| rfkit_num::total_cmp_f64(a, b)` is machine-applicable.
-        let suggestion = match (
-            code.get(i + 2),
-            code.get(i + 3),
-            code.get(i + 4),
-            code.get(i + 5),
-            code.get(i + 6),
-        ) {
-            (Some(bar), Some(p1), Some(comma), Some(p2), Some(bar2))
-                if bar.is_punct("|")
-                    && p1.kind == TokKind::Ident
-                    && comma.is_punct(",")
-                    && p2.kind == TokKind::Ident
-                    && bar2.is_punct("|") =>
-            {
-                Some(format!(
-                    "|{a}, {b}| rfkit_num::total_cmp_f64({a}, {b})",
-                    a = p1.text,
-                    b = p2.text
-                ))
-            }
-            _ => None,
-        };
         if has_partial_cmp && has_unwrap {
             out.push(Finding {
                 lint: NAME,
@@ -88,7 +67,6 @@ pub fn check(file: &SourceFile, out: &mut Vec<Finding>) {
                     t.text
                 ),
                 suppressed: false,
-                suggestion,
             });
         }
     }
@@ -110,20 +88,14 @@ mod tests {
         let hits = run("fn f(v: &mut [f64]) { v.sort_by(|a, b| a.partial_cmp(b).unwrap()); }");
         assert_eq!(hits.len(), 1);
         assert!(hits[0].message.contains("total_cmp_f64"));
-        assert_eq!(
-            hits[0].suggestion.as_deref(),
-            Some("|a, b| rfkit_num::total_cmp_f64(a, b)")
-        );
     }
 
     #[test]
-    fn no_suggestion_for_complex_closure_heads() {
-        // Destructuring head: the whole-closure rewrite is not safe.
+    fn flags_destructuring_closure_heads() {
         let hits = run(
             "fn f(v: &mut [(f64, u32)]) { v.sort_by(|(a, _), (b, _)| a.partial_cmp(b).unwrap()); }",
         );
         assert_eq!(hits.len(), 1);
-        assert!(hits[0].suggestion.is_none());
     }
 
     #[test]

@@ -4,6 +4,9 @@
 //! `HashMap` iteration order (random per process) and wall-clock reads
 //! both silently break it. `BTreeMap`/`BTreeSet` and the seeded
 //! `rfkit_opt` RNG are the sanctioned alternatives.
+//!
+//! Contract: determinism. A fixed seed gives bit-identical results at any
+//! `RFKIT_THREADS` and on every rerun.
 
 use crate::report::{Finding, Severity};
 use crate::source::{FileKind, SourceFile};
@@ -69,7 +72,6 @@ pub fn check(file: &SourceFile, out: &mut Vec<Finding>) {
                     "`{name}` in a numeric crate breaks run-to-run determinism; use {instead}"
                 ),
                 suppressed: false,
-                suggestion: None,
             });
         }
     }

@@ -3,6 +3,9 @@
 //! the span records ~0 µs instead of the region it was meant to time.
 //! The guard must live in a named binding (`let _span = ...`) whose drop
 //! at scope exit closes the span.
+//!
+//! Contract: observability. A profile attributes time to the layer a span
+//! names, which needs the span to cover that region.
 
 use crate::report::{Finding, Severity};
 use crate::source::SourceFile;
@@ -55,7 +58,6 @@ pub fn check(file: &SourceFile, out: &mut Vec<Finding>) {
                          at scope exit"
                         .to_string(),
                     suppressed: false,
-                    suggestion: None,
                 });
                 break;
             }

@@ -18,6 +18,9 @@
 //! predictions back into training silently compounds model error).
 //! Comparisons and domination checks are exactly what predictions are
 //! *for* and stay quiet.
+//!
+//! Contract: prune-never-propagate. Surrogate predictions can prune
+//! evaluations but never reach a result.
 
 use crate::dataflow::{CallKind, FnAnalysis};
 use crate::report::{Finding, Severity};
@@ -159,7 +162,6 @@ pub fn check(file: &SourceFile, out: &mut Vec<Finding>) {
                         c.name, f.name
                     ),
                     suppressed: false,
-                    suggestion: None,
                 });
             }
         }

@@ -6,6 +6,9 @@
 //! code must match on the result (or propagate it with `?`); deliberate
 //! discards belong behind a `// rfkit-allow(swallowed-solve-error)` with
 //! a reason.
+//!
+//! Contract: failures come back as structured outcomes with their
+//! provenance, on every solve path.
 
 use crate::report::{Finding, Severity};
 use crate::source::{FileKind, SourceFile};
@@ -67,7 +70,6 @@ pub fn check(file: &SourceFile, out: &mut Vec<Finding>) {
                               error or propagate it"
                         .to_string(),
                     suppressed: false,
-                    suggestion: None,
                 });
             }
         }
@@ -96,7 +98,6 @@ pub fn check(file: &SourceFile, out: &mut Vec<Finding>) {
                               match on the error or propagate it"
                         .to_string(),
                     suppressed: false,
-                    suggestion: None,
                 });
             }
         }

@@ -11,6 +11,9 @@
 //! (`seed`, `rng`, `fork`, `cfg`, `config`, `stream`). One def-use hop
 //! is honored: `let s = cfg.seed; let r = Rng64::new(s)` is fine
 //! because `s` was initialized from a seed-ish source.
+//!
+//! Contract: determinism. Every random stream derives from an explicit
+//! seed.
 
 use crate::dataflow::{CallKind, FnAnalysis};
 use crate::report::{Finding, Severity};
@@ -81,7 +84,6 @@ pub fn check(file: &SourceFile, out: &mut Vec<Finding>) {
                         c.name, f.name
                     ),
                     suppressed: false,
-                    suggestion: None,
                 });
             }
         }

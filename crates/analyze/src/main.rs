@@ -1,18 +1,14 @@
 //! Command-line driver for the rfkit workspace lint engine.
 //!
 //! ```text
-//! rfkit-analyze [--root DIR] [--deny errors|warnings|info]
-//!               [--json PATH] [--baseline PATH] [--fix-dry-run]
-//!               [--dump-obs-names] [--quiet] [--list-lints]
+//! rfkit-analyze [--root DIR] [--json PATH] [--dump-obs-names] [--quiet]
+//!               [--list-lints]
 //! ```
 //!
 //! Prints `severity[lint] file:line:col: message` per finding, writes a
 //! JSON report (default `<root>/results/ANALYZE.json`), and exits 1 when
-//! any non-suppressed finding is at or above the deny level. With
-//! `--baseline`, only findings NEW relative to the committed report fail
-//! the run; the delta (new/fixed/pre-existing) is printed either way.
+//! any finding is not suppressed.
 
-use rfkit_analyze::baseline::Baseline;
 use rfkit_analyze::report::{to_json, Severity};
 use rfkit_analyze::{analyze_tree_files, contract, lints};
 use std::fs;
@@ -22,8 +18,7 @@ use std::process::ExitCode;
 fn usage(err: &str) -> ExitCode {
     eprintln!("rfkit-analyze: {err}");
     eprintln!(
-        "usage: rfkit-analyze [--root DIR] [--deny errors|warnings|info] \
-         [--json PATH] [--baseline PATH] [--fix-dry-run] [--dump-obs-names] \
+        "usage: rfkit-analyze [--root DIR] [--json PATH] [--dump-obs-names] \
          [--quiet] [--list-lints]"
     );
     ExitCode::from(2)
@@ -31,11 +26,8 @@ fn usage(err: &str) -> ExitCode {
 
 fn main() -> ExitCode {
     let mut root = PathBuf::from(".");
-    let mut deny = Severity::Error;
     let mut json_path: Option<PathBuf> = None;
-    let mut baseline_path: Option<PathBuf> = None;
     let mut quiet = false;
-    let mut fix_dry_run = false;
     let mut dump_obs_names = false;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -44,22 +36,11 @@ fn main() -> ExitCode {
                 Some(v) => root = v.into(),
                 None => return usage("--root needs a directory"),
             },
-            "--deny" => match args.next().as_deref() {
-                Some("errors" | "error") => deny = Severity::Error,
-                Some("warnings" | "warning") => deny = Severity::Warning,
-                Some("info") => deny = Severity::Info,
-                _ => return usage("--deny takes errors|warnings|info"),
-            },
             "--json" => match args.next() {
                 Some(v) => json_path = Some(v.into()),
                 None => return usage("--json needs a path"),
             },
-            "--baseline" => match args.next() {
-                Some(v) => baseline_path = Some(v.into()),
-                None => return usage("--baseline needs a path"),
-            },
             "--quiet" => quiet = true,
-            "--fix-dry-run" => fix_dry_run = true,
             "--dump-obs-names" => dump_obs_names = true,
             "--list-lints" => {
                 for l in lints::all() {
@@ -111,65 +92,10 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let baseline = match &baseline_path {
-        None => None,
-        // A relative baseline names a workspace artifact: resolve it
-        // against --root, not the invoking shell's directory.
-        Some(p) => match fs::read_to_string(if p.is_absolute() {
-            p.clone()
-        } else {
-            root.join(p)
-        })
-        .map_err(|e| e.to_string())
-        .and_then(|t| Baseline::parse(&t))
-        {
-            Ok(b) => Some(b),
-            Err(e) => {
-                eprintln!("rfkit-analyze: bad baseline {}: {e}", p.display());
-                return ExitCode::from(2);
-            }
-        },
-    };
-
-    // With a baseline, only NEW findings are denied (and printed by
-    // default); pre-existing ones are tolerated but still counted.
-    let (new_findings, preexisting) = match &baseline {
-        Some(b) => {
-            let (new, old) = b.diff(&findings);
-            (Some(new), old.len())
-        }
-        None => (None, 0),
-    };
-
     if !quiet {
-        match &new_findings {
-            Some(new) => {
-                for f in new.iter().filter(|f| !f.suppressed) {
-                    println!("NEW {f}");
-                }
-            }
-            None => {
-                for f in findings.iter().filter(|f| !f.suppressed) {
-                    println!("{f}");
-                }
-            }
+        for f in findings.iter().filter(|f| !f.suppressed) {
+            println!("{f}");
         }
-    }
-
-    if fix_dry_run {
-        let fixable = findings
-            .iter()
-            .filter(|f| !f.suppressed && f.suggestion.is_some());
-        let mut n = 0usize;
-        for f in fixable {
-            let s = f.suggestion.as_deref().unwrap_or_default();
-            println!(
-                "fix[{}] {}:{}:{}: replace with `{s}`",
-                f.lint, f.file, f.line, f.col
-            );
-            n += 1;
-        }
-        println!("rfkit-analyze: {n} machine-applicable suggestions (dry run, nothing written)");
     }
 
     let json = to_json(&findings, files);
@@ -193,31 +119,13 @@ fn main() -> ExitCode {
     };
     let suppressed = findings.iter().filter(|f| f.suppressed).count();
     println!(
-        "rfkit-analyze: {files} files, {} errors, {} warnings, {} info, \
-         {suppressed} suppressed -> {}",
+        "rfkit-analyze: {files} files, {} errors, {} warnings, {suppressed} suppressed -> {}",
         count(Severity::Error),
         count(Severity::Warning),
-        count(Severity::Info),
         json_path.display()
     );
 
-    let denied = match (&baseline, &new_findings) {
-        (Some(b), Some(new)) => {
-            let denied_new = new
-                .iter()
-                .filter(|f| !f.suppressed && f.severity >= deny)
-                .count();
-            println!(
-                "rfkit-analyze: baseline delta: {denied_new} new (denied), {} new total, \
-                 {preexisting} pre-existing, {} fixed",
-                new.len(),
-                b.fixed_count(&findings)
-            );
-            denied_new > 0
-        }
-        _ => findings.iter().any(|f| !f.suppressed && f.severity >= deny),
-    };
-    if denied {
+    if findings.iter().any(|f| !f.suppressed) {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS

@@ -2,15 +2,13 @@
 
 use std::fmt;
 
-/// How bad a finding is. Ordering matters: `--deny warnings` denies
-/// anything at `Warning` or above.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// How bad a finding is. Either one fails the run unless suppressed;
+/// the severity tells a reader how to respond.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Severity {
-    /// Advisory: documents a pattern worth knowing about, never fails CI.
-    Info,
-    /// Should be fixed or explicitly suppressed; fails `--deny warnings`.
+    /// Should be fixed or explicitly suppressed with a reason.
     Warning,
-    /// Always a defect; fails every deny level.
+    /// Always a defect.
     Error,
 }
 
@@ -18,7 +16,6 @@ impl Severity {
     /// Lower-case name used in output and JSON.
     pub fn name(self) -> &'static str {
         match self {
-            Severity::Info => "info",
             Severity::Warning => "warning",
             Severity::Error => "error",
         }
@@ -48,9 +45,6 @@ pub struct Finding {
     pub message: String,
     /// True when a `rfkit-allow(<lint>)` comment covers this line.
     pub suppressed: bool,
-    /// Machine-applicable replacement text, when the lint has one
-    /// (printed by `--fix-dry-run`).
-    pub suggestion: Option<String>,
 }
 
 impl fmt::Display for Finding {
@@ -101,19 +95,14 @@ pub fn to_json(findings: &[Finding], files_scanned: usize) -> String {
     ));
     out.push_str("  \"counts\": {\n");
     out.push_str(&format!("    \"error\": {},\n", count(Severity::Error)));
-    out.push_str(&format!("    \"warning\": {},\n", count(Severity::Warning)));
-    out.push_str(&format!("    \"info\": {}\n", count(Severity::Info)));
+    out.push_str(&format!("    \"warning\": {}\n", count(Severity::Warning)));
     out.push_str("  },\n");
     out.push_str("  \"findings\": [\n");
     for (i, f) in findings.iter().enumerate() {
         let comma = if i + 1 == findings.len() { "" } else { "," };
-        let suggestion = match &f.suggestion {
-            Some(s) => format!(", \"suggestion\": \"{}\"", json_escape(s)),
-            None => String::new(),
-        };
         out.push_str(&format!(
             "    {{\"lint\": \"{}\", \"severity\": \"{}\", \"file\": \"{}\", \
-             \"line\": {}, \"col\": {}, \"suppressed\": {}, \"message\": \"{}\"{}}}{}\n",
+             \"line\": {}, \"col\": {}, \"suppressed\": {}, \"message\": \"{}\"}}{}\n",
             f.lint,
             f.severity,
             json_escape(&f.file),
@@ -121,7 +110,6 @@ pub fn to_json(findings: &[Finding], files_scanned: usize) -> String {
             f.col,
             f.suppressed,
             json_escape(&f.message),
-            suggestion,
             comma
         ));
     }
@@ -135,12 +123,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn severity_ordering_supports_deny_threshold() {
-        assert!(Severity::Error > Severity::Warning);
-        assert!(Severity::Warning > Severity::Info);
-    }
-
-    #[test]
     fn json_escapes_and_counts() {
         let findings = vec![
             Finding {
@@ -151,17 +133,15 @@ mod tests {
                 col: 9,
                 message: "uses \"==\"\twith\nfloats".into(),
                 suppressed: false,
-                suggestion: Some("a.total_cmp(&b)".into()),
             },
             Finding {
-                lint: "todo-markers",
+                lint: "nondeterminism",
                 severity: Severity::Warning,
                 file: "src/lib.rs".into(),
                 line: 1,
                 col: 1,
                 message: "marker".into(),
                 suppressed: true,
-                suggestion: None,
             },
         ];
         let j = to_json(&findings, 7);
@@ -169,6 +149,5 @@ mod tests {
         assert!(j.contains("\"warning\": 1"), "suppressed not counted: {j}");
         assert!(j.contains("\"suppressed\": 1,"));
         assert!(j.contains("\\\"==\\\"\\twith\\nfloats"));
-        assert!(j.contains("\"suggestion\": \"a.total_cmp(&b)\""));
     }
 }

@@ -4,7 +4,6 @@
 use crate::dataflow::{self, FnAnalysis};
 use crate::parser::{self, Ast};
 use crate::tokenizer::{tokenize, Tok};
-use std::time::{SystemTime, UNIX_EPOCH};
 
 /// What role a file plays, derived from its workspace-relative path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,19 +38,13 @@ pub struct SourceFile {
     pub fns: Vec<FnAnalysis>,
 }
 
-/// One `rfkit-allow(<lint>[, until = "YYYY-MM-DD"])` suppression.
+/// One `rfkit-allow(<lint>)` suppression.
 #[derive(Debug, Clone)]
 pub struct Allow {
     /// Line the marker is on.
     pub line: u32,
     /// Lint name being suppressed.
     pub lint: String,
-    /// Optional expiry date (`YYYY-MM-DD`). Past-dated suppressions are
-    /// reported by the `expired-suppression` lint.
-    pub until: Option<String>,
-    /// True when the part after the lint name did not parse as a
-    /// well-formed `until = "YYYY-MM-DD"` clause.
-    pub malformed: bool,
 }
 
 impl SourceFile {
@@ -85,61 +78,12 @@ impl SourceFile {
     }
 
     /// True when a `rfkit-allow(<lint>)` comment sits on `line` or the
-    /// line directly above it. Expired suppressions still suppress —
-    /// the `expired-suppression` lint reports them as errors instead,
-    /// so the finding that surfaces points at the stale date rather
-    /// than re-flagging the underlying (already-reviewed) code.
+    /// line directly above it.
     pub fn is_allowed(&self, lint: &str, line: u32) -> bool {
         self.allows
             .iter()
             .any(|a| a.lint == lint && (a.line == line || a.line + 1 == line))
     }
-}
-
-/// Today's date as `YYYY-MM-DD`, used for suppression-expiry checks.
-/// Overridable via `RFKIT_ANALYZE_TODAY` so tests are deterministic.
-pub fn today() -> String {
-    if let Ok(v) = std::env::var("RFKIT_ANALYZE_TODAY") {
-        if is_date(&v) {
-            return v;
-        }
-    }
-    let secs = SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .unwrap_or_default()
-        .as_secs();
-    civil_from_days((secs / 86_400) as i64)
-}
-
-/// Days-since-1970-01-01 to `YYYY-MM-DD` (Gregorian civil calendar).
-fn civil_from_days(z: i64) -> String {
-    let z = z + 719_468;
-    let era = if z >= 0 { z } else { z - 146_096 } / 146_097;
-    let doe = z - era * 146_097;
-    let yoe = (doe - doe / 1460 + doe / 36_524 - doe / 146_096) / 365;
-    let y = yoe + era * 400;
-    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
-    let mp = (5 * doy + 2) / 153;
-    let d = doy - (153 * mp + 2) / 5 + 1;
-    let m = if mp < 10 { mp + 3 } else { mp - 9 };
-    let y = if m <= 2 { y + 1 } else { y };
-    format!("{y:04}-{m:02}-{d:02}")
-}
-
-/// True for a well-formed `YYYY-MM-DD` string. Dates in this format
-/// compare correctly as plain strings, which is all expiry needs.
-pub fn is_date(s: &str) -> bool {
-    let b = s.as_bytes();
-    b.len() == 10
-        && b[4] == b'-'
-        && b[7] == b'-'
-        && b.iter()
-            .enumerate()
-            .all(|(i, c)| matches!(i, 4 | 7) || c.is_ascii_digit())
-        && &s[5..7] >= "01"
-        && &s[5..7] <= "12"
-        && &s[8..10] >= "01"
-        && &s[8..10] <= "31"
 }
 
 fn classify_path(rel: &str) -> (String, FileKind) {
@@ -282,7 +226,13 @@ fn find_allows(toks: &[Tok]) -> Vec<Allow> {
                 // the line the marker itself is on.
                 let offset = t.text.len() - rest.len() + pos;
                 let line_off = t.text[..offset].matches('\n').count() as u32;
-                allows.push(parse_allow(&after[..end], t.line + line_off));
+                let lint = after[..end].trim();
+                if is_lint_name(lint) {
+                    allows.push(Allow {
+                        line: t.line + line_off,
+                        lint: lint.to_string(),
+                    });
+                }
                 rest = &after[end..];
             } else {
                 break;
@@ -292,33 +242,12 @@ fn find_allows(toks: &[Tok]) -> Vec<Allow> {
     allows
 }
 
-/// Parses the inside of `rfkit-allow( … )`: a lint name, optionally
-/// followed by `, until = "YYYY-MM-DD"`.
-fn parse_allow(body: &str, line: u32) -> Allow {
-    let (name, tail) = match body.split_once(',') {
-        Some((n, t)) => (n.trim(), Some(t.trim())),
-        None => (body.trim(), None),
-    };
-    let mut until = None;
-    let mut malformed = false;
-    if let Some(tail) = tail {
-        let date = tail
-            .strip_prefix("until")
-            .map(str::trim_start)
-            .and_then(|t| t.strip_prefix('='))
-            .map(str::trim)
-            .map(|t| t.trim_matches('"'));
-        match date {
-            Some(d) if is_date(d) => until = Some(d.to_string()),
-            _ => malformed = true,
-        }
-    }
-    Allow {
-        line,
-        lint: name.to_string(),
-        until,
-        malformed,
-    }
+/// True for a kebab-case lint name. A marker whose parentheses hold
+/// anything else (a second name, a trailing clause) suppresses nothing.
+fn is_lint_name(s: &str) -> bool {
+    !s.is_empty()
+        && s.bytes()
+            .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'-')
 }
 
 #[cfg(test)]
@@ -385,7 +314,7 @@ fn live() {}
     fn allows_same_line_and_line_above() {
         let src = "\
 let a = 0; // rfkit-allow(float-eq)
-// rfkit-allow(todo-markers)
+// rfkit-allow(nondeterminism)
 let b = 1;
 ";
         let f = SourceFile::parse("crates/x/src/lib.rs", src);
@@ -394,9 +323,9 @@ let b = 1;
         // trailing same-line allow also reaches line 2.
         assert!(f.is_allowed("float-eq", 2));
         assert!(!f.is_allowed("float-eq", 3));
-        assert!(f.is_allowed("todo-markers", 2));
-        assert!(f.is_allowed("todo-markers", 3));
-        assert!(!f.is_allowed("todo-markers", 4));
+        assert!(f.is_allowed("nondeterminism", 2));
+        assert!(f.is_allowed("nondeterminism", 3));
+        assert!(!f.is_allowed("nondeterminism", 4));
     }
 
     #[test]
@@ -406,38 +335,18 @@ let b = 1;
     }
 
     #[test]
-    fn allow_with_expiry_date() {
-        let src = "let a = 0; // rfkit-allow(float-eq, until = \"2031-01-15\")\n";
-        let f = SourceFile::parse("crates/x/src/lib.rs", src);
-        assert!(f.is_allowed("float-eq", 1));
-        let a = &f.allows[0];
-        assert_eq!(a.until.as_deref(), Some("2031-01-15"));
-        assert!(!a.malformed);
-    }
-
-    #[test]
-    fn allow_with_bad_expiry_is_malformed() {
+    fn marker_with_more_than_one_lint_name_suppresses_nothing() {
         for src in [
-            "// rfkit-allow(float-eq, until = \"someday\")\n",
-            "// rfkit-allow(float-eq, 2031-01-15)\n",
-            "// rfkit-allow(float-eq, until 2031-01-15)\n",
+            "x == 0.0; // rfkit-allow(float-eq, until = \"2031-01-15\")\n",
+            "x == 0.0; // rfkit-allow(float-eq, nondeterminism)\n",
+            "x == 0.0; // rfkit-allow(float-eq because tests)\n",
+            "x == 0.0; // rfkit-allow()\n",
         ] {
             let f = SourceFile::parse("crates/x/src/lib.rs", src);
-            assert!(f.allows[0].malformed, "not malformed: {src}");
-            // Malformed or not, the suppression still names its lint.
-            assert_eq!(f.allows[0].lint, "float-eq");
+            assert!(f.allows.is_empty(), "parsed a suppression from {src}");
+            assert!(!f.is_allowed("float-eq", 1));
         }
-    }
-
-    #[test]
-    fn date_validation_and_civil_conversion() {
-        assert!(is_date("2026-08-08"));
-        assert!(!is_date("2026-13-01"));
-        assert!(!is_date("2026-00-10"));
-        assert!(!is_date("26-08-08"));
-        assert!(!is_date("2026/08/08"));
-        assert_eq!(civil_from_days(0), "1970-01-01");
-        assert_eq!(civil_from_days(19_723), "2024-01-01");
-        assert_eq!(civil_from_days(20_309), "2025-08-09");
+        let f = SourceFile::parse("crates/x/src/lib.rs", "// rfkit-allow( float-eq )\n");
+        assert!(f.is_allowed("float-eq", 1));
     }
 }

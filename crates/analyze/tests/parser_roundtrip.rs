@@ -15,7 +15,7 @@ fn workspace_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
         .ancestors()
         .nth(2)
-        .unwrap()
+        .expect("crates/analyze sits two levels below the workspace root")
         .to_path_buf()
 }
 

@@ -98,7 +98,12 @@ fn main() {
 
     // Device model.
     let device = Phemt::atf54143_like();
-    let op = device.operating_point(device.bias_for_current(3.0, 0.05).unwrap(), 3.0);
+    let op = device.operating_point(
+        device
+            .bias_for_current(3.0, 0.05)
+            .expect("50 mA bias exists"),
+        3.0,
+    );
     bench_kernel("device_noisy_two_port", 50_000, || {
         black_box(device.noisy_two_port(black_box(1.575e9), &op));
     });

@@ -21,7 +21,12 @@ fn main() {
         "harmonic balance vs fixed-Vds analysis at large signal",
     );
     let device = Phemt::atf54143_like();
-    let op = device.operating_point(device.bias_for_current(3.0, 0.06).unwrap(), 3.0);
+    let op = device.operating_point(
+        device
+            .bias_for_current(3.0, 0.06)
+            .expect("60 mA bias exists"),
+        3.0,
+    );
     let r_load = 100.0;
     let bench = HbTestbench {
         device: &device,
@@ -65,7 +70,8 @@ fn main() {
         &[p1_hb.clone(), p1_fixed.clone(), p2_hb, p3_hb, idc],
     );
     let gap_small = (p1_hb[0] - p1_fixed[0]).abs();
-    let gap_large = (p1_hb.last().unwrap() - p1_fixed.last().unwrap()).abs();
+    let full_drive = |p: &[f64]| *p.last().expect("amplitude sweep is non-empty");
+    let gap_large = (full_drive(&p1_hb) - full_drive(&p1_fixed)).abs();
     println!(
         "\nHB-vs-fixed fundamental gap: {gap_small:.2} dB at small signal, {gap_large:.2} dB at full drive"
     );

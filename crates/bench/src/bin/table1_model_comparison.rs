@@ -43,11 +43,9 @@ fn main() {
             &rows,
         )
     );
+    let worst = reports.last().expect("every model is reported");
     println!(
         "winner: {} (DC RMSE {:.4}); worst: {} (DC RMSE {:.4})",
-        reports[0].name,
-        reports[0].dc_rmse,
-        reports.last().unwrap().name,
-        reports.last().unwrap().dc_rmse
+        reports[0].name, reports[0].dc_rmse, worst.name, worst.dc_rmse
     );
 }

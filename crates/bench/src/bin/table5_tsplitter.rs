@@ -21,9 +21,9 @@ use rfkit_passive::{resistive_splitter, Substrate, TeeJunction, Wilkinson};
 const F0: f64 = 1.57542e9;
 
 fn splitter_row(name: &str, np: &NPort, lna_gain: f64, lna_f: f64) -> Vec<String> {
-    let s21 = np.s(1, 0).unwrap();
-    let s11 = np.s(0, 0).unwrap();
-    let iso = np.s(2, 1).unwrap();
+    let s21 = np.s(1, 0).expect("splitter has three ports");
+    let s11 = np.s(0, 0).expect("splitter has three ports");
+    let iso = np.s(2, 1).expect("splitter has three ports");
     let split_loss_db = db_from_power_ratio(s21.norm_sqr());
     // Per-chain system noise: LNA then the splitter path as a lossy stage.
     let splitter_gain = s21.norm_sqr();
@@ -55,11 +55,11 @@ fn main() {
     let design = reference_design(&device);
     let amp = Amplifier::new(&device, design.snapped);
     let noisy = amp.noisy_two_port(F0).expect("design feasible");
-    let s = noisy.abcd.to_s(50.0).unwrap();
+    let s = noisy.abcd.to_s(50.0).expect("amplifier has S form");
     let lna_gain = rfkit_net::gains::available_gain(&s, Complex::ZERO);
     let lna_f = noisy
         .noise_params(50.0)
-        .unwrap()
+        .expect("amplifier has noise parameters")
         .noise_factor(Complex::ZERO);
     println!(
         "\nLNA in front: GA = {:.2} dB, NF = {:.3} dB",

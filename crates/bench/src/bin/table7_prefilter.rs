@@ -43,18 +43,18 @@ fn main() {
     let mut rows = Vec::new();
     // LNA alone.
     {
-        let tp = amp.noisy_two_port(L1).unwrap();
+        let tp = amp.noisy_two_port(L1).expect("design feasible at L1");
         let nf = 10.0
             * tp.noise_params(50.0)
-                .unwrap()
+                .expect("amplifier has noise parameters")
                 .noise_factor(Complex::ZERO)
                 .log10();
         let blocker_gain = db_from_amplitude_ratio(
             amp.noisy_two_port(BLOCKER)
-                .unwrap()
+                .expect("design feasible at the blocker")
                 .abcd
                 .to_s(50.0)
-                .unwrap()
+                .expect("amplifier has S form")
                 .s21()
                 .abs(),
         );
@@ -69,14 +69,14 @@ fn main() {
         let tp = chain_of(filter_first, L1);
         let nf = 10.0
             * tp.noise_params(50.0)
-                .unwrap()
+                .expect("chain has noise parameters")
                 .noise_factor(Complex::ZERO)
                 .log10();
         let blocker_gain = db_from_amplitude_ratio(
             chain_of(filter_first, BLOCKER)
                 .abcd
                 .to_s(50.0)
-                .unwrap()
+                .expect("chain has S form")
                 .s21()
                 .abs(),
         );

@@ -32,10 +32,6 @@ use crate::netlist::{Circuit, Element};
 use rfkit_num::units::angular;
 use rfkit_num::{CMatrix, Complex, LuWorkspace};
 
-// Per-frequency assembly timing (G copy + B(ω) + device stamps), a
-// sub-phase of `circuit.ac.sweep_us`.
-static OBS_AC_ASSEMBLE_US: rfkit_obs::Hist = rfkit_obs::Hist::new("circuit.ac.assemble_us");
-
 /// One frequency-scaled stamp slot: the element value with its admittance
 /// law, `jωC` or `-j/(ωL)`.
 #[derive(Debug, Clone, Copy)]
@@ -139,7 +135,6 @@ impl StampPlan {
     /// Assembles the full Y matrix at `freq_hz` into `ws.y`: copy G, apply
     /// B(ω) in place, then the external device stamps.
     pub(crate) fn assemble_into(&self, freq_hz: f64, stamps: &AcStamps<'_>, ws: &mut AcWorkspace) {
-        let assemble_watch = rfkit_obs::stopwatch();
         let w = angular(freq_hz);
         ws.y.copy_from(&self.g);
         for s in &self.b_stamps {
@@ -150,9 +145,6 @@ impl StampPlan {
             stamp_admittance(&mut ws.y, s.a, s.b, adm);
         }
         apply_two_port_stamps(&mut ws.y, stamps, freq_hz);
-        if let Some(us) = assemble_watch.elapsed_us() {
-            OBS_AC_ASSEMBLE_US.record(us);
-        }
     }
 
     /// S conversion from `ws.yred`: S = (I - z0·Y)(I + z0·Y)⁻¹, inverse

@@ -141,11 +141,6 @@ impl SweepBatch {
         ))
     }
 
-    /// The raw SoA `(re, im)` streams of the point-major S grid.
-    pub fn s_slices(&self) -> (&[f64], &[f64]) {
-        self.s.as_slices()
-    }
-
     /// Per-point failures, ascending by point index.
     pub fn failures(&self) -> &[(usize, AcError)] {
         &self.failures

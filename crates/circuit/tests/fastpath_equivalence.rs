@@ -32,7 +32,7 @@ fn assert_matches_legacy(
                 let m = l.n_ports();
                 for i in 0..m {
                     for j in 0..m {
-                        let d = (batch.s(p, i, j) - l.s(i, j).unwrap()).abs();
+                        let d = (batch.s(p, i, j) - l.s(i, j).expect("port index in range")).abs();
                         assert!(d <= SWEEP_TOL, "{what}: |ΔS{i}{j}| = {d:e} at {f} Hz");
                     }
                 }

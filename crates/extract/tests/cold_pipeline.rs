@@ -12,7 +12,10 @@ use rfkit_extract::{
 fn warm_data(noise: MeasurementNoise) -> (GoldenDevice, ExtractionData) {
     let g = GoldenDevice::default();
     let (vgs_grid, vds_grid) = GoldenDevice::standard_iv_grid();
-    let bias_vgs = g.device.bias_for_current(3.0, 0.06).unwrap();
+    let bias_vgs = g
+        .device
+        .bias_for_current(3.0, 0.06)
+        .expect("60 mA bias exists");
     let data = ExtractionData {
         dc: g.measure_dc(&vgs_grid, &vds_grid, &noise),
         sparams: g.measure_sparams(bias_vgs, 3.0, &GoldenDevice::standard_freq_grid(), &noise),

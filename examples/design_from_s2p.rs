@@ -18,14 +18,22 @@ use rfkit_passive::{Capacitor, Component, Inductor, Orientation};
 fn main() {
     // ---- Step 0: fabricate the "vendor" .s2p (normally: fs::read_to_string).
     let device = Phemt::atf54143_like();
-    let op = device.operating_point(device.bias_for_current(3.0, 0.06).unwrap(), 3.0);
+    let op = device.operating_point(
+        device
+            .bias_for_current(3.0, 0.06)
+            .expect("60 mA bias exists"),
+        3.0,
+    );
     let freqs = linspace(0.5e9, 4.0e9, 29);
     let mut s_rows = Vec::new();
     let mut n_rows = Vec::new();
     for &f in &freqs {
         let tp = device.noisy_two_port(f, &op);
-        s_rows.push((f, tp.abcd.to_s(50.0).unwrap()));
-        n_rows.push((f, tp.noise_params(50.0).unwrap()));
+        s_rows.push((f, tp.abcd.to_s(50.0).expect("device has S form")));
+        n_rows.push((
+            f,
+            tp.noise_params(50.0).expect("device has noise parameters"),
+        ));
     }
     let s2p_text = write_s2p(&s_rows, &n_rows, TouchstoneFormat::Ma);
     println!(
@@ -87,7 +95,8 @@ fn main() {
         obj_ref,
         vec![0.7, -14.0, 0.0],
         vec![0.5, 2.0, 0.0],
-        Bounds::new(vec![0.5, 1.0, 0.3, 5.0], vec![18.0, 22.0, 12.0, 200.0]).unwrap(),
+        Bounds::new(vec![0.5, 1.0, 0.3, 5.0], vec![18.0, 22.0, 12.0, 200.0])
+            .expect("lower bounds sit below upper bounds"),
     );
     let r = improved_goal_attainment(
         &problem,
@@ -108,7 +117,7 @@ fn main() {
     );
 
     // ---- Step 3: cross-check against the full model-based analysis.
-    let (nf_tab, gain_tab, _) = evaluate(&r.x, 1.4e9).unwrap();
+    let (nf_tab, gain_tab, _) = evaluate(&r.x, 1.4e9).expect("1.4 GHz lies inside the table");
     println!("\ncross-check at 1.4 GHz (tabulated path): NF {nf_tab:.3} dB, gain {gain_tab:.2} dB");
     println!("(the tabulated and model paths agree because the table was generated");
     println!(" by the model — with a real vendor file this is your design reality)");

@@ -44,7 +44,9 @@ fn main() {
     }
 
     // Show one full sweep for the plot.
-    let vgs = device.bias_for_current(3.0, 0.06).unwrap();
+    let vgs = device
+        .bias_for_current(3.0, 0.06)
+        .expect("60 mA bias exists");
     let op = device.operating_point(vgs, 3.0);
     let sweep = ip3_sweep(&pins, |p| {
         time_domain(

@@ -12,15 +12,20 @@ use rfkit_num::units::db_from_power_ratio;
 
 fn main() {
     let device = Phemt::atf54143_like();
-    let op = device.operating_point(device.bias_for_current(3.0, 0.06).unwrap(), 3.0);
+    let op = device.operating_point(
+        device
+            .bias_for_current(3.0, 0.06)
+            .expect("60 mA bias exists"),
+        3.0,
+    );
     // The bare device is conditionally stable at L1; add the source
     // degeneration a real design uses so K > 1 and MAG (hence the gain
     // circles) exist.
     let mut ss = device.small_signal(&op);
     ss.extrinsic.ls += 1.3e-9;
     let tp = ss.noisy_two_port(1.57542e9, &device.noise.temperatures(op.ids));
-    let s = tp.abcd.to_s(50.0).unwrap();
-    let np = tp.noise_params(50.0).unwrap();
+    let s = tp.abcd.to_s(50.0).expect("device has S form");
+    let np = tp.noise_params(50.0).expect("device has noise parameters");
 
     println!(
         "device at GPS L1: NFmin = {:.3} dB at Γopt = {:.3} ∠ {:.1}°",

@@ -54,11 +54,11 @@ fn main() {
     );
     let amp = Amplifier::new(&device, design.snapped);
     let noisy = amp.noisy_two_port(F0).expect("feasible");
-    let s = noisy.abcd.to_s(50.0).unwrap();
+    let s = noisy.abcd.to_s(50.0).expect("amplifier has S form");
     let lna_gain = rfkit_net::gains::available_gain(&s, Complex::ZERO);
     let lna_f = noisy
         .noise_params(50.0)
-        .unwrap()
+        .expect("amplifier has noise parameters")
         .noise_factor(Complex::ZERO);
     println!(
         "LNA: GA = {:.2} dB, NF = {:.3} dB at GPS L1\n",

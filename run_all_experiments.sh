@@ -3,9 +3,10 @@
 # See DESIGN.md for the experiment index and EXPERIMENTS.md for the
 # recorded outcomes.
 set -euo pipefail
-# Preflight: fmt/clippy (best-effort), rfkit-analyze lint gate, release
-# build, full tests, and the numsan-armed numeric test pass. Experiments
-# never run on a tree that fails the correctness tooling.
+# Preflight: fmt, clippy with the workspace lint table, the comment-marker
+# grep, the rfkit-analyze lint gate, release build, full tests, and the
+# numsan-armed numeric test pass. Experiments never run on a tree that
+# fails the correctness tooling.
 ./ci.sh
 cargo build --release -p lna-bench
 mkdir -p results

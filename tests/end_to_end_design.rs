@@ -10,7 +10,10 @@ use rfkit_num::linspace;
 fn characterize(noise: MeasurementNoise) -> (GoldenDevice, ExtractionData) {
     let golden = GoldenDevice::default();
     let (vgs_grid, vds_grid) = GoldenDevice::standard_iv_grid();
-    let bias_vgs = golden.device.bias_for_current(3.0, 0.06).unwrap();
+    let bias_vgs = golden
+        .device
+        .bias_for_current(3.0, 0.06)
+        .expect("60 mA bias exists");
     let data = ExtractionData {
         dc: golden.measure_dc(&vgs_grid, &vds_grid, &noise),
         sparams: golden.measure_sparams(bias_vgs, 3.0, &GoldenDevice::standard_freq_grid(), &noise),

@@ -10,7 +10,12 @@ use rfkit_num::units::dbm_from_watts;
 use rfkit_num::Complex;
 
 fn op(device: &Phemt) -> rfkit_device::OperatingPoint {
-    device.operating_point(device.bias_for_current(3.0, 0.06).unwrap(), 3.0)
+    device.operating_point(
+        device
+            .bias_for_current(3.0, 0.06)
+            .expect("60 mA bias exists"),
+        3.0,
+    )
 }
 
 #[test]
