@@ -78,19 +78,26 @@ echo "== committed experiment outputs (byte-diff against results/)"
 # Reruns each experiment binary whose committed output matches the code
 # and fails on any byte of difference: a change that moves one of these
 # results must commit the new output, and its diff shows the move.
-# The outputs are deterministic at any RFKIT_THREADS. An output joins
-# this list once it is regenerated and its EXPERIMENTS.md claims re-read.
-diffed_outputs=(table5_tsplitter table6_yield fig9_dispersion fig12_harmonic_balance)
+# Each binary runs at RFKIT_THREADS=1 and 2, so the outputs' thread-count
+# independence is checked, not assumed. An output joins this list once it
+# is regenerated and its EXPERIMENTS.md claims re-read.
+# (fig1_extraction_convergence stays out: its DE-only trace numbers calls
+# in completion order, so it is not stable at 2 threads.)
+diffed_outputs=(table3_final_design table5_tsplitter table6_yield fig8_ga_ablation
+  fig9_dispersion fig12_harmonic_balance fig14_snap_repair)
 outputs_tmp="$(mktemp -d)"
 for bin in "${diffed_outputs[@]}"; do
-  if ! cargo run --release -q -p lna-bench --bin "$bin" >"$outputs_tmp/$bin.txt"; then
-    echo "   $bin failed to run"
-    fail=1
-  elif ! cmp -s "results/$bin.txt" "$outputs_tmp/$bin.txt"; then
-    echo "   results/$bin.txt differs from a fresh run:"
-    diff "results/$bin.txt" "$outputs_tmp/$bin.txt" | head -20
-    fail=1
-  fi
+  for threads in 1 2; do
+    out="$outputs_tmp/$bin.t$threads.txt"
+    if ! RFKIT_THREADS=$threads cargo run --release -q -p lna-bench --bin "$bin" >"$out"; then
+      echo "   $bin failed to run at RFKIT_THREADS=$threads"
+      fail=1
+    elif ! cmp -s "results/$bin.txt" "$out"; then
+      echo "   results/$bin.txt differs from a fresh run at RFKIT_THREADS=$threads:"
+      diff "results/$bin.txt" "$out" | head -20
+      fail=1
+    fi
+  done
 done
 rm -rf "$outputs_tmp"
 

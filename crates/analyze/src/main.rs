@@ -1,13 +1,12 @@
 //! Command-line driver for the rfkit workspace lint engine.
 //!
 //! ```text
-//! rfkit-analyze [--root DIR] [--json PATH] [--dump-obs-names] [--quiet]
-//!               [--list-lints]
+//! rfkit-analyze [--root DIR] [--dump-obs-names] [--list-lints]
 //! ```
 //!
-//! Prints `severity[lint] file:line:col: message` per finding, writes a
-//! JSON report (default `<root>/results/ANALYZE.json`), and exits 1 when
-//! any finding is not suppressed.
+//! Prints `severity[lint] file:line:col: message` per unsuppressed
+//! finding, writes a JSON report to `<root>/results/ANALYZE.json`, and
+//! exits 1 when any finding is not suppressed.
 
 use rfkit_analyze::report::{to_json, Severity};
 use rfkit_analyze::{analyze_tree_files, contract, lints};
@@ -17,17 +16,12 @@ use std::process::ExitCode;
 
 fn usage(err: &str) -> ExitCode {
     eprintln!("rfkit-analyze: {err}");
-    eprintln!(
-        "usage: rfkit-analyze [--root DIR] [--json PATH] [--dump-obs-names] \
-         [--quiet] [--list-lints]"
-    );
+    eprintln!("usage: rfkit-analyze [--root DIR] [--dump-obs-names] [--list-lints]");
     ExitCode::from(2)
 }
 
 fn main() -> ExitCode {
     let mut root = PathBuf::from(".");
-    let mut json_path: Option<PathBuf> = None;
-    let mut quiet = false;
     let mut dump_obs_names = false;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -36,11 +30,6 @@ fn main() -> ExitCode {
                 Some(v) => root = v.into(),
                 None => return usage("--root needs a directory"),
             },
-            "--json" => match args.next() {
-                Some(v) => json_path = Some(v.into()),
-                None => return usage("--json needs a path"),
-            },
-            "--quiet" => quiet = true,
             "--dump-obs-names" => dump_obs_names = true,
             "--list-lints" => {
                 for l in lints::all() {
@@ -92,14 +81,12 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    if !quiet {
-        for f in findings.iter().filter(|f| !f.suppressed) {
-            println!("{f}");
-        }
+    for f in findings.iter().filter(|f| !f.suppressed) {
+        println!("{f}");
     }
 
     let json = to_json(&findings, files);
-    let json_path = json_path.unwrap_or_else(|| root.join("results").join("ANALYZE.json"));
+    let json_path = root.join("results").join("ANALYZE.json");
     if let Some(dir) = json_path.parent() {
         if let Err(e) = fs::create_dir_all(dir) {
             eprintln!("rfkit-analyze: cannot create {}: {e}", dir.display());

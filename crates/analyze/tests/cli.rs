@@ -67,7 +67,7 @@ fn any_unsuppressed_finding_fails_the_run() {
          }\n",
     )
     .expect("rewrite fixture");
-    let out = run(&root, &["--quiet"]);
+    let out = run(&root, &[]);
     let text = stdout(&out);
     assert_eq!(out.status.code(), Some(0), "{text}");
     assert!(

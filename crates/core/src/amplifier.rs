@@ -26,10 +26,10 @@ use rfkit_device::smallsignal::{NoiseTemperatures, SmallSignalDevice};
 use rfkit_device::{OperatingPoint, Phemt};
 use rfkit_net::gains::transducer_gain;
 use rfkit_net::stability::{mu_load, mu_source, rollett_k};
-use rfkit_net::{NoisyAbcd, SParams};
+use rfkit_net::{Abcd, NoisyAbcd, SParams};
 use rfkit_num::units::{db_from_amplitude_ratio, nf_db_from_factor, T0_KELVIN};
 use rfkit_num::Complex;
-use rfkit_passive::{Capacitor, Component, Inductor, Orientation};
+use rfkit_passive::{Capacitor, Component, Inductor};
 
 /// The six continuous design variables of the amplifier.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -122,6 +122,26 @@ pub struct PointMetrics {
     pub k: f64,
     /// Geometric stability factor (load plane).
     pub mu: f64,
+}
+
+/// Stability factors of the amplifier at one frequency: all a stability
+/// check reads of a grid point.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct StabilityFactors {
+    /// Rollett stability factor.
+    pub(crate) k: f64,
+    /// Geometric stability factor, the smaller of the load- and
+    /// source-plane μ.
+    pub(crate) mu: f64,
+}
+
+impl StabilityFactors {
+    fn of(s: &SParams) -> Self {
+        StabilityFactors {
+            k: rollett_k(s),
+            mu: mu_load(s).min(mu_source(s)),
+        }
+    }
 }
 
 impl<'a> Amplifier<'a> {
@@ -239,27 +259,66 @@ pub struct BiasedAmplifier {
     c2: Capacitor,
 }
 
+/// The per-frequency elements of the amplifier around the device,
+/// computed once and shared by the noisy and the chain-only cascades.
+struct Sections {
+    /// Input DC block impedance (series).
+    c_block: Complex,
+    /// Input inductor impedance (series).
+    l1: Complex,
+    /// Bias-feed admittance (shunt): R_bias in series with the choke,
+    /// shunting the drain to AC ground (the supply rail is bypassed).
+    feed: Complex,
+    /// Output capacitor impedance (series).
+    c2: Complex,
+}
+
 impl BiasedAmplifier {
+    fn sections(&self, freq_hz: f64) -> Sections {
+        let z_feed = Complex::real(self.r_bias) + self.l2.impedance(freq_hz);
+        Sections {
+            c_block: self.c_block.impedance(freq_hz),
+            l1: self.l1.impedance(freq_hz),
+            feed: z_feed.recip(),
+            c2: self.c2.impedance(freq_hz),
+        }
+    }
+
     /// The complete noisy two-port at `freq_hz` (input network × device
     /// with degeneration × output network).
     pub fn noisy_two_port(&self, freq_hz: f64) -> NoisyAbcd {
         let core = self.device.noisy_two_port(freq_hz, &self.temps);
-
+        let p = self.sections(freq_hz);
         let t = self.t_passive;
-        let c_blk = self.c_block.two_port(freq_hz, Orientation::Series, t);
-        let l1 = self.l1.two_port(freq_hz, Orientation::Series, t);
-        // Bias feed: R_bias in series with the choke, shunting the drain
-        // to AC ground (the supply rail is bypassed).
-        let z_feed = Complex::real(self.r_bias) + self.l2.impedance(freq_hz);
-        let l2 = NoisyAbcd::passive_shunt(z_feed.recip(), t);
-        let c2 = self.c2.two_port(freq_hz, Orientation::Series, t);
+        NoisyAbcd::passive_series(p.c_block, t)
+            .cascade(&NoisyAbcd::passive_series(p.l1, t))
+            .cascade(&core)
+            .cascade(&NoisyAbcd::passive_shunt(p.feed, t))
+            .cascade(&NoisyAbcd::passive_series(p.c2, t))
+    }
 
-        c_blk.cascade(&l1).cascade(&core).cascade(&l2).cascade(&c2)
+    /// The noiseless chain matrix at `freq_hz`: the chain matrix of
+    /// [`BiasedAmplifier::noisy_two_port`], bit for bit, without the
+    /// correlation matrices.
+    pub(crate) fn abcd(&self, freq_hz: f64) -> Abcd {
+        let p = self.sections(freq_hz);
+        Abcd::series_impedance(p.c_block)
+            .cascade(&Abcd::series_impedance(p.l1))
+            .cascade(&self.device.abcd(freq_hz))
+            .cascade(&Abcd::shunt_admittance(p.feed))
+            .cascade(&Abcd::series_impedance(p.c2))
     }
 
     /// S-parameters at `freq_hz`, 50 Ω reference.
     pub fn s_params(&self, freq_hz: f64) -> Option<SParams> {
-        self.noisy_two_port(freq_hz).abcd.to_s(50.0).ok()
+        self.abcd(freq_hz).to_s(50.0).ok()
+    }
+
+    /// Stability factors at `freq_hz`, from the chain-only cascade: the
+    /// `k` and `mu` of [`BiasedAmplifier::metrics`], bit for bit, without
+    /// its noise analysis.
+    pub(crate) fn stability(&self, freq_hz: f64) -> Option<StabilityFactors> {
+        Some(StabilityFactors::of(&self.s_params(freq_hz)?))
     }
 
     /// All point metrics at `freq_hz`.
@@ -267,6 +326,7 @@ impl BiasedAmplifier {
         let noisy = self.noisy_two_port(freq_hz);
         let s = noisy.abcd.to_s(50.0).ok()?;
         let np = noisy.noise_params(50.0).ok()?;
+        let StabilityFactors { k, mu } = StabilityFactors::of(&s);
         Some(PointMetrics {
             freq_hz,
             gain_db: 10.0
@@ -276,8 +336,8 @@ impl BiasedAmplifier {
             nf_db: nf_db_from_factor(np.noise_factor(Complex::ZERO)),
             s11_db: db_from_amplitude_ratio(s.s11().abs()),
             s22_db: db_from_amplitude_ratio(s.s22().abs()),
-            k: rollett_k(&s),
-            mu: mu_load(&s).min(mu_source(&s)),
+            k,
+            mu,
         })
     }
 }

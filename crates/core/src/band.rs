@@ -6,9 +6,9 @@
 //! 1.1–1.7 GHz, and the paper optimizes the worst case over that whole
 //! band rather than a single spot frequency.
 
-use crate::amplifier::{Amplifier, PointMetrics};
+use crate::amplifier::{Amplifier, PointMetrics, StabilityFactors};
 use rfkit_num::linspace;
-use rfkit_par::par_map;
+use rfkit_par::par_map_indexed;
 use rfkit_robust::{faults, DegradePolicy, PointDiagnostic};
 use std::sync::OnceLock;
 
@@ -122,6 +122,13 @@ impl BandSpec {
     }
 }
 
+/// One evaluated grid point as the band reduction reads it: every metric
+/// in band, only the stability factors on the stability grid.
+enum GridPoint {
+    InBand(PointMetrics),
+    Stability(StabilityFactors),
+}
+
 /// Worst-case metrics of an amplifier over a band (plus out-of-band
 /// stability).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -217,7 +224,9 @@ impl BandMetrics {
     /// isolation.
     ///
     /// The per-frequency evaluations (in-band grid plus out-of-band
-    /// stability grid) go through `rfkit-par`: each point is a pure
+    /// stability grid) go through `rfkit-par`. A stability-grid point
+    /// builds only the chain matrix, since no noise figure is read there.
+    /// Each point is a pure
     /// function of frequency, so the worst-case reduction — done serially
     /// in grid order afterwards — is thread-count independent. When this
     /// is itself called from a parallel region (e.g. optimizer population
@@ -250,11 +259,16 @@ impl BandMetrics {
         // Fault hook, keyed by the frequency's bit pattern — data-derived,
         // so an armed plan fires at the same grid points regardless of how
         // rfkit-par chunks the sweep across threads.
-        let points: Vec<Option<PointMetrics>> = par_map(freqs, |&f| {
+        let points: Vec<Option<GridPoint>> = par_map_indexed(freqs, |i, &f| {
             if faults::inject("band.point", f.to_bits()).is_some() {
                 return None;
             }
-            biased.as_ref()?.metrics(f)
+            let biased = biased.as_ref()?;
+            if i < n_in_band {
+                biased.metrics(f).map(GridPoint::InBand)
+            } else {
+                biased.stability(f).map(GridPoint::Stability)
+            }
         });
 
         let mut diagnostics = Vec::new();
@@ -263,8 +277,8 @@ impl BandMetrics {
         let mut worst_s11 = f64::NEG_INFINITY;
         let mut worst_s22 = f64::NEG_INFINITY;
         let mut in_band_live = 0usize;
-        for (i, m) in points[..n_in_band].iter().enumerate() {
-            let Some(m) = m.as_ref() else {
+        for (i, p) in points[..n_in_band].iter().enumerate() {
+            let Some(GridPoint::InBand(m)) = p else {
                 diagnostics.push(PointDiagnostic {
                     index: i,
                     at: freqs[i],
@@ -281,8 +295,8 @@ impl BandMetrics {
         let mut min_mu = f64::INFINITY;
         let mut min_k = f64::INFINITY;
         let mut stability_live = 0usize;
-        for (i, m) in points[n_in_band..].iter().enumerate() {
-            let Some(m) = m.as_ref() else {
+        for (i, p) in points[n_in_band..].iter().enumerate() {
+            let Some(GridPoint::Stability(s)) = p else {
                 diagnostics.push(PointDiagnostic {
                     index: n_in_band + i,
                     at: freqs[n_in_band + i],
@@ -291,8 +305,8 @@ impl BandMetrics {
                 continue;
             };
             stability_live += 1;
-            min_mu = min_mu.min(m.mu);
-            min_k = min_k.min(m.k);
+            min_mu = min_mu.min(s.mu);
+            min_k = min_k.min(s.k);
         }
 
         if !diagnostics.is_empty() {

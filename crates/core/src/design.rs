@@ -112,8 +112,8 @@ pub fn spot_objectives<'a>(device: &'a Phemt, f0_hz: f64) -> impl Fn(&[f64]) -> 
         };
         let mut min_mu = f64::INFINITY;
         for &f in BandSpec::stability_grid() {
-            match biased.metrics(f) {
-                Some(m) => min_mu = min_mu.min(m.mu),
+            match biased.stability(f) {
+                Some(s) => min_mu = min_mu.min(s.mu),
                 None => return vec![INFEASIBLE; 3],
             }
         }

@@ -148,6 +148,27 @@ pub struct SmallSignalDevice {
     pub extrinsic: Extrinsic,
 }
 
+/// The per-frequency elements of the embedding, computed once and shared
+/// by the noisy and the chain-only cascades.
+struct Embedding {
+    /// Intrinsic Z-parameters.
+    z: ZParams,
+    /// Intrinsic Z plus the common source lead (`Z + Zs·ones`).
+    z_core: ZParams,
+    /// Gate series impedance `Rg + jωLg`.
+    gate: Complex,
+    /// Drain series impedance `Rd + jωLd`.
+    drain: Complex,
+    /// Gate pad admittance `jωCpg`.
+    pad_g: Complex,
+    /// Drain pad admittance `jωCpd`.
+    pad_d: Complex,
+}
+
+/// The all-ones 2×2 matrix: a common-lead impedance or noise source
+/// appears in both loops of the Z form.
+const ONES: M2 = M2::new(Complex::ONE, Complex::ONE, Complex::ONE, Complex::ONE);
+
 impl SmallSignalDevice {
     /// Noiseless two-port (S-parameters at `z0`) at `freq_hz`.
     ///
@@ -156,10 +177,32 @@ impl SmallSignalDevice {
     /// Panics if the embedding hits a singular conversion, which does not
     /// occur for physical element values.
     pub fn s_params(&self, freq_hz: f64, z0: f64) -> SParams {
-        self.noisy_two_port(freq_hz, &NoiseTemperatures::default())
-            .abcd
+        self.abcd(freq_hz)
             .to_s(z0)
             .expect("physical device has an S form")
+    }
+
+    fn embedding(&self, freq_hz: f64) -> Embedding {
+        let w = angular(freq_hz);
+        let jw = Complex::imag(w);
+        let e = &self.extrinsic;
+        let z = self
+            .intrinsic
+            .y_params(freq_hz)
+            .to_z()
+            .expect("intrinsic Y invertible");
+        let zs = Complex::new(e.rs, w * e.ls);
+        let z_core = ZParams {
+            m: z.m.add(&ONES.scale(zs)),
+        };
+        Embedding {
+            z,
+            z_core,
+            gate: Complex::new(e.rg, w * e.lg),
+            drain: Complex::new(e.rd, w * e.ld),
+            pad_g: jw * Complex::real(e.cpg),
+            pad_d: jw * Complex::real(e.cpd),
+        }
     }
 
     /// Noisy two-port (chain matrix + chain correlation matrix) at
@@ -168,44 +211,35 @@ impl SmallSignalDevice {
     /// Embedding order (input → output):
     /// `Cpg ∥ — Rg+Lg — [intrinsic ⊕ (Rs+Ls) common lead] — Rd+Ld — ∥ Cpd`.
     pub fn noisy_two_port(&self, freq_hz: f64, temps: &NoiseTemperatures) -> NoisyAbcd {
-        let w = angular(freq_hz);
-        let jw = Complex::imag(w);
-        let i = &self.intrinsic;
-        let e = &self.extrinsic;
-
-        // Intrinsic Y + CY → Z + CZ, then add the common source lead
-        // (appears in both loops: Z += Zs·ones, CZ += 4kT·Rs·ones).
-        let y = i.y_params(freq_hz);
-        let cy = i.noise_cy(freq_hz, temps.tg, temps.td);
-        let z = y.to_z().expect("intrinsic Y invertible");
-        let cz = rfkit_net::correlation::cy_to_cz(&cy, &z);
-        let zs = Complex::new(e.rs, w * e.ls);
-        let ones = M2::new(Complex::ONE, Complex::ONE, Complex::ONE, Complex::ONE);
-        let z_total = ZParams {
-            m: z.m.add(&ones.scale(zs)),
-        };
-        let sn = 4.0 * K_BOLTZMANN * temps.ambient * e.rs;
-        let cz_total = cz.add(&ones.scale(Complex::real(sn)));
+        let emb = self.embedding(freq_hz);
+        // Intrinsic CY → CZ, then add the common source lead's noise
+        // (it appears in both loops: CZ += 4kT·Rs·ones).
+        let cy = self.intrinsic.noise_cy(freq_hz, temps.tg, temps.td);
+        let cz = rfkit_net::correlation::cy_to_cz(&cy, &emb.z);
+        let sn = 4.0 * K_BOLTZMANN * temps.ambient * self.extrinsic.rs;
+        let cz_total = cz.add(&ONES.scale(Complex::real(sn)));
         let core =
-            NoisyAbcd::from_z_correlation(&z_total, &cz_total).expect("intrinsic Z21 nonzero");
+            NoisyAbcd::from_z_correlation(&emb.z_core, &cz_total).expect("intrinsic Z21 nonzero");
 
-        // Gate and drain series elements, pad shunts.
-        let gate = NoisyAbcd::passive_series(Complex::new(e.rg, w * e.lg), temps.ambient);
-        let drain = NoisyAbcd::passive_series(Complex::new(e.rd, w * e.ld), temps.ambient);
-        let pad_g = NoisyAbcd::passive_shunt(jw * Complex::real(e.cpg), temps.ambient);
-        let pad_d = NoisyAbcd::passive_shunt(jw * Complex::real(e.cpd), temps.ambient);
-
-        pad_g
-            .cascade(&gate)
+        let t = temps.ambient;
+        NoisyAbcd::passive_shunt(emb.pad_g, t)
+            .cascade(&NoisyAbcd::passive_series(emb.gate, t))
             .cascade(&core)
-            .cascade(&drain)
-            .cascade(&pad_d)
+            .cascade(&NoisyAbcd::passive_series(emb.drain, t))
+            .cascade(&NoisyAbcd::passive_shunt(emb.pad_d, t))
     }
 
-    /// Noiseless chain matrix at `freq_hz`.
+    /// Noiseless chain matrix at `freq_hz`: the chain matrix of
+    /// [`SmallSignalDevice::noisy_two_port`], bit for bit, without the
+    /// correlation matrices.
     pub fn abcd(&self, freq_hz: f64) -> Abcd {
-        self.noisy_two_port(freq_hz, &NoiseTemperatures::default())
-            .abcd
+        let emb = self.embedding(freq_hz);
+        let core = emb.z_core.to_abcd().expect("intrinsic Z21 nonzero");
+        Abcd::shunt_admittance(emb.pad_g)
+            .cascade(&Abcd::series_impedance(emb.gate))
+            .cascade(&core)
+            .cascade(&Abcd::series_impedance(emb.drain))
+            .cascade(&Abcd::shunt_admittance(emb.pad_d))
     }
 }
 

@@ -153,3 +153,39 @@ fn ft_positive_and_finite() {
         assert!(ft > 1e9 && ft < 200e9, "fT = {ft}");
     }
 }
+
+#[test]
+fn chain_only_abcd_equals_noisy_cascade_chain_bit_for_bit() {
+    // `SmallSignalDevice::abcd` skips the correlation matrices; its chain
+    // matrix must be exactly the one the noisy cascade carries, at any
+    // bias, degeneration and noise temperature, on the GNSS band grid
+    // (1.1–1.7 GHz, 7 points) and the 0.2–6 GHz stability grid.
+    let gnss = rfkit_num::linspace(1.1e9, 1.7e9, 7);
+    let stability = [0.2e9, 0.5e9, 1.0e9, 1.4e9, 1.8e9, 2.5e9, 4.0e9, 6.0e9];
+    let d = Phemt::atf54143_like();
+    let mut rng = Rng64::new(0xde1c_000a);
+    let bits = |a: &rfkit_net::Abcd| {
+        [a.a(), a.b(), a.c(), a.d()].map(|c| [c.re.to_bits(), c.im.to_bits()])
+    };
+    for _ in 0..32 {
+        let vds = rng.uniform(1.5, 4.0);
+        let Some(vgs) = d.bias_for_current(vds, rng.uniform(10.0, 80.0) * 1e-3) else {
+            continue;
+        };
+        let op = d.operating_point(vgs, vds);
+        let mut ss = d.small_signal(&op);
+        ss.extrinsic.ls += rng.uniform(0.0, 1.2e-9);
+        let temps = NoiseTemperatures {
+            tg: rng.uniform(250.0, 400.0),
+            td: rng.uniform(500.0, 3000.0),
+            ambient: rng.uniform(230.0, 360.0),
+        };
+        for &f in gnss.iter().chain(&stability) {
+            assert_eq!(
+                bits(&ss.abcd(f)),
+                bits(&ss.noisy_two_port(f, &temps).abcd),
+                "chain matrices differ at {f} Hz"
+            );
+        }
+    }
+}

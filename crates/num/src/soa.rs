@@ -23,9 +23,6 @@ use crate::complex::Complex;
 /// buf.push(Complex::I);
 /// assert_eq!(buf.len(), 2);
 /// assert_eq!(buf.get(0), Complex::new(1.0, -2.0));
-/// let (re, im) = buf.as_slices();
-/// assert_eq!(re, &[1.0, 0.0]);
-/// assert_eq!(im, &[-2.0, 1.0]);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SoaComplex {
@@ -104,11 +101,6 @@ impl SoaComplex {
         self.im.resize(n, 0.0);
     }
 
-    /// Borrows the parallel `(re, im)` streams.
-    pub fn as_slices(&self) -> (&[f64], &[f64]) {
-        (&self.re, &self.im)
-    }
-
     /// Copies the buffer out as interleaved complex values.
     pub fn to_vec(&self) -> Vec<Complex> {
         self.re
@@ -175,8 +167,7 @@ mod tests {
         let buf: SoaComplex = [Complex::new(1.0, 2.0), Complex::new(3.0, 4.0)]
             .into_iter()
             .collect();
-        let (re, im) = buf.as_slices();
-        assert_eq!(re, &[1.0, 3.0]);
-        assert_eq!(im, &[2.0, 4.0]);
+        assert_eq!(buf.re, [1.0, 3.0]);
+        assert_eq!(buf.im, [2.0, 4.0]);
     }
 }

@@ -217,7 +217,10 @@ pub fn standard_goal_attainment(
 ///
 /// The independent restarts run in parallel through `rfkit-par` (each is
 /// seeded from `config.seed + k`, so the result is identical at any thread
-/// count); the winner is picked in restart order.
+/// count); the winner is picked in restart order. Within a restart, each
+/// DE generation and each pattern-search poll is an `rfkit-par` batch of
+/// its own, which runs serially when the restart is itself a parallel
+/// item (`multistart > 1`).
 pub fn improved_goal_attainment(problem: &GoalProblem<'_>, config: &GoalConfig) -> GoalResult {
     let _span = rfkit_obs::span("opt.improved_goal");
     let evals = AtomicUsize::new(0);

@@ -7,8 +7,9 @@
 //! state and the test harness runs separate tests concurrently.
 
 use rfkit_opt::{
-    differential_evolution, differential_evolution_screened, nsga2, nsga2_screened, particle_swarm,
-    particle_swarm_screened, Bounds, DeConfig, Nsga2Config, PsoConfig,
+    differential_evolution, differential_evolution_screened, improved_goal_attainment, nsga2,
+    nsga2_screened, particle_swarm, particle_swarm_screened, pattern_search, Bounds, DeConfig,
+    GoalConfig, GoalProblem, Nsga2Config, PatternConfig, PsoConfig,
 };
 use rfkit_surrogate::{SurrogateConfig, SurrogateScreen};
 use std::f64::consts::PI;
@@ -112,6 +113,33 @@ fn fixed_seed_output_identical_at_1_and_4_threads() {
             },
         );
         let dc = dc_operating_point();
+        // Pattern search scores each poll as one parallel batch and folds
+        // the scores in direction order.
+        let ps = pattern_search(
+            rastrigin,
+            &[4.1, -3.3, 2.7],
+            &b,
+            &PatternConfig {
+                max_evals: 2000,
+                ..Default::default()
+            },
+        );
+        // One restart, so the run is not itself a parallel item and its DE
+        // generations and polish polls dispatch.
+        let goal = improved_goal_attainment(
+            &GoalProblem::new(
+                &zdt1,
+                vec![0.2, 0.4],
+                vec![1.0, 1.0],
+                Bounds::uniform(3, 0.0, 1.0),
+            ),
+            &GoalConfig {
+                max_evals: 3000,
+                multistart: 1,
+                seed: 0xd8,
+                ..Default::default()
+            },
+        );
         // Surrogate-screened runs: every screening decision (LCB
         // comparisons, ε-greedy draws, refit cadence) happens in the
         // serial loop, so the bit-identity contract must survive with a
@@ -150,13 +178,13 @@ fn fixed_seed_output_identical_at_1_and_4_threads() {
             &mut moo_scr,
         );
         let screen_stats = (de_scr.stats(), pso_scr.stats(), moo_scr.stats());
-        (de, pso, moo, dc, de_s, pso_s, moo_s, screen_stats)
+        (de, pso, moo, dc, ps, goal, de_s, pso_s, moo_s, screen_stats)
     };
 
     std::env::set_var("RFKIT_THREADS", "1");
-    let (de_1, pso_1, moo_1, dc_1, des_1, psos_1, moos_1, stats_1) = run_all();
+    let (de_1, pso_1, moo_1, dc_1, ps_1, goal_1, des_1, psos_1, moos_1, stats_1) = run_all();
     std::env::set_var("RFKIT_THREADS", "4");
-    let (de_4, pso_4, moo_4, dc_4, des_4, psos_4, moos_4, stats_4) = run_all();
+    let (de_4, pso_4, moo_4, dc_4, ps_4, goal_4, des_4, psos_4, moos_4, stats_4) = run_all();
     std::env::remove_var("RFKIT_THREADS");
 
     // Bit-identical, not approximately equal.
@@ -179,6 +207,15 @@ fn fixed_seed_output_identical_at_1_and_4_threads() {
     assert_eq!(
         dc_1, dc_4,
         "DC operating point differs across thread counts"
+    );
+
+    assert_eq!(
+        ps_1, ps_4,
+        "pattern search result differs across thread counts"
+    );
+    assert_eq!(
+        goal_1, goal_4,
+        "improved goal attainment differs across thread counts"
     );
 
     // Surrogate-armed runs: same contract, screening enabled.

@@ -4,7 +4,7 @@
 //!
 //! The crate provides an ordered parallel map over slices and index ranges,
 //! built entirely on `std`: a lazily-started persistent worker pool,
-//! chunked work distribution through a single atomic index, and panic
+//! guided work distribution through a single atomic index, and panic
 //! propagation back to the caller. It exists because every hot loop in the
 //! reproduction — optimizer population evaluation, Monte-Carlo yield runs,
 //! band-objective frequency sweeps, extraction residuals — is
@@ -19,6 +19,14 @@
 //! so a fixed seed yields bit-identical output at any thread count. The
 //! optimizers in `rfkit-opt` are structured this way and covered by a
 //! `RFKIT_THREADS=1` vs `RFKIT_THREADS=4` determinism test.
+//!
+//! ## Scheduling
+//!
+//! Participants claim contiguous index ranges from one shared atomic
+//! index. Each claim is guided: it takes `max(1, remaining / (2·threads))`
+//! items by compare-and-swap, so early claims are large (little contention
+//! on the index) and the last ones are single items (no participant is
+//! left holding a long tail while the others idle).
 //!
 //! ## Thread count
 //!
@@ -91,10 +99,6 @@ pub struct ParConfig {
     pub threads: usize,
     /// Batches of at most this many items run serially on the caller.
     pub serial_threshold: usize,
-    /// Items claimed per atomic fetch. `0` means auto:
-    /// `max(1, n / (threads * 4))`, which balances steal granularity
-    /// against contention on the shared index.
-    pub chunk: usize,
 }
 
 impl Default for ParConfig {
@@ -102,7 +106,6 @@ impl Default for ParConfig {
         ParConfig {
             threads: 0,
             serial_threshold: 16,
-            chunk: 0,
         }
     }
 }
@@ -122,7 +125,6 @@ impl ParConfig {
         ParConfig {
             threads: threads.max(1),
             serial_threshold: 0,
-            chunk: 0,
         }
     }
 }
@@ -223,16 +225,10 @@ where
         return run_serial(n, f);
     }
 
-    let chunk = if cfg.chunk == 0 {
-        (n / (threads * 4)).max(1)
-    } else {
-        cfg.chunk
-    };
-
-    // No point dispatching more helpers than there are chunks beyond the
-    // caller's own share.
-    let total_chunks = n.div_ceil(chunk);
-    let wanted_helpers = (threads - 1).min(total_chunks.saturating_sub(1));
+    // A batch of n items takes at least min(n, 2) guided claims and at
+    // most n; no point dispatching more helpers than there are items
+    // beyond the caller's first.
+    let wanted_helpers = (threads - 1).min(n - 1);
     let helpers = Pool::global().ensure_workers(wanted_helpers);
     if helpers == 0 {
         return run_serial(n, f);
@@ -266,21 +262,21 @@ where
             if abort.load(Ordering::Relaxed) {
                 break;
             }
-            let start = next.fetch_add(chunk, Ordering::Relaxed);
-            if start >= n {
+            let Some((start, end)) = claim(&next, n, threads) else {
                 break;
-            }
+            };
             if armed && first_claim {
                 first_claim = false;
                 OBS_QUEUE_WAIT_US.record(rfkit_obs::now_us().saturating_sub(submit_us));
             }
             #[allow(clippy::needless_range_loop)] // i is the work-item id, not just an index
-            for i in start..(start + chunk).min(n) {
+            for i in start..end {
                 my_items += 1;
                 let value = f(i);
-                // SAFETY: the chunked atomic index hands each i to exactly
-                // one participant, so this is the only write to slot i, and
-                // the caller does not read slots until the latch drains.
+                // SAFETY: claimed ranges never overlap, so each i goes to
+                // exactly one participant and this is the only write to
+                // slot i; the caller does not read slots until the latch
+                // drains.
                 unsafe { (*results[i].0.get()).write(value) };
             }
         }));
@@ -322,6 +318,26 @@ where
     // so all n slots are initialized. `Slot<R>` is `repr(transparent)`
     // over `UnsafeCell<MaybeUninit<R>>`, which has the layout of `R`.
     unsafe { Vec::from_raw_parts(raw.as_mut_ptr() as *mut R, raw.len(), raw.capacity()) }
+}
+
+/// Claims the next guided range `start..end` of `0..n` from `next`:
+/// `max(1, remaining / (2·threads))` items, or `None` once every index is
+/// taken. The compare-and-swap retries when another participant claimed
+/// first, so claimed ranges never overlap. `Relaxed` suffices: the index
+/// publishes no data, and the results reach the caller through the
+/// latch's mutex.
+fn claim(next: &AtomicUsize, n: usize, threads: usize) -> Option<(usize, usize)> {
+    let mut start = next.load(Ordering::Relaxed);
+    loop {
+        if start >= n {
+            return None;
+        }
+        let end = start + ((n - start) / (2 * threads)).max(1);
+        match next.compare_exchange_weak(start, end, Ordering::Relaxed, Ordering::Relaxed) {
+            Ok(_) => return Some((start, end)),
+            Err(current) => start = current,
+        }
+    }
 }
 
 /// The serial fallback of [`par_collect`]: `f` over `0..n` on the caller.
@@ -571,7 +587,6 @@ mod tests {
         let cfg = ParConfig {
             threads: 4,
             serial_threshold: 100,
-            chunk: 0,
         };
         let out = par_collect(50, &cfg, |i| {
             assert_eq!(thread::current().id(), caller);
@@ -628,15 +643,32 @@ mod tests {
     }
 
     #[test]
-    fn explicit_chunk_sizes_are_honored() {
-        for chunk in [1usize, 2, 7, 64, 10_000] {
-            let cfg = ParConfig {
-                threads: 4,
-                serial_threshold: 0,
-                chunk,
-            };
-            let out = par_collect(333, &cfg, |i| i * 2);
-            assert_eq!(out, (0..333).map(|i| i * 2).collect::<Vec<_>>());
+    fn guided_claims_tile_the_range_shrinking_to_single_items() {
+        // Claimed back to back, the ranges cover 0..n without a gap or an
+        // overlap, never grow, and end in single items.
+        for (n, threads) in [(1usize, 2usize), (16, 2), (70, 2), (333, 4), (4097, 64)] {
+            let next = AtomicUsize::new(0);
+            let mut covered = 0;
+            let mut last_len = usize::MAX;
+            while let Some((start, end)) = claim(&next, n, threads) {
+                assert_eq!(start, covered, "n = {n}: gap or overlap");
+                let len = end - start;
+                assert!(len >= 1 && len <= last_len, "n = {n}: claim grew");
+                assert!(len <= (n / (2 * threads)).max(1));
+                last_len = len;
+                covered = end;
+            }
+            assert_eq!(covered, n);
+            assert_eq!(last_len, 1, "n = {n}: tail claim is a single item");
+        }
+        // Pinned thread counts at every size from empty to past the
+        // single-item regime.
+        for threads in [2usize, 3, 4] {
+            for n in 0..=40 {
+                let cfg = ParConfig::exact(threads);
+                let out = par_collect(n, &cfg, |i| i * 2);
+                assert_eq!(out, (0..n).map(|i| i * 2).collect::<Vec<_>>());
+            }
         }
     }
 
