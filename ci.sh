@@ -84,7 +84,7 @@ echo "== committed experiment outputs (byte-diff against results/)"
 # (fig1_extraction_convergence stays out: its DE-only trace numbers calls
 # in completion order, so it is not stable at 2 threads.)
 diffed_outputs=(table3_final_design table5_tsplitter table6_yield fig8_ga_ablation
-  fig9_dispersion fig12_harmonic_balance fig14_snap_repair)
+  fig9_dispersion fig12_harmonic_balance fig13_metaheuristics fig14_snap_repair)
 outputs_tmp="$(mktemp -d)"
 for bin in "${diffed_outputs[@]}"; do
   for threads in 1 2; do
@@ -142,21 +142,24 @@ cargo run --release -q -p rfkit-obs --bin rfkit-trace -- --json \
 echo "== traced design run and profile diff gate (vs committed baseline)"
 # Runs the design example with tracing armed, checks the profile carries
 # the top-level design spans (the tracing pipeline itself is under test
-# here, not the numerics), and diffs per-path self time against the
-# committed baseline. Tolerances are CI-grade: 4x relative
-# with a 20ms self-time floor, because shared single-core runners
-# jitter — the gate exists to catch order-of-magnitude structural
-# regressions (a cache that stopped hitting, a fast path that fell off),
-# not 10% drift. The run is pinned to one thread so its call paths (no
-# `par.task` nodes) do not depend on the runner's core count. Refresh
-# after an intentional perf change with `./ci.sh --write-baseline` and
-# commit the result.
+# here, not the numerics) and the memo-cache counters (the run records
+# 102 hits, 8,241 misses and 4,145 evictions at one thread), and diffs
+# per-path self time against the committed baseline. Tolerances are
+# CI-grade: 4x relative with a 20ms self-time floor, because shared
+# single-core runners jitter — the gate exists to catch
+# order-of-magnitude structural regressions (a cache that stopped
+# hitting, a fast path that fell off), not 10% drift. The run is
+# pinned to one thread so its call paths (no `par.task` nodes) do not
+# depend on the runner's core count. Refresh after an intentional perf
+# change with `./ci.sh --write-baseline` and commit the result.
 rm -f results/PROFILE_ci.json
 RFKIT_THREADS=1 RFKIT_TRACE=1 RFKIT_TRACE_OUT=results/PROFILE_ci.json \
   cargo run --release -q --example design_gnss_lna >/dev/null || fail=1
 cargo run --release -q -p rfkit-obs --bin rfkit-trace -- --json \
   --expect design.total --expect design.optimize --expect opt.improved_goal \
   --expect band.evaluate \
+  --expect design.cache.hit --expect design.cache.miss \
+  --expect-min design.cache.evict:1 \
   results/PROFILE_ci.json >/dev/null || fail=1
 if [ "$write_baseline" -eq 1 ]; then
   cp results/PROFILE_ci.json results/PROFILE_BASELINE.json || fail=1
@@ -165,40 +168,6 @@ fi
 cargo run --release -q -p rfkit-obs --bin rfkit-trace -- diff \
   --rel-tol 4.0 --min-self-us 20000 \
   results/PROFILE_BASELINE.json results/PROFILE_ci.json || fail=1
-
-echo "== bench_ac perf smoke (tiny grid, traced)"
-# Runs the AC benchmark on a tiny grid with tracing armed. This proves
-# cheaply that: the batch path stays inside SWEEP_TOL of the legacy
-# oracle (bench_ac asserts it per grid point before timing, along with
-# one workspace warm-up per sweep); the shared plan cache saw hits; the
-# pivot-reuse engine refactored far fewer times than it solved grid
-# points (3 workloads x 16-point sweeps vs a bound of 8); the
-# memo-cache counters fire, including evictions from the deliberately
-# undersized cache; and the benchmark JSON is written.
-# Timings on the tiny grid are irrelevant; the full sweep is `bench_ac`
-# with default arguments. The overhead measurement re-arms tracing, so
-# the run's own profile holds the call tree of the run after it only;
-# every name asserted here is a counter or histogram, and those are
-# process-cumulative.
-rm -f results/PROFILE_bench_ac_run.json results/BENCH_ac_smoke.json \
-  results/PROFILE_bench_ac_smoke.json
-RFKIT_TRACE=1 RFKIT_TRACE_OUT=results/PROFILE_bench_ac_run.json \
-  cargo run --release -q -p lna-bench --bin bench_ac -- \
-  --points 16 --reps 2 --out results/BENCH_ac_smoke.json \
-  --profile-out results/PROFILE_bench_ac_smoke.json \
-  >/dev/null || fail=1
-# --expect-min floors assert the workloads actually ran at full size:
-# each of the 3 workloads sweeps its 16-point grid at least four times
-# (the equivalence check, a warm-up and 2+ timed repetitions), so a
-# healthy run solves 192+ points against the 64-point floor; and the
-# shared-plan cache must hit at least once per reused workload.
-cargo run --release -q -p rfkit-obs --bin rfkit-trace -- --json \
-  --expect design.cache.hit --expect design.cache.miss \
-  --expect-min circuit.ac.sweep.points:64 \
-  --expect-min plan.cache.hit:1 \
-  --expect-min design.cache.evict:1 \
-  --expect-max circuit.ac.sweep.refactors:8 \
-  results/PROFILE_bench_ac_run.json >/dev/null || fail=1
 
 echo "== surrogate screening smoke (traced example + bench_surrogate)"
 # Runs the surrogate-screened study example with tracing armed and
@@ -250,6 +219,9 @@ echo "== serve smoke (traced bench_serve, mixed concurrent load)"
 # request accepted was counted, the queue-depth and latency histograms
 # fired, and nothing was rejected or malformed. 8 clients x 12 requests
 # = 96 timed requests; the floor ignores the warmup pass on purpose.
+# The verify requests exercise the AC sweep engine on real traffic: the
+# shared plan cache must hit, the seeded mix sweeps 63 grid points, and
+# the pivot-reuse engine may refactor at most 8 times (it records 0).
 rm -f results/PROFILE_serve.json results/BENCH_serve_smoke.json
 RFKIT_TRACE=1 RFKIT_TRACE_OUT=results/PROFILE_serve.json \
   cargo run --release -q -p lna-bench --bin bench_serve -- \
@@ -261,6 +233,9 @@ cargo run --release -q -p rfkit-obs --bin rfkit-trace -- --json \
   --expect-min serve.requests.accepted:96 \
   --expect-max serve.requests.rejected:0 \
   --expect-max serve.protocol.errors:0 \
+  --expect-min plan.cache.hit:1 \
+  --expect-min circuit.ac.sweep.points:63 \
+  --expect-max circuit.ac.sweep.refactors:8 \
   results/PROFILE_serve.json >/dev/null || fail=1
 grep -q '"throughput_rps"' results/BENCH_serve_smoke.json || fail=1
 

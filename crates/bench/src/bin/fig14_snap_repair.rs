@@ -12,8 +12,8 @@
 //! snap recovers it.
 
 use lna::{
-    band_objectives, design_lna, snap_to_catalog, Amplifier, BandMetrics, BandSpec, DesignConfig,
-    DesignGoals, DesignVariables,
+    design_lna, snap_to_catalog, Amplifier, BandMetrics, BandSpec, DesignConfig, DesignGoals,
+    DesignVariables,
 };
 use lna_bench::header;
 use rfkit_device::Phemt;
@@ -42,7 +42,6 @@ fn run_panel(device: &Phemt, stability_margin: f64) {
         stability_margin,
         ..Default::default()
     };
-    let objectives = band_objectives(device, &band);
 
     let feasible = |vars: DesignVariables| -> (bool, Option<BandMetrics>) {
         let amp = Amplifier::new(device, vars);
@@ -89,7 +88,6 @@ fn run_panel(device: &Phemt, stability_margin: f64) {
             if n_ok { "yes" } else { "NO" },
             if r_ok { "yes" } else { "NO" },
         );
-        let _ = objectives(&design.snapped.to_vec());
     }
     println!(
         "feasible designs: continuous {continuous_ok}/10, naive snap {naive_ok}/10, repaired snap {repaired_ok}/10"

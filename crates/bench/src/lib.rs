@@ -65,199 +65,6 @@ pub fn print_series(x_label: &str, y_labels: &[&str], xs: &[f64], ys: &[Vec<f64>
     }
 }
 
-pub mod timing {
-    //! Minimal wall-clock benchmarking and JSON reporting for the parallel
-    //! engine — hand-rolled because the offline build environment cannot
-    //! fetch criterion. Timings are best-of-`reps` to suppress scheduler
-    //! noise, and every record carries the machine's core count so the
-    //! perf trajectory across PRs compares like with like.
-
-    use std::time::Instant;
-
-    /// Per-repetition wall-time statistics on the same mergeable
-    /// [`QuantileSketch`](rfkit_num::QuantileSketch) the aggregate
-    /// profiler streams histogram samples into — one summary type for
-    /// bench reports and profiles, and sketches from separate runs (or
-    /// threads) merge deterministically for trend tracking.
-    #[derive(Debug, Clone, Default)]
-    pub struct RepStats {
-        sketch: rfkit_num::QuantileSketch,
-    }
-
-    impl RepStats {
-        /// Empty statistics.
-        pub fn new() -> Self {
-            Self::default()
-        }
-
-        /// Record one repetition's wall time in seconds.
-        pub fn record_s(&mut self, seconds: f64) {
-            self.sketch.record(seconds * 1e6);
-        }
-
-        /// Repetitions recorded.
-        pub fn count(&self) -> u64 {
-            self.sketch.count()
-        }
-
-        /// Median repetition time in microseconds.
-        pub fn p50_us(&self) -> f64 {
-            self.sketch.quantile(0.50)
-        }
-
-        /// 95th-percentile repetition time in microseconds.
-        pub fn p95_us(&self) -> f64 {
-            self.sketch.quantile(0.95)
-        }
-
-        /// Fold another run's repetitions into this summary.
-        pub fn merge(&mut self, other: &RepStats) {
-            self.sketch.merge(&other.sketch);
-        }
-    }
-
-    /// Best-of-`reps` wall-clock seconds for `f` (after one warmup
-    /// call), plus the per-repetition distribution. The minimum is the
-    /// headline (noise only adds time); the [`RepStats`] spread shows
-    /// how noisy the run was.
-    pub fn time_best_of_stats<F: FnMut()>(reps: usize, mut f: F) -> (f64, RepStats) {
-        assert!(reps > 0, "need at least one repetition");
-        f(); // warmup: populates caches and the thread pool
-        let mut best = f64::INFINITY;
-        let mut stats = RepStats::new();
-        for _ in 0..reps {
-            let t = Instant::now();
-            f();
-            let dt = t.elapsed().as_secs_f64();
-            stats.record_s(dt);
-            best = best.min(dt);
-        }
-        (best, stats)
-    }
-
-    /// Best-of-`reps` wall-clock seconds for `f` (after one warmup call).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `reps == 0`.
-    pub fn time_best_of<F: FnMut()>(reps: usize, mut f: F) -> f64 {
-        assert!(reps > 0, "need at least one repetition");
-        f(); // warmup: JIT-free in Rust, but populates caches and the pool
-        let mut best = f64::INFINITY;
-        for _ in 0..reps {
-            let t = Instant::now();
-            f();
-            best = best.min(t.elapsed().as_secs_f64());
-        }
-        best
-    }
-
-    /// Adaptive best-of timing: repeats `f` (after one warmup call) until
-    /// the best observed time stops improving by more than `tol`
-    /// (relative) over a window of `min_reps` consecutive repetitions, or
-    /// `max_reps` is reached. Returns `(best_s, reps_used, stable)`,
-    /// where `stable` is false only when the budget ran out before the
-    /// minimum settled — the caller should report that run as noisy
-    /// rather than silently trusting it.
-    ///
-    /// Min-of-reps is the right estimator for a deterministic workload:
-    /// every source of error (scheduler preemption, cache cold-start,
-    /// frequency ramp) only ever *adds* time, so the minimum converges to
-    /// the true cost from above and the stopping rule just needs the
-    /// minimum to stop moving.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `min_reps == 0`, `max_reps < min_reps`, or `tol` is not
-    /// positive.
-    pub fn time_until_stable<F: FnMut()>(
-        min_reps: usize,
-        max_reps: usize,
-        tol: f64,
-        mut f: F,
-    ) -> (f64, usize, bool) {
-        assert!(min_reps > 0, "need at least one repetition");
-        assert!(max_reps >= min_reps, "max_reps must cover min_reps");
-        assert!(tol > 0.0, "tolerance must be positive");
-        f(); // warmup: populates caches and the thread pool
-        let mut best = f64::INFINITY;
-        let mut since_improved = 0usize;
-        for rep in 1..=max_reps {
-            let t = Instant::now();
-            f();
-            let dt = t.elapsed().as_secs_f64();
-            if dt < best * (1.0 - tol) {
-                best = best.min(dt);
-                since_improved = 0;
-            } else {
-                best = best.min(dt);
-                since_improved += 1;
-            }
-            if rep >= min_reps && since_improved >= min_reps {
-                return (best, rep, true);
-            }
-        }
-        (best, max_reps, false)
-    }
-
-    /// One benchmark case: a workload timed serially and at several thread
-    /// counts.
-    #[derive(Debug, Clone, PartialEq)]
-    pub struct BenchRecord {
-        /// Workload name, e.g. `"de_population_eval"`.
-        pub name: String,
-        /// Serial (RFKIT_THREADS=1) wall-clock seconds.
-        pub serial_s: f64,
-        /// `(threads, wall-clock seconds)` pairs.
-        pub parallel_s: Vec<(usize, f64)>,
-    }
-
-    impl BenchRecord {
-        /// Speedup of the `threads` entry over serial (`None` if absent).
-        pub fn speedup(&self, threads: usize) -> Option<f64> {
-            self.parallel_s
-                .iter()
-                .find(|(t, _)| *t == threads)
-                .map(|(_, s)| self.serial_s / s)
-        }
-    }
-
-    /// Renders the records as the `results/BENCH_parallel.json` document.
-    /// Hand-rolled JSON (no serde offline): numbers via `{:e}` so the
-    /// round-trip is lossless enough for trend tracking. `cores` is the
-    /// machine's `available_parallelism` at bench time; it appears under
-    /// both keys so older trend-tracking scripts keep working.
-    pub fn to_json(records: &[BenchRecord], cores: usize) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"cores\": {cores},\n"));
-        out.push_str(&format!("  \"available_parallelism\": {cores},\n"));
-        out.push_str("  \"benches\": [\n");
-        for (i, r) in records.iter().enumerate() {
-            out.push_str("    {\n");
-            out.push_str(&format!("      \"name\": \"{}\",\n", r.name));
-            out.push_str(&format!("      \"serial_s\": {:e},\n", r.serial_s));
-            out.push_str("      \"parallel\": [");
-            for (j, (t, s)) in r.parallel_s.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&format!(
-                    "{{\"threads\": {t}, \"wall_s\": {s:e}, \"speedup\": {:.3}}}",
-                    r.serial_s / s
-                ));
-            }
-            out.push_str("]\n");
-            out.push_str(if i + 1 == records.len() {
-                "    }\n"
-            } else {
-                "    },\n"
-            });
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -274,39 +81,5 @@ mod tests {
     #[should_panic(expected = "ragged")]
     fn ragged_series_panics() {
         print_series("x", &["y"], &[1.0, 2.0], &[vec![1.0]]);
-    }
-
-    #[test]
-    fn time_until_stable_settles_on_constant_workload() {
-        // A near-constant workload should settle quickly and report
-        // stable=true well before the budget runs out.
-        let (best, reps, stable) = timing::time_until_stable(3, 200, 0.10, || {
-            std::hint::black_box((0..20_000).fold(0u64, |a, b| a.wrapping_add(b)));
-        });
-        assert!(stable, "constant workload should stabilize");
-        assert!(best > 0.0);
-        assert!((3..=200).contains(&reps));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one repetition")]
-    fn time_until_stable_rejects_zero_min_reps() {
-        timing::time_until_stable(0, 10, 0.1, || {});
-    }
-
-    #[test]
-    fn rep_stats_track_and_merge_like_the_profiler_sketch() {
-        let (best, stats) = timing::time_best_of_stats(5, || {
-            std::hint::black_box((0..10_000).fold(0u64, |a, b| a.wrapping_add(b)));
-        });
-        assert_eq!(stats.count(), 5);
-        assert!(best > 0.0);
-        // The minimum bounds the distribution from below.
-        assert!(stats.p50_us() >= best * 1e6 * 0.9);
-        assert!(stats.p95_us() >= stats.p50_us());
-        let mut merged = timing::RepStats::new();
-        merged.merge(&stats);
-        merged.merge(&stats);
-        assert_eq!(merged.count(), 10);
     }
 }

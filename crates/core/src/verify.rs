@@ -85,23 +85,31 @@ mod tests {
 
     #[test]
     fn cached_sweep_matches_legacy_and_shares_plan() {
-        let c = reference_netlist(&vars());
         let freqs = rfkit_num::linspace(1.1e9, 1.7e9, 11);
-        let mut ws = AcWorkspace::new();
-        let batch = cached_sweep(&c, &freqs, &mut ws).unwrap();
-        assert!(batch.failures().is_empty());
-        for (p, &f) in freqs.iter().enumerate() {
-            let legacy = two_port_s(&c, f, &AcStamps::none()).unwrap();
-            let got = batch.two_port(p).unwrap();
-            assert!(
-                (got.s21() - legacy.s21()).abs() <= rfkit_circuit::SWEEP_TOL,
-                "point {p}"
-            );
+        for c in [reference_netlist(&vars()), output_match_network(&vars())] {
+            let mut ws = AcWorkspace::new();
+            let batch = cached_sweep(&c, &freqs, &mut ws).unwrap();
+            assert!(batch.failures().is_empty());
+            // The pivot-reuse engine never needed a full refactorization
+            // on either verification network.
+            assert_eq!(batch.stats().refactors, 0);
+            for (p, &f) in freqs.iter().enumerate() {
+                let legacy = two_port_s(&c, f, &AcStamps::none()).unwrap();
+                let got = batch.two_port(p).unwrap();
+                for (a, b) in [
+                    (got.s11(), legacy.s11()),
+                    (got.s12(), legacy.s12()),
+                    (got.s21(), legacy.s21()),
+                    (got.s22(), legacy.s22()),
+                ] {
+                    assert!((a - b).abs() <= rfkit_circuit::SWEEP_TOL, "point {p}");
+                }
+            }
+            // Second sweep of the same topology reuses the shared plan.
+            let p1 = shared_plan(&c).unwrap();
+            let p2 = shared_plan(&c).unwrap();
+            assert!(std::sync::Arc::ptr_eq(&p1, &p2));
         }
-        // Second sweep of the same topology reuses the shared plan.
-        let p1 = shared_plan(&c).unwrap();
-        let p2 = shared_plan(&c).unwrap();
-        assert!(std::sync::Arc::ptr_eq(&p1, &p2));
     }
 
     #[test]

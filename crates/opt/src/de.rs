@@ -13,7 +13,6 @@
 use crate::problem::{Bounds, OptResult};
 use rfkit_num::rng::Rng64;
 use rfkit_par::par_map;
-use rfkit_surrogate::SurrogateScreen;
 
 /// Configuration for [`differential_evolution`] (DE/rand/1/bin).
 #[derive(Debug, Clone, PartialEq)]
@@ -75,39 +74,6 @@ pub fn differential_evolution(
     bounds: &Bounds,
     config: &DeConfig,
 ) -> OptResult {
-    de_impl(f, bounds, config, None)
-}
-
-/// [`differential_evolution`] with a surrogate screen deciding, per
-/// trial vector, whether the true objective is worth evaluating.
-///
-/// Screening decisions happen serially before each generation's
-/// parallel batch, using the screen's private seeded RNG — fixed seeds
-/// stay bit-identical at any thread count. Skipped trials simply leave
-/// their parent in place for the generation; every value the optimizer
-/// keeps comes from a true evaluation (`evaluations` counts only
-/// those). The screen observes each completed evaluation, so the model
-/// sharpens as the run progresses.
-///
-/// # Panics
-///
-/// Panics if `weight`/`crossover` are out of range or the screen was
-/// not built for 1 objective over `bounds.dim()` variables.
-pub fn differential_evolution_screened(
-    f: impl Fn(&[f64]) -> f64 + Sync,
-    bounds: &Bounds,
-    config: &DeConfig,
-    screen: &mut SurrogateScreen,
-) -> OptResult {
-    de_impl(f, bounds, config, Some(screen))
-}
-
-fn de_impl(
-    f: impl Fn(&[f64]) -> f64 + Sync,
-    bounds: &Bounds,
-    config: &DeConfig,
-    mut screen: Option<&mut SurrogateScreen>,
-) -> OptResult {
     assert!(
         config.weight > 0.0 && config.weight <= 2.0,
         "differential weight must be in (0, 2]"
@@ -132,11 +98,6 @@ fn de_impl(
     let mut population = population_init;
     let mut values: Vec<f64> = par_map(&population, |x| f(x));
     evals += population.len();
-    if let Some(scr) = screen.as_deref_mut() {
-        for (x, &v) in population.iter().zip(&values) {
-            scr.observe(x, &[v]);
-        }
-    }
     let pop_size = population.len();
     if pop_size < pop_target {
         rfkit_obs::event("opt.de.truncated", &[("evals", evals as f64)]);
@@ -181,36 +142,11 @@ fn de_impl(
             })
             .collect();
 
-        // Optional surrogate screening: serial, before the parallel
-        // batch. A skipped trial leaves its parent untouched; the
-        // verdicts are booleans only, so no predicted value can reach
-        // `values` (prune, never propagate).
-        let (trials, trial_idx): (Vec<Vec<f64>>, Vec<usize>) = match screen.as_deref_mut() {
-            Some(scr) => {
-                let keep = scr.screen_scalar(&trials, &values[..batch]);
-                trials
-                    .into_iter()
-                    .enumerate()
-                    .filter(|(i, _)| keep[*i])
-                    .map(|(i, t)| (t, i))
-                    .unzip()
-            }
-            None => {
-                let idx = (0..trials.len()).collect();
-                (trials, idx)
-            }
-        };
-
         // Parallel batch evaluation — pure, RNG-free.
         let trial_values = par_map(&trials, |t| f(t));
         evals += trials.len();
-        if let Some(scr) = screen.as_deref_mut() {
-            for (t, &v) in trials.iter().zip(&trial_values) {
-                scr.observe(t, &[v]);
-            }
-        }
 
-        for ((i, trial), v) in trial_idx.into_iter().zip(trials).zip(trial_values) {
+        for (i, (trial, v)) in trials.into_iter().zip(trial_values).enumerate() {
             if v <= values[i] {
                 population[i] = trial;
                 values[i] = v;
@@ -356,58 +292,6 @@ mod tests {
         assert!(b.contains(&r.x));
         assert!((r.x[0] - 1.0).abs() < 1e-9);
         assert!((r.x[1] + 1.0).abs() < 1e-9);
-    }
-
-    fn screen(min_train: usize) -> rfkit_surrogate::SurrogateScreen {
-        rfkit_surrogate::SurrogateScreen::new(
-            2,
-            1,
-            rfkit_surrogate::SurrogateConfig {
-                min_train,
-                explore: 0.0,
-                explore_min: 0.0,
-                ..Default::default()
-            },
-        )
-    }
-
-    #[test]
-    fn cold_screen_matches_unscreened_exactly() {
-        // A screen that never gathers enough points to fit must leave
-        // the run bit-identical to the unscreened path.
-        let b = Bounds::uniform(2, -5.0, 5.0);
-        let cfg = DeConfig {
-            max_evals: 1500,
-            seed: 9,
-            ..Default::default()
-        };
-        let plain = differential_evolution(rastrigin, &b, &cfg);
-        let mut scr = screen(usize::MAX);
-        let screened = differential_evolution_screened(rastrigin, &b, &cfg, &mut scr);
-        assert_eq!(plain.x, screened.x);
-        assert_eq!(plain.value, screened.value);
-        assert_eq!(plain.evaluations, screened.evaluations);
-        assert!(!scr.has_model());
-        assert!(scr.stats().fallbacks > 0);
-    }
-
-    #[test]
-    fn armed_screen_prunes_and_still_solves() {
-        let b = Bounds::uniform(2, -5.0, 5.0);
-        let cfg = DeConfig {
-            max_evals: 4000,
-            seed: 5,
-            ..Default::default()
-        };
-        let sphere = |x: &[f64]| x.iter().map(|v| v * v).sum::<f64>();
-        let mut scr = screen(0);
-        let r = differential_evolution_screened(sphere, &b, &cfg, &mut scr);
-        assert!(scr.stats().rejected > 0, "screen never pruned anything");
-        assert!(
-            r.evaluations < 4000,
-            "screening should save evaluations within the budget"
-        );
-        assert!(r.value < 1e-6, "value = {}", r.value);
     }
 
     #[test]

@@ -11,11 +11,10 @@
 //!   ε-constraint baselines ([`scalarize`]), NSGA-II ([`nsga2`]) and the
 //!   goal-attainment method in standard and improved form ([`goal`]) —
 //!   the paper's methodological contribution;
-//! * surrogate-screened variants ([`differential_evolution_screened`],
-//!   [`particle_swarm_screened`], [`nsga2_screened`]) that consult an
+//! * a surrogate-screened NSGA-II ([`nsga2_screened`]) that consults an
 //!   `rfkit-surrogate` response-surface model serially before each
-//!   parallel batch, pruning candidates whose optimistic outlook is
-//!   already beaten — predictions only veto evaluations, they never
+//!   parallel batch, pruning offspring whose optimistic outlook is
+//!   already dominated — predictions only veto evaluations, they never
 //!   enter results.
 //!
 //! ## Example: trade off two competing objectives
@@ -50,7 +49,7 @@ mod pso;
 mod sa;
 pub mod scalarize;
 
-pub use de::{differential_evolution, differential_evolution_screened, DeConfig};
+pub use de::{differential_evolution, DeConfig};
 pub use goal::{
     auto_weights, improved_goal_attainment, standard_goal_attainment, trace_front, GoalConfig,
     GoalProblem, GoalResult, NON_FINITE_PENALTY,
@@ -60,5 +59,5 @@ pub use nelder_mead::{nelder_mead, NelderMeadConfig};
 pub use nsga2::{nsga2, nsga2_screened, Individual, Nsga2Config, Nsga2Result};
 pub use pattern::{pattern_search, PatternConfig};
 pub use problem::{Bounds, BoundsError, CountingObjective, OptResult};
-pub use pso::{particle_swarm, particle_swarm_screened, PsoConfig};
+pub use pso::{particle_swarm, PsoConfig};
 pub use sa::{simulated_annealing, SaConfig};

@@ -10,7 +10,6 @@
 use crate::problem::{Bounds, OptResult};
 use rfkit_num::rng::Rng64;
 use rfkit_par::par_map;
-use rfkit_surrogate::SurrogateScreen;
 
 /// Configuration for [`particle_swarm`].
 #[derive(Debug, Clone, PartialEq)]
@@ -58,37 +57,6 @@ pub fn particle_swarm(
     bounds: &Bounds,
     config: &PsoConfig,
 ) -> OptResult {
-    pso_impl(f, bounds, config, None)
-}
-
-/// [`particle_swarm`] with a surrogate screen deciding, per moved
-/// particle, whether the true objective is worth evaluating.
-///
-/// Screening runs serially between the kinematics and the parallel
-/// batch; a skipped particle still moves but earns no personal-best
-/// update this iteration (its position may be evaluated again later
-/// from a more promising spot). Personal and global bests only ever
-/// hold true-evaluated values, and `evaluations` counts only those.
-///
-/// # Panics
-///
-/// Panics if the screen was not built for 1 objective over
-/// `bounds.dim()` variables.
-pub fn particle_swarm_screened(
-    f: impl Fn(&[f64]) -> f64 + Sync,
-    bounds: &Bounds,
-    config: &PsoConfig,
-    screen: &mut SurrogateScreen,
-) -> OptResult {
-    pso_impl(f, bounds, config, Some(screen))
-}
-
-fn pso_impl(
-    f: impl Fn(&[f64]) -> f64 + Sync,
-    bounds: &Bounds,
-    config: &PsoConfig,
-    mut screen: Option<&mut SurrogateScreen>,
-) -> OptResult {
     let n = bounds.dim();
     let swarm_size = if config.swarm == 0 {
         (8 * n).max(10)
@@ -117,11 +85,6 @@ fn pso_impl(
         p_best_val[i] = v;
     }
     evals += init_batch;
-    if let Some(scr) = screen.as_deref_mut() {
-        for (x, &v) in pos[..init_batch].iter().zip(&p_best_val) {
-            scr.observe(x, &[v]);
-        }
-    }
     if init_batch < swarm_size {
         rfkit_obs::event("opt.pso.truncated", &[("evals", evals as f64)]);
     }
@@ -159,29 +122,11 @@ fn pso_impl(
             *p = bounds.clamp(p);
         }
 
-        // Optional surrogate screening: serial, before the parallel
-        // batch. A skipped particle keeps moving but spends no true
-        // evaluation this iteration; verdicts are booleans only, so no
-        // predicted value can reach a personal or global best.
-        let eval_idx: Vec<usize> = match screen.as_deref_mut() {
-            Some(scr) => {
-                let keep = scr.screen_scalar(&pos[..batch], &p_best_val[..batch]);
-                (0..batch).filter(|&i| keep[i]).collect()
-            }
-            None => (0..batch).collect(),
-        };
-        let eval_pos: Vec<Vec<f64>> = eval_idx.iter().map(|&i| pos[i].clone()).collect();
+        // Parallel batch evaluation of the moved particles.
+        let batch_vals = par_map(&pos[..batch], |x| f(x));
+        evals += batch;
 
-        // Parallel batch evaluation of the surviving particles.
-        let batch_vals = par_map(&eval_pos, |x| f(x));
-        evals += eval_pos.len();
-        if let Some(scr) = screen.as_deref_mut() {
-            for (x, &v) in eval_pos.iter().zip(&batch_vals) {
-                scr.observe(x, &[v]);
-            }
-        }
-
-        for (&i, v) in eval_idx.iter().zip(batch_vals) {
+        for (i, v) in batch_vals.into_iter().enumerate() {
             if v < p_best_val[i] {
                 p_best_val[i] = v;
                 p_best[i] = pos[i].clone();
@@ -265,52 +210,6 @@ mod tests {
         let b = Bounds::new(vec![1.0], vec![2.0]).unwrap();
         let r = particle_swarm(|x| (x[0] + 1.0).powi(2), &b, &PsoConfig::default());
         assert!((r.x[0] - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn cold_screen_matches_unscreened_exactly() {
-        let b = Bounds::uniform(2, -5.0, 5.0);
-        let cfg = PsoConfig {
-            max_evals: 1200,
-            seed: 17,
-            ..Default::default()
-        };
-        let plain = particle_swarm(rastrigin, &b, &cfg);
-        let mut scr = rfkit_surrogate::SurrogateScreen::new(
-            2,
-            1,
-            rfkit_surrogate::SurrogateConfig {
-                min_train: usize::MAX,
-                ..Default::default()
-            },
-        );
-        let screened = particle_swarm_screened(rastrigin, &b, &cfg, &mut scr);
-        assert_eq!(plain.x, screened.x);
-        assert_eq!(plain.value, screened.value);
-        assert_eq!(plain.evaluations, screened.evaluations);
-    }
-
-    #[test]
-    fn armed_screen_prunes_and_still_solves() {
-        let b = Bounds::uniform(2, -5.0, 5.0);
-        let cfg = PsoConfig {
-            max_evals: 6000,
-            seed: 2,
-            ..Default::default()
-        };
-        let sphere = |x: &[f64]| x.iter().map(|v| v * v).sum::<f64>();
-        let mut scr = rfkit_surrogate::SurrogateScreen::new(
-            2,
-            1,
-            rfkit_surrogate::SurrogateConfig {
-                explore: 0.0,
-                explore_min: 0.0,
-                ..Default::default()
-            },
-        );
-        let r = particle_swarm_screened(sphere, &b, &cfg, &mut scr);
-        assert!(scr.stats().rejected > 0, "screen never pruned anything");
-        assert!(r.value < 1e-6, "value = {}", r.value);
     }
 
     #[test]

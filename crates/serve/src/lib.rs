@@ -15,11 +15,11 @@
 //!   get structured `error` responses, disconnects close cleanly; a
 //!   protocol error never panics a thread. Cheap `ping`/`stats` requests
 //!   are answered inline; evaluation requests go to the scheduler.
-//! * **Scheduler**: bounded work-stealing queues (one deque per worker,
-//!   round-robin submission, steal-from-deepest). Past the admission
-//!   bound the request is answered `overloaded` — explicit backpressure,
-//!   never a silent drop. Per-request deadlines are enforced at dequeue:
-//!   a request that waited too long is answered `expired` unevaluated.
+//! * **Scheduler**: one bounded FIFO queue shared by the workers, so
+//!   requests start in admission order. Past the admission bound the
+//!   request is answered `overloaded` — explicit backpressure, never a
+//!   silent drop. Per-request deadlines are enforced at dequeue: a
+//!   request that waited too long is answered `expired` unevaluated.
 //! * **Workers** (`serve-worker-N` threads) evaluate requests with warm
 //!   per-worker [`rfkit_circuit::AcWorkspace`]s; compiled `StampPlan`s
 //!   and snapped-design band metrics are shared cross-request through

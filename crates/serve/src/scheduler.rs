@@ -1,11 +1,11 @@
-//! Work-stealing request scheduler with bounded admission.
+//! FIFO request scheduler with bounded admission.
 //!
-//! Each worker owns a deque; submissions round-robin across them and a
-//! worker that drains its own queue steals from the tail of the deepest
-//! sibling, so one expensive request cannot strand cheap ones behind it.
-//! Admission is bounded: past `capacity` queued requests, `submit` hands
-//! the item back with [`Refusal::Overloaded`] so the caller can answer
-//! with explicit backpressure — the scheduler never drops work silently.
+//! One queue, shared by every worker: a worker takes the oldest admitted
+//! request, so requests start in admission order whichever worker is
+//! free. Admission is bounded: past `capacity` queued requests, `submit`
+//! hands the item back with [`Refusal::Overloaded`] so the caller can
+//! answer with explicit backpressure — the scheduler never drops work
+//! silently.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
@@ -29,20 +29,15 @@ pub(crate) struct Scheduler<T> {
 }
 
 struct State<T> {
-    queues: Vec<VecDeque<T>>,
-    queued: usize,
-    next_rr: usize,
+    queue: VecDeque<T>,
     draining: bool,
 }
 
 impl<T> Scheduler<T> {
-    pub fn new(workers: usize, capacity: usize) -> Self {
-        assert!(workers > 0, "scheduler needs at least one worker");
+    pub fn new(capacity: usize) -> Self {
         Scheduler {
             state: Mutex::new(State {
-                queues: (0..workers).map(|_| VecDeque::new()).collect(),
-                queued: 0,
-                next_rr: 0,
+                queue: VecDeque::new(),
                 draining: false,
             }),
             ready: Condvar::new(),
@@ -57,27 +52,23 @@ impl<T> Scheduler<T> {
         if s.draining {
             return Err((item, Refusal::Draining));
         }
-        if s.queued >= self.capacity {
+        if s.queue.len() >= self.capacity {
             return Err((item, Refusal::Overloaded));
         }
-        let w = s.next_rr;
-        s.next_rr = (s.next_rr + 1) % s.queues.len();
-        s.queues[w].push_back(item);
-        s.queued += 1;
-        let depth = s.queued;
+        s.queue.push_back(item);
+        let depth = s.queue.len();
         drop(s);
         OBS_QUEUE_DEPTH.record(depth as u64);
         self.ready.notify_one();
         Ok(depth)
     }
 
-    /// Next item for `worker`: own queue front-first, then a steal from
-    /// the tail of the deepest sibling. Blocks while idle; returns
-    /// `None` once draining *and* every queue is empty.
-    pub fn next(&self, worker: usize) -> Option<T> {
+    /// The oldest queued item. Blocks while idle; returns `None` once
+    /// draining *and* the queue is empty.
+    pub fn next(&self) -> Option<T> {
         let mut s = self.lock();
         loop {
-            if let Some(item) = Self::pop(&mut s, worker) {
+            if let Some(item) = s.queue.pop_front() {
                 return Some(item);
             }
             if s.draining {
@@ -87,26 +78,13 @@ impl<T> Scheduler<T> {
         }
     }
 
-    fn pop(s: &mut State<T>, worker: usize) -> Option<T> {
-        if let Some(item) = s.queues[worker].pop_front() {
-            s.queued -= 1;
-            return Some(item);
-        }
-        let victim = (0..s.queues.len())
-            .filter(|&v| v != worker && !s.queues[v].is_empty())
-            .max_by_key(|&v| s.queues[v].len())?;
-        let item = s.queues[victim].pop_back()?;
-        s.queued -= 1;
-        Some(item)
-    }
-
     /// Queued (admitted, not yet started) request count.
     pub fn depth(&self) -> usize {
-        self.lock().queued
+        self.lock().queue.len()
     }
 
     /// Marks the scheduler draining: new submissions are refused, every
-    /// parked worker wakes, and workers exit once the queues are empty —
+    /// parked worker wakes, and workers exit once the queue is empty —
     /// queued work still completes.
     pub fn drain(&self) {
         self.lock().draining = true;
@@ -130,7 +108,7 @@ mod tests {
     #[test]
     fn kth_plus_one_is_refused_while_in_flight_completes() {
         const K: usize = 3;
-        let sched: Arc<Scheduler<u32>> = Arc::new(Scheduler::new(1, K));
+        let sched: Arc<Scheduler<u32>> = Arc::new(Scheduler::new(K));
         let (started_tx, started_rx) = mpsc::channel::<()>();
         let (gate_tx, gate_rx) = mpsc::channel::<()>();
         let (done_tx, done_rx) = mpsc::channel::<u32>();
@@ -138,7 +116,7 @@ mod tests {
         let worker = {
             let sched = Arc::clone(&sched);
             std::thread::spawn(move || {
-                while let Some(item) = sched.next(0) {
+                while let Some(item) = sched.next() {
                     if item == 0 {
                         started_tx.send(()).unwrap();
                         gate_rx.recv().unwrap(); // hold the item in flight
@@ -166,21 +144,19 @@ mod tests {
         assert!(matches!(sched.submit(100), Err((100, Refusal::Draining))));
     }
 
-    /// Round-robin submission spreads items across worker queues; a lone
-    /// active worker steals every sibling's item, so nothing is stranded.
+    /// Workers take requests in admission order, and a drained
+    /// scheduler still hands out everything it admitted before `None`.
     #[test]
-    fn lone_worker_steals_strands_nothing() {
-        let sched: Arc<Scheduler<u32>> = Arc::new(Scheduler::new(4, 64));
+    fn requests_start_in_admission_order() {
+        let sched: Scheduler<u32> = Scheduler::new(64);
         for i in 0..8 {
-            sched.submit(i).unwrap();
+            assert_eq!(sched.submit(i).unwrap(), i as usize + 1);
         }
+        assert_eq!(sched.next(), Some(0));
+        assert_eq!(sched.next(), Some(1));
         sched.drain();
-        let mut got = Vec::new();
-        while let Some(item) = sched.next(0) {
-            got.push(item);
-        }
-        got.sort_unstable();
-        assert_eq!(got, (0..8).collect::<Vec<_>>());
+        let rest: Vec<u32> = std::iter::from_fn(|| sched.next()).collect();
+        assert_eq!(rest, (2..8).collect::<Vec<_>>());
         assert_eq!(sched.depth(), 0);
     }
 }

@@ -1,5 +1,5 @@
-//! The batch server: accept loop, per-connection readers, work-stealing
-//! workers with warm per-worker solver state, shared caches, admission
+//! The batch server: accept loop, per-connection readers, workers on one
+//! FIFO queue with warm per-worker solver state, shared caches, admission
 //! control, per-request deadlines, and draining shutdown.
 
 use std::collections::BTreeMap;
@@ -243,7 +243,7 @@ impl Server {
         let local_addr = listener.local_addr()?;
         let workers_n = cfg.workers.max(1);
         let shared = Arc::new(Shared {
-            sched: Scheduler::new(workers_n, cfg.queue_capacity),
+            sched: Scheduler::new(cfg.queue_capacity),
             cfg,
             device: Phemt::atf54143_like(),
             stats: ServerStats::default(),
@@ -259,7 +259,7 @@ impl Server {
             let sh = Arc::clone(&shared);
             let h = thread::Builder::new()
                 .name(format!("serve-worker-{i}"))
-                .spawn(move || worker_main(i, &sh))?;
+                .spawn(move || worker_main(&sh))?;
             shared.stats.workers_spawned.fetch_add(1, Ordering::Relaxed);
             workers.push(h);
         }
@@ -546,13 +546,13 @@ fn note_completed(shared: &Shared, degraded: bool) {
     }
 }
 
-fn worker_main(worker: usize, shared: &Arc<Shared>) {
+fn worker_main(shared: &Arc<Shared>) {
     // Per-worker warm solver state: the workspace's factorization and
     // scratch buffers persist across requests, so steady-state verify
     // sweeps allocate nothing. Compiled `StampPlan`s come from the
     // process-wide shared cache.
     let mut ws = AcWorkspace::new();
-    while let Some(job) = shared.sched.next(worker) {
+    while let Some(job) = shared.sched.next() {
         shared.stats.in_flight.fetch_add(1, Ordering::Relaxed);
         let _span = rfkit_obs::span("serve.request");
         let waited_ms = job.admitted.elapsed().as_millis().min(u64::MAX as u128) as u64;

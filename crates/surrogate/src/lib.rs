@@ -11,7 +11,7 @@
 //! response surfaces ([`ResponseSurface`]) to the points the design
 //! cache has already true-evaluated, and wraps them in a
 //! lower-confidence-bound screening rule ([`SurrogateScreen`]) that
-//! DE/PSO/NSGA-II generation loops consult before paying for a sweep.
+//! NSGA-II's generation loop consults before paying for a sweep.
 //!
 //! Two invariants shape the whole crate:
 //!
@@ -36,8 +36,9 @@
 //!     let x = [rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)];
 //!     screen.observe(&x, &[x[0] * x[0] + x[1] * x[1]]);
 //! }
-//! // ...then let it veto candidates that cannot beat the incumbent.
-//! let keep = screen.screen_scalar(&[vec![0.9, 0.9], vec![0.05, 0.0]], &[0.01, 0.01]);
+//! // ...then let it veto candidates whose optimistic outlook is still
+//! // dominated by (here: worse than) the incumbent's value.
+//! let keep = screen.screen_multi(&[vec![0.9, 0.9], vec![0.05, 0.0]], &[vec![0.01]]);
 //! assert!(keep[1]); // the near-optimal candidate always survives
 //! ```
 

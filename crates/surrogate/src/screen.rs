@@ -171,7 +171,7 @@ pub struct SurrogateScreen {
     decisions: u64,
     since_fit: usize,
     /// Non-dominated subset of the previous batch's incumbents, for
-    /// stagnation detection (scalar screens store single-element rows).
+    /// stagnation detection.
     prev_incumbents: Vec<Vec<f64>>,
     /// Consecutive screening batches whose incumbents did not advance.
     stagnant_batches: u64,
@@ -275,60 +275,14 @@ impl SurrogateScreen {
         true
     }
 
-    /// Screens candidates for a scalar (single-objective) optimizer.
-    ///
-    /// `incumbents[i]` is the value the candidate must beat to be
-    /// accepted (its parent/personal best). Returns one keep/skip
-    /// verdict per candidate; at least one verdict is `true`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `incumbents.len() != candidates.len()`, on dimension
-    /// mismatches, or if the screen was built with `n_obj != 1`.
-    pub fn screen_scalar(&mut self, candidates: &[Vec<f64>], incumbents: &[f64]) -> Vec<bool> {
-        assert_eq!(self.n_obj, 1, "screen_scalar requires a 1-objective screen");
-        assert_eq!(
-            candidates.len(),
-            incumbents.len(),
-            "need one incumbent value per candidate"
-        );
-        self.ensure_fitted();
-        let inc_rows: Vec<Vec<f64>> = incumbents.iter().map(|v| vec![*v]).collect();
-        let eps = self.improvement_margin(&inc_rows);
-        let mut keep = Vec::with_capacity(candidates.len());
-        // Rejected candidates ranked most-promising-first (lowest LCB)
-        // for the keep-floor flips.
-        let mut rejected: Vec<(usize, f64)> = Vec::new();
-        let mut lcb_buf = [0.0];
-        for (i, x) in candidates.iter().enumerate() {
-            let verdict = match self.lcb_into(x, &mut lcb_buf) {
-                None => Verdict::Fallback,
-                Some(()) => {
-                    let lcb = lcb_buf[0] + eps[0];
-                    if self.draw_explore() {
-                        Verdict::Explored
-                    } else if lcb <= incumbents[i] {
-                        Verdict::Accepted
-                    } else {
-                        rejected.push((i, lcb));
-                        Verdict::Rejected
-                    }
-                }
-            };
-            keep.push(verdict);
-        }
-        rejected.sort_by(|a, b| rfkit_num::total_cmp_f64(&a.1, &b.1));
-        let ranked: Vec<usize> = rejected.into_iter().map(|(i, _)| i).collect();
-        self.finalize(&mut keep, &ranked)
-    }
-
-    /// Screens candidates for a multi-objective optimizer.
+    /// Screens a batch of candidates.
     ///
     /// A candidate is pruned when its LCB vector — optimistic in every
     /// objective at once — is still Pareto-dominated by some point of
     /// `reference` (typically the parent population's objective
-    /// vectors). Returns one verdict per candidate; at least one is
-    /// `true`.
+    /// vectors). With one objective that is an LCB above the best
+    /// reference value. Returns one verdict per candidate; at least one
+    /// is `true`.
     ///
     /// # Panics
     ///
@@ -626,7 +580,7 @@ mod tests {
     fn cold_start_passes_everything_as_fallback() {
         let mut s = SurrogateScreen::new(2, 1, cfg_no_explore(ModelKind::Quadratic));
         let cands = vec![vec![0.1, 0.2], vec![0.5, -0.4]];
-        let keep = s.screen_scalar(&cands, &[0.0, 0.0]);
+        let keep = s.screen_multi(&cands, &[vec![0.0]]);
         assert_eq!(keep, vec![true, true]);
         assert_eq!(s.stats().fallbacks, 2);
         assert_eq!(s.stats().rejected, 0);
@@ -642,7 +596,7 @@ mod tests {
         }
         // Incumbent is excellent; a far-out candidate's LCB can't beat it.
         let cands = vec![vec![0.9, 0.9], vec![0.02, -0.03]];
-        let keep = s.screen_scalar(&cands, &[0.01, 0.01]);
+        let keep = s.screen_multi(&cands, &[vec![0.01]]);
         assert!(s.has_model());
         assert!(!keep[0], "hopeless candidate should be pruned");
         assert!(keep[1], "near-optimal candidate must survive");
@@ -659,7 +613,7 @@ mod tests {
         }
         // All candidates are terrible against an unbeatable incumbent.
         let cands = vec![vec![0.9, 0.9], vec![-0.8, 0.95], vec![0.85, -0.9]];
-        let keep = s.screen_scalar(&cands, &[-100.0, -100.0, -100.0]);
+        let keep = s.screen_multi(&cands, &[vec![-100.0]]);
         assert_eq!(keep.iter().filter(|k| **k).count(), 1);
         assert_eq!(s.stats().forced, 1);
     }
@@ -707,8 +661,7 @@ mod tests {
                 let cands: Vec<Vec<f64>> = (0..8)
                     .map(|_| vec![rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)])
                     .collect();
-                let incumbents = vec![0.05; cands.len()];
-                verdicts.push(s.screen_scalar(&cands, &incumbents));
+                verdicts.push(s.screen_multi(&cands, &[vec![0.05]]));
             }
             (verdicts, s.stats())
         };
@@ -739,12 +692,12 @@ mod tests {
             s.observe(x, f);
         }
         let cands = vec![vec![0.0, 0.0]];
-        s.screen_scalar(&cands, &[10.0]);
+        s.screen_multi(&cands, &[vec![10.0]]);
         assert_eq!(s.stats().fits, 1);
         for (x, f) in xs.iter().zip(&fs).skip(60) {
             s.observe(x, f);
         }
-        s.screen_scalar(&cands, &[10.0]);
+        s.screen_multi(&cands, &[vec![10.0]]);
         assert_eq!(s.stats().fits, 2, "cadence-due refit did not happen");
     }
 
@@ -758,7 +711,7 @@ mod tests {
             s.observe(x, f);
         }
         let cands = vec![vec![0.0, 0.0]];
-        s.screen_scalar(&cands, &[10.0]);
+        s.screen_multi(&cands, &[vec![10.0]]);
         assert_eq!(s.stats().fits, 1);
         let seeded: Vec<(Vec<f64>, Vec<f64>)> = xs
             .iter()
@@ -768,7 +721,7 @@ mod tests {
             .collect();
         s.seed_training(&seeded);
         assert_eq!(s.training_len(), 70);
-        s.screen_scalar(&cands, &[10.0]);
+        s.screen_multi(&cands, &[vec![10.0]]);
         assert_eq!(s.stats().fits, 1, "seeded points triggered a refit");
     }
 
@@ -779,7 +732,7 @@ mod tests {
         for (x, f) in xs.iter().zip(&fs) {
             s.observe(x, f);
         }
-        s.screen_scalar(&[vec![0.0, 0.0]], &[10.0]);
+        s.screen_multi(&[vec![0.0, 0.0]], &[vec![10.0]]);
         assert!(s.has_model());
         let lcb = s.predict_lcb(&[0.0, 0.0]).unwrap();
         assert!(lcb[0].is_finite());

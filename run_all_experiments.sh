@@ -10,8 +10,6 @@ set -euo pipefail
 ./ci.sh
 cargo build --release -p lna-bench
 mkdir -p results
-echo "== bench_parallel"
-./target/release/bench_parallel | tee results/BENCH_parallel.txt
 for bin in table1_model_comparison table2_param_recovery table3_final_design \
            table4_performance table5_tsplitter table6_yield table7_prefilter \
            table8_constellations \
