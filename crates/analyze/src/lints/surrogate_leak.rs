@@ -8,10 +8,9 @@
 //! detect (the numbers look plausible by construction).
 //!
 //! Flagged: an identifier initialized (directly or through a def-use
-//! chain) from a surrogate prediction call (`predict`, `predict_into`,
-//! `predict_lcb`, `lcb_into`), or passed as the output argument of an
-//! out-parameter prediction (`predict_into`, `lcb_into`), that then
-//! appears as an argument to a
+//! chain) from a surrogate prediction call (`predict`, `predict_into`),
+//! or passed as the output argument of the out-parameter prediction
+//! (`predict_into`), that then appears as an argument to a
 //! store-like sink — `push`/`insert`/`extend`/`store` on a
 //! front/population/cache/report-ish receiver, a `report`/`write`-named
 //! call, or a screen's own `observe`/`seed_training` (feeding
@@ -34,11 +33,11 @@ pub const DESCRIPTION: &str =
     "surrogate-predicted value stored into a front, report, cache, or training set (error)";
 
 /// Prediction call names whose results are tainted.
-const PREDICT_FNS: [&str; 4] = ["predict", "predict_into", "predict_lcb", "lcb_into"];
+const PREDICT_FNS: [&str; 2] = ["predict", "predict_into"];
 
 /// Prediction calls that write their predictions into their last
 /// argument.
-const OUT_PARAM_FNS: [&str; 2] = ["predict_into", "lcb_into"];
+const OUT_PARAM_FNS: [&str; 1] = ["predict_into"];
 
 /// Store-like method names that count as sinks on result-ish receivers.
 const STORE_METHODS: [&str; 4] = ["push", "insert", "extend", "store"];
@@ -78,7 +77,7 @@ fn resultish(recv: &str) -> bool {
 /// mentions an already-tainted name.
 fn tainted_idents(f: &FnAnalysis) -> BTreeSet<&str> {
     // A prediction may be post-processed in the same initializer
-    // (`screen.predict_lcb(x).unwrap()` trails in `unwrap`), so any
+    // (`model.predict(x).to_vec()` trails in `to_vec`), so any
     // mention of a prediction call in the initializer taints the
     // binding, not just the trailing call.
     let mut tainted: BTreeSet<&str> = f
@@ -182,8 +181,8 @@ mod tests {
     #[test]
     fn flags_prediction_pushed_into_front() {
         let src = "\
-pub fn f(screen: &SurrogateScreen, x: &[f64], front: &mut Front) {
-    let predicted = screen.predict_lcb(x).unwrap();
+pub fn f(model: &ResponseSurface, x: &[f64], front: &mut Front) {
+    let predicted = model.predict(x).to_vec();
     front.push(predicted);
 }
 ";
@@ -207,9 +206,9 @@ pub fn f(model: &ResponseSurface, x: &[f64], front: &mut Front) {
         assert!(hits[0].message.contains("`mu`"));
         let chained = "\
 pub fn f(screen: &SurrogateScreen, x: &[f64], cache: &mut Map, key: u64) {
-    let mut lcb = [0.0];
-    screen.lcb_into(x, &mut lcb);
-    let best = lcb[0];
+    let mut pred = [0.0];
+    screen.predict_into(x, &mut pred);
+    let best = pred[0];
     cache.insert(key, best);
 }
 ";
@@ -243,8 +242,8 @@ pub fn f(model: &ResponseSurface, cache: &mut Map, key: u64, x: &[f64]) {
     #[test]
     fn flags_prediction_fed_back_into_training() {
         let src = "\
-pub fn f(screen: &mut SurrogateScreen, x: &[f64]) {
-    let guess = screen.predict_lcb(x).unwrap();
+pub fn f(model: &ResponseSurface, screen: &mut SurrogateScreen, x: &[f64]) {
+    let guess = model.predict(x);
     screen.observe(x, &guess);
 }
 ";
@@ -265,9 +264,9 @@ pub fn f(model: &ResponseSurface, x: &[f64]) -> String {
     #[test]
     fn quiet_when_predictions_only_compare() {
         let src = "\
-pub fn f(screen: &mut SurrogateScreen, x: &[f64], incumbent: &[f64]) -> bool {
-    let lcb = screen.predict_lcb(x).unwrap();
-    dominates(incumbent, &lcb)
+pub fn f(model: &ResponseSurface, x: &[f64], incumbent: &[f64]) -> bool {
+    let mu = model.predict(x);
+    dominates(incumbent, &mu)
 }
 ";
         assert!(run(src).is_empty());
@@ -284,8 +283,8 @@ pub fn f(front: &mut Front, objs: Vec<f64>) {
         let test = "\
 #[cfg(test)]
 mod tests {
-    fn t(screen: &SurrogateScreen, front: &mut Front, x: &[f64]) {
-        let p = screen.predict_lcb(x).unwrap();
+    fn t(model: &ResponseSurface, front: &mut Front, x: &[f64]) {
+        let p = model.predict(x);
         front.push(p);
     }
 }

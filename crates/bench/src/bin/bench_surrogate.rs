@@ -34,19 +34,23 @@
 //! restored to the environment's configuration afterwards so a traced CI
 //! invocation still flushes its own profile.
 //!
+//! The report is written with `rfkit_obs::json::JsonObj`, so a
+//! non-finite value (the hypervolume ratio of a seed whose baseline
+//! finds no stable design) lands as `null` and the file still parses.
+//!
 //! Usage: `bench_surrogate [--pop N] [--gens N] [--warm-gens N]
-//! [--seed N] [--out PATH] [--profile-out PATH]` plus screen-override
-//! flags (`--kappa` / `--min-improvement` / `--patience` /
-//! `--keep-frac` / `--explore-min`) for tuning experiments. Defaults:
+//! [--seed N] [--out PATH] [--profile-out PATH]`. Defaults:
 //! 48 / 40 / 80 / 0xf4 / `results/BENCH_surrogate.json`; CI runs a tiny
 //! configuration and writes to a scratch path so the committed
-//! full-size artifact survives.
+//! full-size artifact survives. The screen runs the study's one
+//! configuration (`lna::study_screen_config`).
 
 use lna::{
     pareto_front_study, study_screen_config, BandSpec, DesignCache, ParetoStudy, ParetoStudyConfig,
     STUDY_REFERENCE,
 };
 use rfkit_device::Phemt;
+use rfkit_obs::json::JsonObj;
 use std::time::Instant;
 
 struct Args {
@@ -55,11 +59,6 @@ struct Args {
     seed: u64,
     out: String,
     profile_out: String,
-    kappa: Option<f64>,
-    min_improvement: Option<f64>,
-    patience: Option<u64>,
-    keep_frac: Option<f64>,
-    explore_min: Option<f64>,
     warm_gens: Option<usize>,
 }
 
@@ -70,11 +69,6 @@ fn parse_args() -> Args {
         seed: 0xf4,
         out: String::from("results/BENCH_surrogate.json"),
         profile_out: String::from("results/PROFILE_bench_surrogate.json"),
-        kappa: None,
-        min_improvement: None,
-        patience: None,
-        keep_frac: None,
-        explore_min: None,
         warm_gens: None,
     };
     let mut args = std::env::args().skip(1);
@@ -84,11 +78,6 @@ fn parse_args() -> Args {
             "--pop" => value.parse().map(|v: usize| a.pop = v.max(4)).is_ok(),
             "--gens" => value.parse().map(|v: usize| a.gens = v.max(1)).is_ok(),
             "--seed" => value.parse().map(|v| a.seed = v).is_ok(),
-            "--kappa" => value.parse().map(|v| a.kappa = Some(v)).is_ok(),
-            "--min-improvement" => value.parse().map(|v| a.min_improvement = Some(v)).is_ok(),
-            "--patience" => value.parse().map(|v| a.patience = Some(v)).is_ok(),
-            "--keep-frac" => value.parse().map(|v| a.keep_frac = Some(v)).is_ok(),
-            "--explore-min" => value.parse().map(|v| a.explore_min = Some(v)).is_ok(),
             "--warm-gens" => value
                 .parse()
                 .map(|v: usize| a.warm_gens = Some(v.max(1)))
@@ -104,9 +93,7 @@ fn parse_args() -> Args {
             other => {
                 eprintln!(
                     "bench_surrogate: unknown argument `{other}` (use --pop N / --gens N / \
-                     --seed N / --out PATH / --profile-out PATH, or screen overrides \
-                     --kappa X / --min-improvement X / --patience N / --keep-frac X / \
-                     --explore-min X)"
+                     --warm-gens N / --seed N / --out PATH / --profile-out PATH)"
                 );
                 std::process::exit(2);
             }
@@ -166,33 +153,34 @@ fn run_arm(
     }
 }
 
-fn arm_json(out: &mut String, name: &str, arm: &Arm, last: bool) {
+/// `v` rounded to `decimals` places, the report's precision for that
+/// field; non-finite values pass through and the writer turns them into
+/// `null`.
+fn rounded(v: f64, decimals: usize) -> f64 {
+    format!("{v:.decimals$}").parse().unwrap_or(v)
+}
+
+fn arm_json(arm: &Arm) -> String {
     let s = &arm.study;
-    out.push_str(&format!("    \"{name}\": {{\n"));
-    out.push_str(&format!("      \"front_points\": {},\n", s.front.len()));
-    out.push_str(&format!("      \"hypervolume\": {:.6},\n", s.hypervolume));
-    out.push_str(&format!("      \"evaluations\": {},\n", s.evaluations));
-    out.push_str(&format!(
-        "      \"band_evaluations\": {},\n",
-        s.band_evaluations
-    ));
-    out.push_str(&format!("      \"cache_hits\": {},\n", s.cache_hits));
-    out.push_str(&format!(
-        "      \"feasible_evaluations\": {},\n",
-        arm.feasible_evals
-    ));
+    let mut o = JsonObj::new();
+    o.num("front_points", s.front.len() as f64);
+    o.num("hypervolume", rounded(s.hypervolume, 6));
+    o.num("evaluations", s.evaluations as f64);
+    o.num("band_evaluations", s.band_evaluations as f64);
+    o.num("cache_hits", s.cache_hits as f64);
+    o.num("feasible_evaluations", arm.feasible_evals as f64);
     if let Some(st) = s.screen_stats {
-        out.push_str("      \"screen\": {\n");
-        out.push_str(&format!("        \"fits\": {},\n", st.fits));
-        out.push_str(&format!("        \"accepted\": {},\n", st.accepted));
-        out.push_str(&format!("        \"rejected\": {},\n", st.rejected));
-        out.push_str(&format!("        \"explored\": {},\n", st.explored));
-        out.push_str(&format!("        \"fallbacks\": {},\n", st.fallbacks));
-        out.push_str(&format!("        \"forced\": {}\n", st.forced));
-        out.push_str("      },\n");
+        let mut screen = JsonObj::new();
+        screen.num("fits", st.fits as f64);
+        screen.num("accepted", st.accepted as f64);
+        screen.num("rejected", st.rejected as f64);
+        screen.num("explored", st.explored as f64);
+        screen.num("fallbacks", st.fallbacks as f64);
+        screen.num("forced", st.forced as f64);
+        o.raw("screen", &screen.finish());
     }
-    out.push_str(&format!("      \"elapsed_s\": {:.3}\n", arm.elapsed_s));
-    out.push_str(if last { "    }\n" } else { "    },\n" });
+    o.num("elapsed_s", rounded(arm.elapsed_s, 3));
+    o.finish()
 }
 
 fn main() {
@@ -228,24 +216,8 @@ fn main() {
         initial: Vec::new(),
         surrogate: None,
     };
-    let mut screen_cfg = study_screen_config(0x5ca1e);
-    if let Some(v) = args.kappa {
-        screen_cfg.kappa = v;
-    }
-    if let Some(v) = args.min_improvement {
-        screen_cfg.min_improvement = v;
-    }
-    if let Some(v) = args.patience {
-        screen_cfg.improvement_patience = v;
-    }
-    if let Some(v) = args.keep_frac {
-        screen_cfg.min_keep_frac = v;
-    }
-    if let Some(v) = args.explore_min {
-        screen_cfg.explore_min = v;
-    }
     let screened_cfg = ParetoStudyConfig {
-        surrogate: Some(screen_cfg),
+        surrogate: Some(study_screen_config(0x5ca1e)),
         ..plain_cfg.clone()
     };
 
@@ -319,34 +291,28 @@ fn main() {
         if meets_target { "MET" } else { "NOT met" }
     );
 
-    let mut json = String::from("{\n");
-    json.push_str(&format!("  \"population\": {},\n", args.pop));
-    json.push_str(&format!("  \"generations\": {},\n", args.gens));
-    json.push_str(&format!("  \"seed\": {},\n", args.seed));
-    json.push_str(&format!(
-        "  \"reference\": [{}, {}],\n",
-        STUDY_REFERENCE[0], STUDY_REFERENCE[1]
-    ));
-    json.push_str("  \"warmup\": {\n");
-    json.push_str(&format!("    \"generations\": {},\n", warm_cfg.generations));
-    json.push_str(&format!(
-        "    \"band_evaluations\": {},\n",
-        baseline.warmup.band_evaluations
-    ));
-    json.push_str(&format!(
-        "    \"hypervolume\": {:.6}\n",
-        baseline.warmup.hypervolume
-    ));
-    json.push_str("  },\n");
-    json.push_str("  \"arms\": {\n");
-    arm_json(&mut json, "baseline", &baseline, false);
-    arm_json(&mut json, "screened", &screened, true);
-    json.push_str("  },\n");
-    json.push_str(&format!("  \"reduction\": {reduction:.4},\n"));
-    json.push_str(&format!("  \"hv_ratio\": {hv_ratio:.4},\n"));
-    json.push_str(&format!("  \"meets_target\": {meets_target},\n"));
-    json.push_str(&format!("  \"profile\": \"{}\"\n", args.profile_out));
-    json.push_str("}\n");
+    let mut warmup = JsonObj::new();
+    warmup.num("generations", warm_cfg.generations as f64);
+    warmup.num("band_evaluations", baseline.warmup.band_evaluations as f64);
+    warmup.num("hypervolume", rounded(baseline.warmup.hypervolume, 6));
+    let mut arms = JsonObj::new();
+    arms.raw("baseline", &arm_json(&baseline));
+    arms.raw("screened", &arm_json(&screened));
+    let mut doc = JsonObj::new();
+    doc.num("population", args.pop as f64);
+    doc.num("generations", args.gens as f64);
+    doc.raw("seed", &args.seed.to_string());
+    doc.raw(
+        "reference",
+        &format!("[{}, {}]", STUDY_REFERENCE[0], STUDY_REFERENCE[1]),
+    );
+    doc.raw("warmup", &warmup.finish());
+    doc.raw("arms", &arms.finish());
+    doc.num("reduction", rounded(reduction, 4));
+    doc.num("hv_ratio", rounded(hv_ratio, 4));
+    doc.raw("meets_target", &meets_target.to_string());
+    doc.str("profile", &args.profile_out);
+    let json = doc.finish() + "\n";
     if let Some(dir) = std::path::Path::new(&args.out).parent() {
         if !dir.as_os_str().is_empty() {
             std::fs::create_dir_all(dir).expect("create output dir");

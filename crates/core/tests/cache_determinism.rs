@@ -15,6 +15,7 @@ use lna::{
 use rfkit_device::Phemt;
 use rfkit_num::rng::Rng64;
 use rfkit_par::par_map;
+use rfkit_surrogate::ScreenStats;
 
 /// Seeded random candidates snapped to the catalog lattice, then
 /// duplicated once — the duplication guarantees cache hits, the snapping
@@ -112,6 +113,19 @@ fn cached_objectives_identical_at_1_and_4_threads() {
     assert_eq!(
         stats_1, stats_4,
         "screen decisions differ across thread counts"
+    );
+    // Exact decisions, refit included: they move only when a
+    // prediction's bits move.
+    assert_eq!(
+        stats_1,
+        Some(ScreenStats {
+            fits: 2,
+            accepted: 42,
+            rejected: 0,
+            explored: 6,
+            fallbacks: 0,
+            forced: 0,
+        })
     );
 
     // Bit-identical across thread counts, and identical to the uncached

@@ -116,14 +116,13 @@ pub fn nsga2(
 /// [`nsga2`] with a surrogate screen deciding, per offspring, whether
 /// the true objectives are worth evaluating.
 ///
-/// An offspring is pruned when its lower-confidence-bound vector —
-/// optimistic in every objective at once — is still Pareto-dominated by
-/// a parent: the true evaluation could then only produce a point that
-/// environmental selection would discard. Screening runs serially
-/// between variation and the parallel batch; pruned offspring never
-/// exist as individuals, so every objective vector in the population
-/// (and the returned front) comes from a true evaluation.
-/// `evaluations` counts only true evaluations.
+/// An offspring is pruned when its predicted objective vector, shifted
+/// by the screen's improvement margin, is still Pareto-dominated by a
+/// parent: it does not promise an improvement worth a true evaluation.
+/// Screening runs serially between variation and the parallel batch;
+/// pruned offspring never exist as individuals, so every objective
+/// vector in the population (and the returned front) comes from a true
+/// evaluation. `evaluations` counts only true evaluations.
 ///
 /// # Panics
 ///
@@ -538,7 +537,10 @@ mod tests {
 
     #[test]
     fn cold_screen_matches_unscreened_exactly() {
-        let obj: &(dyn Fn(&[f64]) -> Vec<f64> + Sync) = &zdt1;
+        // Every objective value sits above the screen's outlier cap, so
+        // no row ever trains it and it stays cold.
+        let lifted = |x: &[f64]| zdt1(x).into_iter().map(|f| f + 2e4).collect();
+        let obj: &(dyn Fn(&[f64]) -> Vec<f64> + Sync) = &lifted;
         let bounds = Bounds::uniform(3, 0.0, 1.0);
         let cfg = Nsga2Config {
             generations: 15,
@@ -549,14 +551,18 @@ mod tests {
         let mut scr = rfkit_surrogate::SurrogateScreen::new(
             3,
             2,
-            rfkit_surrogate::SurrogateConfig {
-                min_train: usize::MAX,
-                ..Default::default()
-            },
+            rfkit_surrogate::SurrogateConfig { seed: 0x5eed5 },
         );
         let screened = nsga2_screened(obj, &bounds, &cfg, &mut scr);
         assert_eq!(plain.front, screened.front);
         assert_eq!(plain.evaluations, screened.evaluations);
+        let stats = scr.stats();
+        assert!(stats.fallbacks > 0);
+        assert_eq!(
+            (stats.accepted, stats.rejected, stats.explored),
+            (0, 0, 0),
+            "a cold screen made a non-fallback decision"
+        );
     }
 
     #[test]
@@ -572,11 +578,7 @@ mod tests {
         let mut scr = rfkit_surrogate::SurrogateScreen::new(
             3,
             2,
-            rfkit_surrogate::SurrogateConfig {
-                explore: 0.05,
-                explore_min: 0.01,
-                ..Default::default()
-            },
+            rfkit_surrogate::SurrogateConfig { seed: 0x5eed5 },
         );
         let screened = nsga2_screened(obj, &bounds, &cfg, &mut scr);
         assert!(scr.stats().rejected > 0, "screen never pruned anything");

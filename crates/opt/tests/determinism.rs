@@ -14,18 +14,6 @@ use rfkit_opt::{
 use rfkit_surrogate::{SurrogateConfig, SurrogateScreen};
 use std::f64::consts::PI;
 
-/// Screen config that fits early and prunes aggressively, with the
-/// exploration draws armed — the hardest determinism case.
-fn screen_cfg(seed: u64) -> SurrogateConfig {
-    SurrogateConfig {
-        explore: 0.2,
-        explore_min: 0.05,
-        kappa: 1.0,
-        seed,
-        ..Default::default()
-    }
-}
-
 fn rastrigin(x: &[f64]) -> f64 {
     10.0 * x.len() as f64
         + x.iter()
@@ -140,11 +128,11 @@ fn fixed_seed_output_identical_at_1_and_4_threads() {
                 ..Default::default()
             },
         );
-        // Surrogate-screened run: every screening decision (LCB
+        // Surrogate-screened run: every screening decision (dominance
         // comparisons, ε-greedy draws, refit cadence) happens in the
         // serial loop, so the bit-identity contract must survive with a
         // fresh screen per run.
-        let mut moo_scr = SurrogateScreen::new(3, 2, screen_cfg(0xa3));
+        let mut moo_scr = SurrogateScreen::new(3, 2, SurrogateConfig { seed: 0xa3 });
         let moo_s = nsga2_screened(
             &zdt1,
             &Bounds::uniform(3, 0.0, 1.0),

@@ -1,17 +1,19 @@
 //! # rfkit-surrogate
 //!
-//! Online response-surface surrogates that cut the number of *true*
+//! An online response-surface surrogate that cuts the number of *true*
 //! band evaluations an optimization run spends, without ever letting a
 //! predicted number into a result.
 //!
 //! The LNA design flow's cost is dominated by full band sweeps: tens of
 //! frequency points times process corners per candidate, for thousands
 //! of candidates, most of which an accurate cheap model could have
-//! rejected outright. This crate fits regularized quadratic or RBF
-//! response surfaces ([`ResponseSurface`]) to the points the design
-//! cache has already true-evaluated, and wraps them in a
-//! lower-confidence-bound screening rule ([`SurrogateScreen`]) that
-//! NSGA-II's generation loop consults before paying for a sweep.
+//! rejected outright. This crate fits a Gaussian RBF response surface
+//! ([`ResponseSurface`]) to the points the design cache has already
+//! true-evaluated, and wraps it in a screening rule
+//! ([`SurrogateScreen`]) that NSGA-II's generation loop consults before
+//! paying for a sweep: a candidate whose prediction, plus an
+//! improvement margin, is still dominated by the current population is
+//! skipped.
 //!
 //! Two invariants shape the whole crate:
 //!
@@ -26,20 +28,19 @@
 //! ## Example
 //!
 //! ```
-//! use rfkit_surrogate::{ModelKind, SurrogateConfig, SurrogateScreen};
+//! use rfkit_surrogate::{SurrogateConfig, SurrogateScreen};
 //!
-//! let cfg = SurrogateConfig { explore: 0.0, explore_min: 0.0, ..Default::default() };
-//! let mut screen = SurrogateScreen::new(2, 1, cfg);
+//! let mut screen = SurrogateScreen::new(2, 1, SurrogateConfig { seed: 1 });
 //! // Feed true evaluations of f(x) = x0² + x1² as they happen...
 //! let mut rng = rfkit_num::rng::Rng64::new(1);
 //! for _ in 0..80 {
 //!     let x = [rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)];
 //!     screen.observe(&x, &[x[0] * x[0] + x[1] * x[1]]);
 //! }
-//! // ...then let it veto candidates whose optimistic outlook is still
-//! // dominated by (here: worse than) the incumbent's value.
-//! let keep = screen.screen_multi(&[vec![0.9, 0.9], vec![0.05, 0.0]], &[vec![0.01]]);
-//! assert!(keep[1]); // the near-optimal candidate always survives
+//! // ...then let it veto candidates that do not promise to beat the
+//! // incumbent's value (0.5) by the improvement margin.
+//! let keep = screen.screen_multi(&[vec![0.9, 0.9], vec![0.05, 0.0]], &[vec![0.5]]);
+//! assert!(keep[1]); // predicted well below the incumbent: never pruned
 //! ```
 
 #![warn(missing_docs)]
@@ -48,5 +49,5 @@
 mod model;
 mod screen;
 
-pub use model::{n_quad_terms, ModelKind, ResponseSurface};
+pub use model::ResponseSurface;
 pub use screen::{ScreenStats, SurrogateConfig, SurrogateScreen};

@@ -1,13 +1,20 @@
-//! Lower-confidence-bound screening of expensive candidate evaluations.
+//! Prediction screening of expensive candidate evaluations.
 //!
 //! [`SurrogateScreen`] sits between an optimizer's candidate generation
 //! and its batch of true evaluations. For each candidate it predicts
-//! every objective with the current [`ResponseSurface`] and computes a
-//! lower confidence bound `LCB_j = μ_j − κ·σ_j`: the most optimistic
-//! value the model considers plausible. A candidate whose *optimistic*
-//! outlook is still worse than what the optimizer already holds cannot
-//! be accepted by the true evaluation either, so skipping it changes
-//! nothing but the bill.
+//! every objective with the current [`ResponseSurface`] and adds an
+//! improvement margin. A candidate whose shifted prediction is still
+//! Pareto-dominated by what the optimizer already holds does not promise
+//! an improvement, so its true evaluation is skipped.
+//!
+//! The screen has one configuration, the one the band study runs (see
+//! the constants below); only the exploration seed is a parameter. The
+//! plain prediction is compared, not a lower confidence bound: on the
+//! study's cliff-dominated landscape a confidence band is
+//! over-conservative next to the feasibility boundary (the penalty
+//! plateau inflates the spread exactly where pruning pays), so the
+//! always-on margin does the pruning and the keep floor and exploration
+//! trickle act as safety valves.
 //!
 //! ## What a verdict means — the prune-never-propagate contract
 //!
@@ -30,99 +37,49 @@
 //! * With no model yet (cold start, too few points, failed fit) every
 //!   candidate passes (`surrogate.fallback`).
 //! * A non-finite prediction passes the candidate.
-//! * A batch keep floor ([`SurrogateConfig::min_keep_frac`], never
-//!   below one candidate) flips the most promising rejected candidates
-//!   back in, so generation loops can never starve and aggressive
-//!   thresholds cannot freeze a search.
-//! * An ε-greedy schedule (decaying by `explore_half_life`, floored at
-//!   `explore_min`) keeps spending occasional true evaluations on
+//! * A batch keep floor (an eighth of the batch, never below one
+//!   candidate) flips the most promising rejected candidates back in,
+//!   so generation loops can never starve and a confidently wrong model
+//!   cannot freeze a search.
+//! * An ε-greedy schedule keeps spending occasional true evaluations on
 //!   model-rejected candidates, which both bounds the cost of a wrong
 //!   model and keeps feeding it training points off the incumbent path.
 
-use crate::model::{ModelKind, ResponseSurface};
+use crate::model::ResponseSurface;
 use rfkit_num::rng::Rng64;
 
-/// Tuning knobs for [`SurrogateScreen`].
+/// Most-recent training window used per fit (older points age out).
+const MAX_TRAIN: usize = 256;
+/// Refit after this many new observations.
+const RETRAIN_EVERY: usize = 32;
+/// Dimensionless ridge weight added to the unit kernel diagonal.
+const RIDGE: f64 = 1e-6;
+/// Initial ε-greedy exploration probability.
+const EXPLORE: f64 = 0.15;
+/// Exploration probability floor.
+const EXPLORE_MIN: f64 = 0.05;
+/// Screening decisions per halving of the exploration probability.
+const EXPLORE_HALF_LIFE: u64 = 512;
+/// Observations with any `|f_j|` above this are excluded from training.
+/// It is 10 × the band study's infeasibility penalty (1e3), so penalty
+/// rows still train the model — that is how the RBF learns where the
+/// feasibility cliff is — while genuinely broken values stay out.
+const OUTLIER_CAP: f64 = 1e4;
+/// Improvement margin as a fraction of the per-objective robust
+/// training spread: a candidate is worth a true evaluation only if its
+/// prediction beats the reference by this much. A margin of zero keeps
+/// paying for lateral churn along a converged front.
+const MIN_IMPROVEMENT: f64 = 0.3;
+/// Minimum fraction of each batch that survives screening (rounded up,
+/// never below one candidate).
+const MIN_KEEP_FRAC: f64 = 0.125;
+
+/// Configuration of a [`SurrogateScreen`]: the seed of its private
+/// exploration RNG. Every other setting is fixed by the screen.
 #[derive(Debug, Clone)]
 pub struct SurrogateConfig {
-    /// Model family to fit.
-    pub model: ModelKind,
-    /// Training points required before the first fit; `0` selects
-    /// [`ResponseSurface::min_train_points`] for the model and dimension.
-    pub min_train: usize,
-    /// Most-recent training window used per fit (older points age out).
-    pub max_train: usize,
-    /// Refit after this many new observations.
-    pub retrain_every: usize,
-    /// Dimensionless ridge weight for the fit.
-    pub ridge: f64,
-    /// Confidence multiplier κ in `LCB = μ − κ·σ`. Larger is more
-    /// conservative (fewer rejections).
-    pub kappa: f64,
-    /// Initial ε-greedy exploration probability.
-    pub explore: f64,
-    /// Exploration probability floor.
-    pub explore_min: f64,
-    /// Screening decisions per halving of the exploration probability;
-    /// `0` keeps it constant.
-    pub explore_half_life: u64,
-    /// Confidence floor as a fraction of the per-objective *robust*
-    /// (interquartile) training spread:
-    /// `σ_eff = max(σ_fit, sigma_floor · robust_spread)`, further
-    /// widened by the model's data-support slack. Guards against an
-    /// interpolating fit reporting zero residual.
-    pub sigma_floor: f64,
-    /// Observations with any `|f_j|` above this cap are excluded from
-    /// training (penalty values poison polynomial fits).
-    pub outlier_cap: f64,
-    /// Improvement threshold as a fraction of the per-objective robust
-    /// training spread: a candidate is only worth a true evaluation if
-    /// its LCB beats the incumbent/reference by this much. `0` (the
-    /// default) accepts any candidate that is merely not predicted
-    /// worse — on a converged population that keeps paying for
-    /// trade-off churn along the front, so optimization-until-plateau
-    /// workloads should set a small positive value. The threshold is
-    /// stagnation-gated: it stays at zero while the incumbents keep
-    /// advancing and ramps in over [`improvement_patience`]
-    /// (`Self::improvement_patience`) stagnant screening batches, so it
-    /// never throttles a search that is still making progress.
-    pub min_improvement: f64,
-    /// Screening batches without incumbent progress before
-    /// `min_improvement` reaches full strength (the threshold ramps in
-    /// linearly). `0` applies the full threshold unconditionally.
-    pub improvement_patience: u64,
-    /// Minimum fraction of each batch that must survive screening
-    /// (rounded up, never below one candidate). When rejections would
-    /// leave fewer survivors, the most promising rejected candidates
-    /// are forced back in, best first. This bounds the worst case of a
-    /// wrong or over-confident model: the optimizer always retains
-    /// enough true evaluations per batch to keep learning and advancing,
-    /// so aggressive thresholds cannot freeze the search.
-    pub min_keep_frac: f64,
     /// Seed for the private exploration RNG.
     pub seed: u64,
-}
-
-impl Default for SurrogateConfig {
-    fn default() -> Self {
-        SurrogateConfig {
-            model: ModelKind::Quadratic,
-            min_train: 0,
-            max_train: 256,
-            retrain_every: 32,
-            ridge: 1e-6,
-            kappa: 1.5,
-            explore: 0.15,
-            explore_min: 0.02,
-            explore_half_life: 512,
-            sigma_floor: 0.02,
-            outlier_cap: f64::INFINITY,
-            min_improvement: 0.0,
-            improvement_patience: 8,
-            min_keep_frac: 0.0,
-            seed: 0x5eed5,
-        }
-    }
 }
 
 /// Counters describing what a [`SurrogateScreen`] has done so far.
@@ -130,7 +87,8 @@ impl Default for SurrogateConfig {
 pub struct ScreenStats {
     /// Successful model fits.
     pub fits: u64,
-    /// Candidates kept because their LCB was competitive.
+    /// Candidates kept because their prediction was competitive, plus
+    /// those the keep floor forced back in.
     pub accepted: u64,
     /// Candidates pruned (no true evaluation spent).
     pub rejected: u64,
@@ -138,8 +96,8 @@ pub struct ScreenStats {
     pub explored: u64,
     /// Candidates kept because no usable model/prediction existed.
     pub fallbacks: u64,
-    /// Batch-level interventions that forced the best rejected
-    /// candidate back in so a generation can never starve.
+    /// Rejected candidates the batch keep floor forced back in so a
+    /// generation can never starve.
     pub forced: u64,
 }
 
@@ -157,24 +115,18 @@ static OBS_TRUE_EVALS: rfkit_obs::Counter = rfkit_obs::Counter::new("surrogate.t
 static OBS_FALLBACK: rfkit_obs::Counter = rfkit_obs::Counter::new("surrogate.fallback");
 
 /// Online surrogate screen: observes true evaluations, refits on a
-/// cadence, and vetoes candidates whose optimistic outlook is already
+/// cadence, and vetoes candidates whose predicted outlook is already
 /// beaten. See the module docs for the contract.
 #[derive(Debug)]
 pub struct SurrogateScreen {
     dim: usize,
     n_obj: usize,
-    cfg: SurrogateConfig,
     train_x: Vec<Vec<f64>>,
     train_f: Vec<Vec<f64>>,
     model: Option<ResponseSurface>,
     rng: Rng64,
     decisions: u64,
     since_fit: usize,
-    /// Non-dominated subset of the previous batch's incumbents, for
-    /// stagnation detection.
-    prev_incumbents: Vec<Vec<f64>>,
-    /// Consecutive screening batches whose incumbents did not advance.
-    stagnant_batches: u64,
     stats: ScreenStats,
 }
 
@@ -184,51 +136,29 @@ impl SurrogateScreen {
     ///
     /// # Panics
     ///
-    /// Panics if `dim` or `n_obj` is zero, or the config is out of
-    /// range (`max_train < 2`, negative ridge, κ < 0, exploration
-    /// probabilities outside `[0, 1]`).
+    /// Panics if `dim` or `n_obj` is zero.
     pub fn new(dim: usize, n_obj: usize, cfg: SurrogateConfig) -> Self {
         assert!(
             dim > 0 && n_obj > 0,
             "need at least one variable and objective"
         );
-        assert!(cfg.max_train >= 2, "max_train must be at least 2");
-        assert!(cfg.ridge >= 0.0, "ridge must be non-negative");
-        assert!(cfg.kappa >= 0.0, "kappa must be non-negative");
-        assert!(
-            (0.0..=1.0).contains(&cfg.explore) && (0.0..=1.0).contains(&cfg.explore_min),
-            "exploration probabilities must lie in [0, 1]"
-        );
-        assert!(
-            cfg.min_improvement >= 0.0,
-            "min_improvement must be non-negative"
-        );
-        assert!(
-            (0.0..=1.0).contains(&cfg.min_keep_frac),
-            "min_keep_frac must lie in [0, 1]"
-        );
-        let rng = Rng64::new(cfg.seed);
         SurrogateScreen {
             dim,
             n_obj,
-            cfg,
             train_x: Vec::new(),
             train_f: Vec::new(),
             model: None,
-            rng,
+            rng: Rng64::new(cfg.seed),
             decisions: 0,
             since_fit: 0,
-            prev_incumbents: Vec::new(),
-            stagnant_batches: 0,
             stats: ScreenStats::default(),
         }
     }
 
     /// Records a completed true evaluation as training data.
     ///
-    /// Non-finite objective vectors and rows beyond
-    /// [`SurrogateConfig::outlier_cap`] are ignored — penalty encodings
-    /// (e.g. infeasible-point constants) would poison the fit.
+    /// Non-finite rows and rows with an objective beyond the outlier
+    /// cap (10 × the band study's infeasibility penalty) are ignored.
     ///
     /// # Panics
     ///
@@ -258,8 +188,7 @@ impl SurrogateScreen {
         assert_eq!(x.len(), self.dim, "design-point dimension mismatch");
         assert_eq!(f.len(), self.n_obj, "objective-count mismatch");
         let usable = x.iter().all(|v| v.is_finite())
-            && f.iter()
-                .all(|v| v.is_finite() && v.abs() <= self.cfg.outlier_cap);
+            && f.iter().all(|v| v.is_finite() && v.abs() <= OUTLIER_CAP);
         if !usable {
             return false;
         }
@@ -267,8 +196,8 @@ impl SurrogateScreen {
         self.train_f.push(f.to_vec());
         // Age out old points in deterministic blocks so memory stays
         // bounded on long runs while fits always see the newest window.
-        if self.train_x.len() >= 2 * self.cfg.max_train {
-            let cut = self.train_x.len() - self.cfg.max_train;
+        if self.train_x.len() >= 2 * MAX_TRAIN {
+            let cut = self.train_x.len() - MAX_TRAIN;
             self.train_x.drain(..cut);
             self.train_f.drain(..cut);
         }
@@ -277,12 +206,12 @@ impl SurrogateScreen {
 
     /// Screens a batch of candidates.
     ///
-    /// A candidate is pruned when its LCB vector — optimistic in every
-    /// objective at once — is still Pareto-dominated by some point of
-    /// `reference` (typically the parent population's objective
-    /// vectors). With one objective that is an LCB above the best
-    /// reference value. Returns one verdict per candidate; at least one
-    /// is `true`.
+    /// A candidate is pruned when its prediction, shifted up by the
+    /// improvement margin in every objective, is still Pareto-dominated
+    /// by some point of `reference` (typically the parent population's
+    /// objective vectors). With one objective that is a shifted
+    /// prediction above the best reference value. Returns one verdict
+    /// per candidate; at least one is `true`.
     ///
     /// # Panics
     ///
@@ -293,34 +222,41 @@ impl SurrogateScreen {
             assert_eq!(r.len(), self.n_obj, "reference objective-count mismatch");
         }
         self.ensure_fitted();
-        let eps = self.improvement_margin(reference);
+        let margin: Vec<f64> = match &self.model {
+            Some(m) => m
+                .robust_spread()
+                .iter()
+                .map(|s| MIN_IMPROVEMENT * s)
+                .collect(),
+            None => vec![0.0; self.n_obj],
+        };
         let mut keep = Vec::with_capacity(candidates.len());
         // Rejected candidates ranked for the keep-floor flips: fewest
-        // dominating reference rows first, then lowest LCB sum, then
-        // lowest index (all deterministic tie-breaks).
+        // dominating reference rows first, then lowest shifted
+        // prediction sum, then lowest index (all deterministic
+        // tie-breaks).
         let mut rejected: Vec<(usize, usize, f64)> = Vec::new();
-        let mut lcb = vec![0.0; self.n_obj];
+        let mut pred = vec![0.0; self.n_obj];
         for (i, x) in candidates.iter().enumerate() {
-            let verdict = match self.lcb_into(x, &mut lcb) {
-                None => Verdict::Fallback,
-                Some(()) => {
-                    // The ε-shifted LCB must still be undominated: the
-                    // candidate has to *promise* an improvement, not
-                    // merely a lateral move along the front.
-                    for (l, e) in lcb.iter_mut().zip(&eps) {
-                        *l += e;
-                    }
-                    let dominated_by = reference.iter().filter(|r| dominates(r, &lcb)).count();
-                    if self.draw_explore() {
-                        Verdict::Explored
-                    } else if dominated_by == 0 {
-                        Verdict::Accepted
-                    } else {
-                        let sum: f64 = lcb.iter().sum();
-                        rejected.push((i, dominated_by, sum));
-                        Verdict::Rejected
-                    }
+            let verdict = if self.predict_into(x, &mut pred) {
+                // The shifted prediction must still be undominated: the
+                // candidate has to *promise* an improvement, not merely
+                // a lateral move along the front.
+                for (p, m) in pred.iter_mut().zip(&margin) {
+                    *p += m;
                 }
+                let dominated_by = reference.iter().filter(|r| dominates(r, &pred)).count();
+                if self.draw_explore() {
+                    Verdict::Explored
+                } else if dominated_by == 0 {
+                    Verdict::Accepted
+                } else {
+                    let sum: f64 = pred.iter().sum();
+                    rejected.push((i, dominated_by, sum));
+                    Verdict::Rejected
+                }
+            } else {
+                Verdict::Fallback
             };
             keep.push(verdict);
         }
@@ -331,14 +267,6 @@ impl SurrogateScreen {
         });
         let ranked: Vec<usize> = rejected.into_iter().map(|(i, ..)| i).collect();
         self.finalize(&mut keep, &ranked)
-    }
-
-    /// The lower confidence bound the screen would use for `x`, or
-    /// `None` when no usable model exists. Exposed for tests and
-    /// diagnostics — never feed these values into results.
-    pub fn predict_lcb(&self, x: &[f64]) -> Option<Vec<f64>> {
-        let mut out = vec![0.0; self.n_obj];
-        self.lcb_into(x, &mut out).map(|()| out)
     }
 
     /// Decision counters accumulated so far.
@@ -356,30 +284,17 @@ impl SurrogateScreen {
         self.train_x.len()
     }
 
-    fn min_train(&self) -> usize {
-        if self.cfg.min_train > 0 {
-            self.cfg.min_train
-        } else {
-            ResponseSurface::min_train_points(self.cfg.model, self.dim)
-        }
-    }
-
     /// Refits lazily at screen entry: first fit once enough training
     /// points exist, then on the retrain cadence.
     fn ensure_fitted(&mut self) {
-        let enough = self.train_x.len() >= self.min_train();
-        let due = self.model.is_none() || self.since_fit >= self.cfg.retrain_every;
+        let enough = self.train_x.len() >= ResponseSurface::min_train_points(self.dim);
+        let due = self.model.is_none() || self.since_fit >= RETRAIN_EVERY;
         if !(enough && due) {
             return;
         }
-        let start = self.train_x.len().saturating_sub(self.cfg.max_train);
+        let start = self.train_x.len().saturating_sub(MAX_TRAIN);
         let _span = rfkit_obs::span("surrogate.fit");
-        match ResponseSurface::fit(
-            self.cfg.model,
-            &self.train_x[start..],
-            &self.train_f[start..],
-            self.cfg.ridge,
-        ) {
+        match ResponseSurface::fit(&self.train_x[start..], &self.train_f[start..], RIDGE) {
             Ok(m) => {
                 self.model = Some(m);
                 self.stats.fits += 1;
@@ -395,92 +310,23 @@ impl SurrogateScreen {
         self.since_fit = 0;
     }
 
-    /// Updates the stagnation gate from this batch's incumbent set and
-    /// returns the per-objective improvement threshold in objective
-    /// units (zero while no model is armed).
-    ///
-    /// Only the *non-dominated subset* of the incumbents is tracked —
-    /// against the full set, any offspring that displaces a dominated
-    /// straggler would register as progress, and an actively-selecting
-    /// optimizer does that every batch. The front "advanced" when some
-    /// current front row strictly dominates a previous front row, or
-    /// pushes past the previous per-objective minimum (an extreme
-    /// extension). Lateral in-fill along an unchanged front counts as
-    /// stagnation — that is exactly the churn the threshold exists to
-    /// stop paying for. The threshold ramps in linearly over
-    /// `improvement_patience` stagnant batches and resets to zero the
-    /// moment progress reappears, so a search that is still advancing
-    /// is never throttled, while a plateaued one drains to the
-    /// keep-floor-plus-exploration trickle.
-    fn improvement_margin(&mut self, incumbents: &[Vec<f64>]) -> Vec<f64> {
-        let front: Vec<Vec<f64>> = incumbents
-            .iter()
-            .filter(|r| !incumbents.iter().any(|o| dominates(o, r)))
-            .cloned()
-            .collect();
-        if !self.prev_incumbents.is_empty() {
-            let mut prev_min = vec![f64::INFINITY; self.n_obj];
-            for p in &self.prev_incumbents {
-                for (slot, v) in prev_min.iter_mut().zip(p) {
-                    *slot = slot.min(*v);
-                }
-            }
-            let advanced = front.iter().any(|r| {
-                self.prev_incumbents.iter().any(|p| dominates(r, p))
-                    || r.iter().zip(&prev_min).any(|(v, m)| v < m)
-            });
-            if advanced {
-                self.stagnant_batches = 0;
-            } else {
-                self.stagnant_batches += 1;
-            }
-        }
-        self.prev_incumbents = front;
-        let ramp = if self.cfg.improvement_patience == 0 {
-            1.0
-        } else {
-            (self.stagnant_batches as f64 / self.cfg.improvement_patience as f64).min(1.0)
-        };
+    /// Predicts every objective of `x` into `out`; `false` when no model
+    /// is armed or a prediction is not finite.
+    fn predict_into(&self, x: &[f64], out: &mut [f64]) -> bool {
         match &self.model {
-            Some(m) => m
-                .robust_spread()
-                .iter()
-                .map(|s| self.cfg.min_improvement * ramp * s)
-                .collect(),
-            None => vec![0.0; self.n_obj],
+            Some(model) => {
+                model.predict_into(x, out);
+                out.iter().all(|o| o.is_finite())
+            }
+            None => false,
         }
-    }
-
-    fn lcb_into(&self, x: &[f64], out: &mut [f64]) -> Option<()> {
-        let model = self.model.as_ref()?;
-        let support = model.predict_into(x, out);
-        // Confidence widens as data support drops: at a training point
-        // the band is the fit residual (floored), with no support it
-        // opens by the robust training spread. Both the floor and the
-        // support slack scale with the *robust* (interquartile) spread —
-        // a penalty plateau in the training values stretches the full
-        // spread a thousandfold, and a band on that scale would swallow
-        // every comparison ordinary candidates face.
-        let slack = 1.0 - support;
-        let mut ok = true;
-        for (j, o) in out.iter_mut().enumerate() {
-            let spread = model.robust_spread()[j];
-            let sigma = model.sigma()[j].max(self.cfg.sigma_floor * spread) + slack * spread;
-            *o -= self.cfg.kappa * sigma;
-            ok &= o.is_finite();
-        }
-        ok.then_some(())
     }
 
     /// One ε-greedy draw per modeled candidate, with deterministic
     /// exponential decay of the exploration probability.
     fn draw_explore(&mut self) -> bool {
-        let eps = if self.cfg.explore_half_life == 0 {
-            self.cfg.explore
-        } else {
-            let t = self.decisions as f64 / self.cfg.explore_half_life as f64;
-            (self.cfg.explore * 0.5_f64.powf(t)).max(self.cfg.explore_min)
-        };
+        let t = self.decisions as f64 / EXPLORE_HALF_LIFE as f64;
+        let eps = (EXPLORE * 0.5_f64.powf(t)).max(EXPLORE_MIN);
         self.decisions += 1;
         self.rng.chance(eps)
     }
@@ -489,7 +335,7 @@ impl SurrogateScreen {
     /// candidates back in, best first), emits telemetry, and converts
     /// verdicts to booleans.
     fn finalize(&mut self, verdicts: &mut [Verdict], ranked_rejected: &[usize]) -> Vec<bool> {
-        let min_keep = ((self.cfg.min_keep_frac * verdicts.len() as f64).ceil() as usize).max(1);
+        let min_keep = ((MIN_KEEP_FRAC * verdicts.len() as f64).ceil() as usize).max(1);
         let kept_n = verdicts.iter().filter(|v| **v != Verdict::Rejected).count();
         for &i in ranked_rejected.iter().take(min_keep.saturating_sub(kept_n)) {
             verdicts[i] = Verdict::Forced;
@@ -552,17 +398,12 @@ fn dominates(a: &[f64], b: &[f64]) -> bool {
 mod tests {
     use super::*;
 
-    fn cfg_no_explore(model: ModelKind) -> SurrogateConfig {
-        SurrogateConfig {
-            model,
-            explore: 0.0,
-            explore_min: 0.0,
-            kappa: 1.0,
-            ..SurrogateConfig::default()
-        }
+    fn new_screen(dim: usize, n_obj: usize) -> SurrogateScreen {
+        SurrogateScreen::new(dim, n_obj, SurrogateConfig { seed: 99 })
     }
 
-    /// Deterministic 2-D sample cloud and a smooth scalar objective.
+    /// Deterministic 2-D sample cloud and a smooth scalar objective
+    /// whose minimum (≈ −0.02) sits at (−0.15, 0).
     fn scalar_training(n: usize) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
         let mut rng = Rng64::new(42);
         let mut xs = Vec::new();
@@ -576,9 +417,34 @@ mod tests {
         (xs, fs)
     }
 
+    /// A scalar screen that has observed 60 true evaluations.
+    fn trained_scalar_screen() -> SurrogateScreen {
+        let mut s = new_screen(2, 1);
+        let (xs, fs) = scalar_training(60);
+        for (x, f) in xs.iter().zip(&fs) {
+            s.observe(x, f);
+        }
+        s
+    }
+
+    /// `n` candidates on the ring |x| = 0.9, where the objective lies
+    /// between ~0.5 and ~1.6.
+    fn ring(n: usize) -> Vec<Vec<f64>> {
+        (0..n)
+            .map(|i| {
+                let a = std::f64::consts::TAU * i as f64 / n as f64;
+                vec![0.9 * a.cos(), 0.9 * a.sin()]
+            })
+            .collect()
+    }
+
+    fn kept(keep: &[bool]) -> u64 {
+        keep.iter().filter(|k| **k).count() as u64
+    }
+
     #[test]
     fn cold_start_passes_everything_as_fallback() {
-        let mut s = SurrogateScreen::new(2, 1, cfg_no_explore(ModelKind::Quadratic));
+        let mut s = new_screen(2, 1);
         let cands = vec![vec![0.1, 0.2], vec![0.5, -0.4]];
         let keep = s.screen_multi(&cands, &[vec![0.0]]);
         assert_eq!(keep, vec![true, true]);
@@ -588,39 +454,40 @@ mod tests {
     }
 
     #[test]
-    fn fitted_screen_prunes_hopeless_scalar_candidates() {
-        let mut s = SurrogateScreen::new(2, 1, cfg_no_explore(ModelKind::Quadratic));
-        let (xs, fs) = scalar_training(60);
-        for (x, f) in xs.iter().zip(&fs) {
-            s.observe(x, f);
-        }
-        // Incumbent is excellent; a far-out candidate's LCB can't beat it.
-        let cands = vec![vec![0.9, 0.9], vec![0.02, -0.03]];
-        let keep = s.screen_multi(&cands, &[vec![0.01]]);
+    fn fitted_screen_prunes_hopeless_candidates() {
+        let mut s = trained_scalar_screen();
+        // Against an excellent incumbent no candidate on the ring
+        // promises an improvement: survivors are exploration draws or
+        // keep-floor flips, never accepted on merit.
+        let keep = s.screen_multi(&ring(40), &[vec![-0.01]]);
+        let st = s.stats();
         assert!(s.has_model());
-        assert!(!keep[0], "hopeless candidate should be pruned");
-        assert!(keep[1], "near-optimal candidate must survive");
-        assert!(s.stats().rejected >= 1);
-        assert!(s.stats().true_evals() >= 1);
+        assert_eq!(st.fits, 1);
+        assert_eq!(st.fallbacks, 0);
+        assert_eq!(st.accepted, st.forced, "a hopeless candidate was accepted");
+        assert!(st.rejected >= 30, "{st:?}");
+        assert_eq!(st.rejected + st.true_evals(), 40);
+        assert_eq!(kept(&keep), st.true_evals());
     }
 
     #[test]
-    fn at_least_one_candidate_always_survives() {
-        let mut s = SurrogateScreen::new(2, 1, cfg_no_explore(ModelKind::Quadratic));
-        let (xs, fs) = scalar_training(60);
-        for (x, f) in xs.iter().zip(&fs) {
-            s.observe(x, f);
-        }
-        // All candidates are terrible against an unbeatable incumbent.
-        let cands = vec![vec![0.9, 0.9], vec![-0.8, 0.95], vec![0.85, -0.9]];
-        let keep = s.screen_multi(&cands, &[vec![-100.0]]);
-        assert_eq!(keep.iter().filter(|k| **k).count(), 1);
-        assert_eq!(s.stats().forced, 1);
+    fn candidates_predicted_well_below_the_reference_survive() {
+        let mut s = trained_scalar_screen();
+        let cands = vec![
+            vec![-0.15, 0.0],
+            vec![0.0, 0.05],
+            vec![-0.3, -0.1],
+            vec![0.1, 0.1],
+        ];
+        let keep = s.screen_multi(&cands, &[vec![1.0]]);
+        assert_eq!(keep, vec![true; 4]);
+        assert_eq!(s.stats().rejected, 0);
+        assert_eq!(s.stats().forced, 0);
     }
 
     #[test]
-    fn multi_objective_dominated_lcb_is_pruned() {
-        let mut s = SurrogateScreen::new(2, 2, cfg_no_explore(ModelKind::Quadratic));
+    fn multi_objective_dominated_predictions_are_pruned() {
+        let mut s = new_screen(2, 2);
         let mut rng = Rng64::new(7);
         for _ in 0..80 {
             let x = vec![rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)];
@@ -629,32 +496,63 @@ mod tests {
             let f2 = (x[0] + 1.0).powi(2) + (x[1] + 1.0).powi(2);
             s.observe(&x, &[f1, f2]);
         }
-        // Reference: a point near each attractor — together they
-        // dominate the middle-of-nowhere corner (1, -1) region? No:
-        // corner (1,-1) trades off. Use a reference that dominates
-        // everything far from the diagonal.
-        let reference = vec![vec![0.1, 0.1]];
-        // (0,0) has f ≈ (2,2): dominated by (0.1,0.1). On-diagonal
-        // optimum (1,1) has f ≈ (0,8): not dominated.
-        let cands = vec![vec![0.0, 0.0], vec![1.0, 1.0]];
-        let keep = s.screen_multi(&cands, &reference);
+        // On the anti-diagonal (t, −t) both objectives are 2 + 2t², so
+        // the reference (2, 2) dominates every such candidate. Near the
+        // attractors on the diagonal one objective beats 2 by far: a
+        // trade-off the reference cannot dominate.
+        let middle: Vec<Vec<f64>> = [-0.4, -0.2, 0.0, 0.2, 0.4]
+            .iter()
+            .map(|t| vec![*t, -t])
+            .collect();
+        let trade_offs = vec![
+            vec![0.8, 0.8],
+            vec![0.6, 0.6],
+            vec![-0.6, -0.6],
+            vec![-0.8, -0.8],
+        ];
+        let cands: Vec<Vec<f64>> = middle.iter().chain(&trade_offs).cloned().collect();
+        let keep = s.screen_multi(&cands, &[vec![2.0, 2.0]]);
+        let st = s.stats();
         assert!(s.has_model());
-        assert!(!keep[0], "dominated-LCB candidate should be pruned");
-        assert!(keep[1], "trade-off candidate must survive");
+        assert!(
+            keep[middle.len()..].iter().all(|k| *k),
+            "a trade-off candidate was pruned: {keep:?}"
+        );
+        assert_eq!(st.forced, 0);
+        assert!(st.rejected > 0, "{st:?}");
+        assert!(
+            kept(&keep[..middle.len()]) <= st.explored,
+            "{keep:?} {st:?}"
+        );
+    }
+
+    #[test]
+    fn keep_floor_forces_the_best_ranked_rejects_back() {
+        let mut s = trained_scalar_screen();
+        let unbeatable = [vec![-100.0]];
+        // Spend the exploration schedule down to its floor (5 %, below
+        // the 12.5 % keep floor) so the floor has work to do.
+        for _ in 0..16 {
+            s.screen_multi(&ring(64), &unbeatable);
+        }
+        let before = s.stats();
+        // The best-ranked reject (lowest prediction) comes first.
+        let mut cands = vec![vec![-0.15, 0.0]];
+        cands.extend(ring(63));
+        let keep = s.screen_multi(&cands, &unbeatable);
+        let st = s.stats();
+        let explored = st.explored - before.explored;
+        let forced = st.forced - before.forced;
+        assert!(forced > 0, "keep floor never engaged");
+        assert_eq!(st.accepted - before.accepted, forced);
+        assert_eq!(kept(&keep), 8.max(explored), "64 candidates keep 8");
+        assert!(keep[0], "the best-ranked reject was not forced back");
     }
 
     #[test]
     fn decisions_are_seed_deterministic() {
         let run = || {
-            let mut cfg = cfg_no_explore(ModelKind::Quadratic);
-            cfg.explore = 0.3;
-            cfg.explore_min = 0.05;
-            cfg.seed = 99;
-            let mut s = SurrogateScreen::new(2, 1, cfg);
-            let (xs, fs) = scalar_training(80);
-            for (x, f) in xs.iter().zip(&fs) {
-                s.observe(x, f);
-            }
+            let mut s = trained_scalar_screen();
             let mut rng = Rng64::new(5);
             let mut verdicts = Vec::new();
             for _ in 0..10 {
@@ -669,50 +567,44 @@ mod tests {
         let (v2, s2) = run();
         assert_eq!(v1, v2);
         assert_eq!(s1, s2);
+        assert!(s1.rejected > 0 && s1.explored > 0, "{s1:?}");
     }
 
     #[test]
-    fn outlier_cap_excludes_penalty_rows() {
-        let mut cfg = cfg_no_explore(ModelKind::Quadratic);
-        cfg.outlier_cap = 100.0;
-        let mut s = SurrogateScreen::new(2, 1, cfg);
-        s.observe(&[0.0, 0.0], &[1e3]); // penalty encoding: ignored
+    fn capped_and_non_finite_rows_are_excluded() {
+        let mut s = new_screen(2, 1);
+        s.observe(&[0.0, 0.0], &[2e4]); // beyond the cap: ignored
+        s.observe(&[0.0, 0.1], &[1e3]); // the study's penalty: trains
         s.observe(&[0.1, 0.1], &[2.0]);
         s.observe(&[0.2, 0.1], &[f64::NAN]); // non-finite: ignored
-        assert_eq!(s.training_len(), 1);
+        s.observe(&[f64::INFINITY, 0.1], &[2.0]); // non-finite: ignored
+        assert_eq!(s.training_len(), 2);
     }
 
     #[test]
-    fn retrain_cadence_refits_with_new_data() {
-        let mut cfg = cfg_no_explore(ModelKind::Quadratic);
-        cfg.retrain_every = 10;
-        let mut s = SurrogateScreen::new(2, 1, cfg);
-        let (xs, fs) = scalar_training(90);
-        for (x, f) in xs.iter().zip(&fs).take(60) {
-            s.observe(x, f);
-        }
+    fn retrain_cadence_refits_after_32_observations() {
+        let mut s = trained_scalar_screen();
         let cands = vec![vec![0.0, 0.0]];
         s.screen_multi(&cands, &[vec![10.0]]);
         assert_eq!(s.stats().fits, 1);
-        for (x, f) in xs.iter().zip(&fs).skip(60) {
+        let (xs, fs) = scalar_training(92);
+        for (x, f) in xs.iter().zip(&fs).skip(60).take(31) {
             s.observe(x, f);
         }
+        s.screen_multi(&cands, &[vec![10.0]]);
+        assert_eq!(s.stats().fits, 1, "refit before the cadence was due");
+        s.observe(&xs[91], &fs[91]);
         s.screen_multi(&cands, &[vec![10.0]]);
         assert_eq!(s.stats().fits, 2, "cadence-due refit did not happen");
     }
 
     #[test]
     fn seeding_does_not_advance_the_retrain_cadence() {
-        let mut cfg = cfg_no_explore(ModelKind::Quadratic);
-        cfg.retrain_every = 10;
-        let mut s = SurrogateScreen::new(2, 1, cfg);
-        let (xs, fs) = scalar_training(70);
-        for (x, f) in xs.iter().zip(&fs).take(60) {
-            s.observe(x, f);
-        }
+        let mut s = trained_scalar_screen();
         let cands = vec![vec![0.0, 0.0]];
         s.screen_multi(&cands, &[vec![10.0]]);
         assert_eq!(s.stats().fits, 1);
+        let (xs, fs) = scalar_training(100);
         let seeded: Vec<(Vec<f64>, Vec<f64>)> = xs
             .iter()
             .cloned()
@@ -720,22 +612,9 @@ mod tests {
             .skip(60)
             .collect();
         s.seed_training(&seeded);
-        assert_eq!(s.training_len(), 70);
+        assert_eq!(s.training_len(), 100);
         s.screen_multi(&cands, &[vec![10.0]]);
         assert_eq!(s.stats().fits, 1, "seeded points triggered a refit");
-    }
-
-    #[test]
-    fn rbf_screen_also_arms() {
-        let mut s = SurrogateScreen::new(2, 1, cfg_no_explore(ModelKind::Rbf));
-        let (xs, fs) = scalar_training(40);
-        for (x, f) in xs.iter().zip(&fs) {
-            s.observe(x, f);
-        }
-        s.screen_multi(&[vec![0.0, 0.0]], &[vec![10.0]]);
-        assert!(s.has_model());
-        let lcb = s.predict_lcb(&[0.0, 0.0]).unwrap();
-        assert!(lcb[0].is_finite());
     }
 
     #[test]
