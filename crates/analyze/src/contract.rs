@@ -378,7 +378,7 @@ mod tests {
 # comments don't count: --expect ghost.name and --expect-min floors
 cargo run -p rfkit-obs --bin rfkit-trace -- --json \\
   --expect dc.retry.attempts --expect dc.fallback.stage \\
-  --expect-max circuit.ac.sweep.refactors:8 \\
+  --expect-max serve.requests.rejected:0 \\
   --expect-min plan.cache.hit:40 \\
   results/PROFILE_faults.json
 ";
@@ -389,7 +389,7 @@ cargo run -p rfkit-obs --bin rfkit-trace -- --json \\
             [
                 "dc.retry.attempts",
                 "dc.fallback.stage",
-                "circuit.ac.sweep.refactors",
+                "serve.requests.rejected",
                 "plan.cache.hit"
             ]
         );

@@ -2,7 +2,6 @@
 //! `NAME`, `DESCRIPTION`, and `check(&SourceFile, &mut Vec<Finding>)`.
 
 pub mod alloc_in_hot_loop;
-pub mod dense_solve_in_sweep;
 pub mod fault_hook_coverage;
 pub mod float_eq;
 pub mod lock_across_solve;
@@ -53,11 +52,6 @@ pub fn all() -> Vec<Lint> {
             name: swallowed_error::NAME,
             description: swallowed_error::DESCRIPTION,
             check: swallowed_error::check,
-        },
-        Lint {
-            name: dense_solve_in_sweep::NAME,
-            description: dense_solve_in_sweep::DESCRIPTION,
-            check: dense_solve_in_sweep::check,
         },
         Lint {
             name: alloc_in_hot_loop::NAME,

@@ -110,6 +110,6 @@ fn list_lints_includes_the_contract_pass() {
         .expect("spawn rfkit-analyze");
     let text = stdout(&out);
     assert!(text.contains("counter-name-drift"), "{text}");
-    // 11 per-file lints plus the tree-wide contract pass.
-    assert_eq!(text.lines().count(), 12, "one row per lint:\n{text}");
+    // 10 per-file lints plus the tree-wide contract pass.
+    assert_eq!(text.lines().count(), 11, "one row per lint:\n{text}");
 }

@@ -46,9 +46,7 @@ pub use dc::{solve_dc, DcSolution, RetryPolicy, SolveError, SolveStage};
 pub use hb::{compression_sweep, HbConfig, HbError, HbSolution, HbTestbench};
 pub use netlist::{Circuit, Element, NodeId, Port};
 pub use plan::{AcWorkspace, StampPlan};
-pub use sweep::{
-    shared_plan, shared_plan_cache, SweepBatch, SweepStats, DEFAULT_PLAN_CACHE_CAPACITY, SWEEP_TOL,
-};
+pub use sweep::{shared_plan, shared_plan_cache, SweepBatch, DEFAULT_PLAN_CACHE_CAPACITY};
 pub use twotone::{
     ip3_sweep, p1db, power_series, single_tone, time_domain, Ip3Sweep, TwoToneResult, TwoToneSpec,
 };

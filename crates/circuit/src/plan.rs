@@ -25,7 +25,9 @@
 //! admittances are purely real while capacitor/inductor admittances are
 //! purely imaginary — complex addition is componentwise, so each matrix
 //! entry's real and imaginary parts still accumulate in element order
-//! within their component.
+//! within their component. The solve that follows runs the legacy kernels
+//! in the legacy order (one pivoted LU of the internal block, then the S
+//! conversion), so the S-matrix is bit-identical too.
 
 use crate::ac::{apply_two_port_stamps, stamp_admittance, AcError, AcStamps, SHORT_SIEMENS};
 use crate::netlist::{Circuit, Element};
@@ -53,8 +55,8 @@ struct BStamp {
 /// A netlist compiled for repeated AC solves over one topology.
 ///
 /// Compile once with [`StampPlan::compile`], then sweep with
-/// [`StampPlan::sweep_batch`] and a reusable [`AcWorkspace`]. Results agree
-/// with [`crate::ac::s_matrix`] within [`crate::SWEEP_TOL`].
+/// [`StampPlan::sweep_batch`] and a reusable [`AcWorkspace`]. Results equal
+/// [`crate::ac::s_matrix`]'s bit for bit.
 #[derive(Debug, Clone)]
 pub struct StampPlan {
     /// Total node count (matrix dimension before reduction).
@@ -176,7 +178,7 @@ impl StampPlan {
 
 /// Reusable scratch storage for [`StampPlan`] solves.
 ///
-/// All intermediate matrices and the LU workspaces live here, so a band
+/// All intermediate matrices and the LU workspace live here, so a band
 /// sweep re-solving one plan performs zero matrix allocations after the
 /// first frequency point. The warm-up/reuse counters act as an
 /// allocation proxy: a sweep of `k` points over one topology must report
@@ -202,10 +204,6 @@ pub struct AcWorkspace {
     pub(crate) smat: CMatrix,
     pub(crate) lu: LuWorkspace<Complex>,
     pub(crate) x: Vec<Complex>,
-    // Batched-sweep state: the pivot-reuse factorization of the internal
-    // block persists across grid points (`lu` is clobbered by the S
-    // conversion every point).
-    pub(crate) sweep_lu: LuWorkspace<Complex>,
     dims: (usize, usize),
     warmups: u64,
     reuses: u64,

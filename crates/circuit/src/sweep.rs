@@ -1,30 +1,22 @@
-//! Batched AC sweep engine.
+//! Compiled AC frequency sweeps.
 //!
-//! Every caller in the suite (band verification, yield Monte-Carlo,
-//! benchmark sweeps) wants a whole frequency *grid*, so a compiled
-//! [`StampPlan`](crate::StampPlan) has one solve entry point,
-//! [`StampPlan::sweep_batch`]. It is fast through **pivot reuse**: the
-//! MNA matrix changes smoothly along the grid, so the pivot sequence
-//! chosen at one point is reused at the next via
-//! [`LuWorkspace::try_refactor_with_current_perm`](rfkit_num::LuWorkspace::try_refactor_with_current_perm)
-//! — no pivot search, no row swaps — with a growth guard that forces a
-//! full refactorization only when the reused order turns unstable.
-//!
-//! Results are stored in split re/im (SoA) buffers
-//! ([`rfkit_num::soa::SoaComplex`]).
+//! Every caller in the suite (the serve `verify` request, the design
+//! example's output-match check, the equivalence tests) wants a whole
+//! frequency *grid*, so a compiled [`StampPlan`] has one solve entry
+//! point, [`StampPlan::sweep_batch`]. Per grid point it assembles Y inside
+//! the caller's [`AcWorkspace`], factors the internal block with the same
+//! pivoted [`Matrix::lu_into`](rfkit_num::Matrix::lu_into) the legacy
+//! solver runs, eliminates it and converts the port block to S.
 //!
 //! ## Equivalence contract
 //!
 //! The legacy per-call solver ([`s_matrix`](crate::ac::s_matrix)) is the
-//! reference oracle. `sweep_batch` is held to a **documented tolerance
-//! contract** against it: every S-matrix entry it produces agrees with the
-//! legacy result to within `1e-8` absolute error (see [`SWEEP_TOL`]), and
-//! `Err` outcomes (singular systems, non-positive frequencies, injected
-//! faults) are point-for-point identical. The pivot-reuse path refuses
-//! numerically risky factorizations (growth guard) and falls back to a
-//! fully pivoted LU, so the bound holds on pathological grids too.
-//! `tests/fastpath_equivalence.rs` pins the contract with seeded random
-//! netlists.
+//! reference oracle. `sweep_batch` performs the oracle's floating-point
+//! operations in the oracle's order, so every S-matrix entry equals the
+//! legacy result **bit for bit**, and `Err` outcomes (singular systems,
+//! non-positive frequencies, injected faults) are point-for-point
+//! identical. `tests/fastpath_equivalence.rs` pins the contract with
+//! seeded random netlists.
 //!
 //! ## Plan sharing
 //!
@@ -39,49 +31,24 @@ use crate::ac::{AcError, AcStamps};
 use crate::netlist::{Circuit, Element};
 use crate::plan::{AcWorkspace, StampPlan};
 use rfkit_net::SParams;
-use rfkit_num::soa::SoaComplex;
 use rfkit_num::{Complex, Fetched, MemoMap};
 
 static OBS_SWEEP_POINTS: rfkit_obs::Counter = rfkit_obs::Counter::new("circuit.ac.sweep.points");
-static OBS_SWEEP_REFACTORS: rfkit_obs::Counter =
-    rfkit_obs::Counter::new("circuit.ac.sweep.refactors");
 static OBS_SWEEP_US: rfkit_obs::Hist = rfkit_obs::Hist::new("circuit.ac.sweep_us");
 static OBS_PLAN_HIT: rfkit_obs::Counter = rfkit_obs::Counter::new("plan.cache.hit");
 static OBS_PLAN_MISS: rfkit_obs::Counter = rfkit_obs::Counter::new("plan.cache.miss");
 
-/// Absolute per-entry tolerance of the batched sweep against the legacy
-/// per-call solver. S-parameters are bounded by ~1 in magnitude for
-/// passive networks and stay O(1) for the amplifier stamps the suite
-/// uses, so an absolute bound is meaningful; the pivot-reuse growth
-/// guard keeps element growth (and therefore backward error) far inside
-/// this margin.
-pub const SWEEP_TOL: f64 = 1e-8;
-
-/// Aggregate statistics of one [`StampPlan::sweep_batch`] call.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SweepStats {
-    /// Grid points processed (successful or not).
-    pub points: usize,
-    /// Full pivoted refactorizations forced *beyond* the initial one:
-    /// growth-guard trips on the pivot-reuse path. Healthy sweeps keep
-    /// this ≪ `points`.
-    pub refactors: usize,
-    /// Points that returned an error.
-    pub failures: usize,
-}
-
-/// Results of a batched frequency sweep: the S-matrix grid in SoA (split
-/// re/im) storage, per-point failures, and sweep statistics.
+/// Results of a batched frequency sweep: the S-matrix grid and the
+/// per-point failures.
 #[derive(Debug, Clone)]
 pub struct SweepBatch {
     n_ports: usize,
     z0: f64,
     freqs: Vec<f64>,
     /// Point-major: entry `(p, i, j)` at index `(p·m + i)·m + j`.
-    s: SoaComplex,
+    s: Vec<Complex>,
     /// `(point index, error)`, ascending by point.
     failures: Vec<(usize, AcError)>,
-    stats: SweepStats,
 }
 
 impl SweepBatch {
@@ -123,7 +90,7 @@ impl SweepBatch {
     /// Panics when `p`, `i` or `j` is out of range.
     pub fn s(&self, p: usize, i: usize, j: usize) -> Complex {
         assert!(i < self.n_ports && j < self.n_ports, "port out of range");
-        self.s.get((p * self.n_ports + i) * self.n_ports + j)
+        self.s[(p * self.n_ports + i) * self.n_ports + j]
     }
 
     /// Two-port S-parameters at point `p`, or `None` when the point
@@ -145,23 +112,17 @@ impl SweepBatch {
     pub fn failures(&self) -> &[(usize, AcError)] {
         &self.failures
     }
-
-    /// Sweep statistics (refactor count, failures, …).
-    pub fn stats(&self) -> &SweepStats {
-        &self.stats
-    }
 }
 
 impl StampPlan {
-    /// Sweeps the whole frequency grid through the pivot-reuse batch
-    /// engine, returning the S grid in SoA storage.
+    /// Sweeps the whole frequency grid, one pivoted factorization per
+    /// point.
     ///
     /// Per-point errors (non-positive frequency, singular system,
     /// injected fault) do not abort the sweep; they are recorded in
     /// [`SweepBatch::failures`] with the same `AcError` values the legacy
     /// solver produces, and the corresponding grid entries hold zeros.
-    /// Results agree with [`crate::ac::s_matrix`] within [`SWEEP_TOL`] per
-    /// entry.
+    /// Every solved entry equals [`crate::ac::s_matrix`]'s bit for bit.
     pub fn sweep_batch(
         &self,
         freqs: &[f64],
@@ -172,47 +133,27 @@ impl StampPlan {
         let m = self.port_nodes.len();
         OBS_SWEEP_POINTS.add(freqs.len() as u64);
 
-        let mut s = SoaComplex::with_capacity(freqs.len() * m * m);
+        let mut s = Vec::with_capacity(freqs.len() * m * m);
         let mut failures = Vec::new();
-        let mut refactors = 0usize;
-        // Pivot reuse: valid once the first full factorization of the
-        // internal block lands in `ws.sweep_lu`.
-        let mut have_factor = false;
-
         for (p, &freq_hz) in freqs.iter().enumerate() {
-            match self.sweep_point(freq_hz, stamps, ws, &mut have_factor, &mut refactors) {
-                Ok(()) => {
-                    for i in 0..m {
-                        for j in 0..m {
-                            s.push(ws.smat[(i, j)]);
-                        }
-                    }
-                }
+            match self.sweep_point(freq_hz, stamps, ws) {
+                Ok(()) => s.extend_from_slice(ws.smat.as_slice()),
                 Err(e) => {
                     failures.push((p, e));
-                    for _ in 0..m * m {
-                        s.push(Complex::ZERO);
-                    }
+                    s.resize(s.len() + m * m, Complex::ZERO);
                 }
             }
         }
 
-        OBS_SWEEP_REFACTORS.add(refactors as u64);
         if let Some(us) = watch.elapsed_us() {
             OBS_SWEEP_US.record(us);
         }
-        let stats = SweepStats {
-            points: freqs.len(),
-            refactors,
-            failures: failures.len(),
-        };
         SweepBatch {
             n_ports: m,
             z0: self.z0,
             freqs: freqs.to_vec(),
             s,
             failures,
-            stats,
         }
     }
 
@@ -222,8 +163,6 @@ impl StampPlan {
         freq_hz: f64,
         stamps: &AcStamps<'_>,
         ws: &mut AcWorkspace,
-        have_factor: &mut bool,
-        refactors: &mut usize,
     ) -> Result<(), AcError> {
         if freq_hz <= 0.0 {
             return Err(AcError::NonPositiveFrequency(freq_hz));
@@ -245,43 +184,21 @@ impl StampPlan {
         ws.ypp
             .gather_from(&ws.y, &self.port_nodes, &self.port_nodes);
         ws.ypi.gather_from(&ws.y, &self.port_nodes, &self.internal);
-        self.solve_internal(freq_hz, ws, have_factor, refactors)?;
-
+        ws.yip.gather_from(&ws.y, &self.internal, &self.port_nodes);
+        ws.yii.gather_from(&ws.y, &self.internal, &self.internal);
+        // `yii⁻¹·yip` through the legacy `solve_matrix`'s factorization.
+        // The factor is consumed here, before `s_convert` refactors `lu`.
+        ws.yii
+            .lu_into(&mut ws.lu)
+            .map_err(|_| AcError::Singular(freq_hz))?;
+        ws.lu
+            .solve_matrix_into(&ws.yip, &mut ws.solved, &mut ws.x)
+            .map_err(|_| AcError::Singular(freq_hz))?;
         ws.ypi
             .matmul_into(&ws.solved, &mut ws.prod)
             .expect("dimensions chain");
         ws.ypp.sub_into(&ws.prod, &mut ws.yred);
         self.s_convert(freq_hz, ws)
-    }
-
-    /// Internal-block solve with cross-point pivot reuse. Leaves
-    /// `yii⁻¹·yip` in `ws.solved`.
-    fn solve_internal(
-        &self,
-        freq_hz: f64,
-        ws: &mut AcWorkspace,
-        have_factor: &mut bool,
-        refactors: &mut usize,
-    ) -> Result<(), AcError> {
-        ws.yii.gather_from(&ws.y, &self.internal, &self.internal);
-        ws.yip.gather_from(&ws.y, &self.internal, &self.port_nodes);
-        let reused = *have_factor && ws.sweep_lu.try_refactor_with_current_perm(&ws.yii);
-        if !reused {
-            if *have_factor {
-                // The reused pivot order went unstable: full pivot search
-                // again.
-                *refactors += 1;
-            }
-            *have_factor = false;
-            ws.yii
-                .lu_into(&mut ws.sweep_lu)
-                .map_err(|_| AcError::Singular(freq_hz))?;
-            *have_factor = true;
-        }
-        ws.sweep_lu
-            .solve_matrix_into(&ws.yip, &mut ws.solved, &mut ws.x)
-            .map_err(|_| AcError::Singular(freq_hz))?;
-        Ok(())
     }
 }
 
@@ -410,8 +327,24 @@ mod tests {
         rfkit_num::linspace(1.0e9, 1.8e9, n)
     }
 
+    /// Bit-level equality of every entry, re and im: the compiled sweep
+    /// runs the legacy solver's operations in the legacy order.
+    fn assert_bits_eq(got: &SParams, legacy: &SParams, what: &str) {
+        for (a, b) in [
+            (got.s11(), legacy.s11()),
+            (got.s21(), legacy.s21()),
+            (got.s12(), legacy.s12()),
+            (got.s22(), legacy.s22()),
+        ] {
+            assert!(
+                a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits(),
+                "{what}: {a} vs {b}"
+            );
+        }
+    }
+
     #[test]
-    fn sweep_batch_matches_legacy_within_tolerance() {
+    fn sweep_batch_matches_legacy_bit_for_bit() {
         for c in [lc_ladder(12), hub_network(10)] {
             let plan = StampPlan::compile(&c).unwrap();
             let mut ws = AcWorkspace::new();
@@ -419,33 +352,9 @@ mod tests {
             let batch = plan.sweep_batch(&freqs, &AcStamps::none(), &mut ws);
             assert_eq!(batch.len(), 40);
             assert!(batch.failures().is_empty());
-            // A pure-LC ladder has node resonances inside the band where
-            // a reused pivot order can degenerate; the growth guard must
-            // refactor on those points (correctness) but only on a
-            // minority of the grid (performance).
-            assert!(
-                batch.stats().refactors < freqs.len() / 2,
-                "guard fell back on {}/{} points",
-                batch.stats().refactors,
-                freqs.len()
-            );
             for (p, &f) in freqs.iter().enumerate() {
                 let legacy = two_port_s(&c, f, &AcStamps::none()).unwrap();
-                let got = batch.two_port(p).unwrap();
-                for (a, b) in [
-                    (got.s11(), legacy.s11()),
-                    (got.s21(), legacy.s21()),
-                    (got.s12(), legacy.s12()),
-                    (got.s22(), legacy.s22()),
-                ] {
-                    assert!(
-                        (a - b).abs() <= SWEEP_TOL,
-                        "point {p}: {} vs {} (diff {})",
-                        a,
-                        b,
-                        (a - b).abs()
-                    );
-                }
+                assert_bits_eq(&batch.two_port(p).unwrap(), &legacy, &format!("point {p}"));
             }
         }
     }
@@ -465,10 +374,9 @@ mod tests {
         );
         assert!(batch.is_ok(0) && !batch.is_ok(1) && batch.is_ok(4));
         assert!(batch.two_port(1).is_none());
-        assert_eq!(batch.stats().failures, 2);
         // Good points unaffected by the bad neighbors.
         let legacy = two_port_s(&c, 1.4e9, &AcStamps::none()).unwrap();
-        assert!((batch.two_port(4).unwrap().s21() - legacy.s21()).abs() <= SWEEP_TOL);
+        assert_bits_eq(&batch.two_port(4).unwrap(), &legacy, "point 4");
     }
 
     #[test]
@@ -497,7 +405,7 @@ mod tests {
         assert!(batch.failures().is_empty());
         for (p, &f) in freqs.iter().enumerate() {
             let legacy = two_port_s(&c, f, &stamps).unwrap();
-            assert!((batch.two_port(p).unwrap().s21() - legacy.s21()).abs() <= SWEEP_TOL);
+            assert_bits_eq(&batch.two_port(p).unwrap(), &legacy, &format!("point {p}"));
         }
     }
 

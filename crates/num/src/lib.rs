@@ -2,8 +2,8 @@
 //!
 //! Numerics substrate for the rfkit RF design suite: complex arithmetic,
 //! dense real/complex linear algebra with LU factorization, a radix-2 FFT,
-//! polynomial fitting, 1-D interpolation, statistics, finite-difference
-//! derivatives and RF unit conversions.
+//! polynomial fitting, 1-D interpolation, statistics and RF unit
+//! conversions.
 //!
 //! Everything is written from scratch on top of `std` so the rest of the
 //! suite has a single, well-tested numerical foundation.
@@ -29,7 +29,6 @@
 #![forbid(unsafe_code)]
 
 mod complex;
-pub mod diff;
 pub mod fft;
 pub mod interp;
 pub mod lstsq;
@@ -40,7 +39,6 @@ pub mod numsan;
 mod poly;
 pub mod rng;
 pub mod sketch;
-pub mod soa;
 pub mod stats;
 pub mod units;
 

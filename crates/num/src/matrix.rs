@@ -912,83 +912,6 @@ impl<T: Scalar> LuWorkspace<T> {
     }
 }
 
-/// Largest elimination multiplier
-/// [`LuWorkspace::try_refactor_with_current_perm`] accepts. With partial
-/// pivoting every multiplier is ≤ 1; a reused pivot order can exceed
-/// that, and bounded multipliers bound the element growth (and therefore
-/// the backward error) of the factorization.
-///
-/// The budget: one multiplier of magnitude `L` amplifies local roundoff
-/// by ~`L`, and `k` consecutive oversized multipliers along one column
-/// compound to ~`Lᵏ`. At `L = 256`, even three consecutive guard-limit
-/// multipliers give `256³·ε ≈ 3e-9` relative error — inside the `1e-8`
-/// sweep tolerance contract — and reactive MNA matrices hit oversized
-/// multipliers only at isolated node resonances, not in runs. Anything
-/// beyond the guard falls back to a fresh pivoted factorization.
-const GROWTH_LIMIT: f64 = 256.0;
-
-impl<T: Scalar> LuWorkspace<T> {
-    /// Refactors a **new** matrix `a` through the pivot sequence of the
-    /// previous factorization, skipping the pivot search and row swaps.
-    ///
-    /// This is the batched-sweep fast path: across a frequency grid the
-    /// MNA matrix changes smoothly, so the permutation chosen at one
-    /// point almost always remains a stable choice at the next. Rows of
-    /// `a` are gathered through the stored permutation and eliminated in
-    /// that fixed order, guarding every multiplier against
-    /// `GROWTH_LIMIT` (256).
-    ///
-    /// Returns `true` on success: the workspace then holds a valid
-    /// factorization of `a` and every solve behaves exactly as after
-    /// [`Matrix::lu_into`]. When the fixed order coincides with what
-    /// fresh pivoting would pick, the factorization is **bit-identical**
-    /// to `lu_into` (elimination updates depend only on the pivot row,
-    /// not on row placement).
-    ///
-    /// Returns `false` — without touching the stored permutation — when
-    /// the workspace is empty, dimensions differ, a pivot is exactly
-    /// zero, or a multiplier trips the growth guard (including
-    /// non-finite values). The factor storage is then invalid; the
-    /// caller must run a full [`Matrix::lu_into`] before solving.
-    pub fn try_refactor_with_current_perm(&mut self, a: &Matrix<T>) -> bool {
-        let n = self.lu.rows;
-        if n == 0 || a.rows != n || a.cols != n || self.perm.len() != n {
-            return false;
-        }
-        // Gather rows of `a` into the physical order the stored pivot
-        // sequence produced, exactly as progressive swapping would have.
-        for (dst, &src) in self.perm.iter().enumerate() {
-            let row = &a.data[src * n..(src + 1) * n];
-            self.lu.data[dst * n..(dst + 1) * n].copy_from_slice(row);
-        }
-        let limit_sq = GROWTH_LIMIT * GROWTH_LIMIT;
-        let data = &mut self.lu.data;
-        for k in 0..n {
-            let pivot = data[k * n + k];
-            if pivot == T::ZERO {
-                return false;
-            }
-            let (head, below) = data.split_at_mut((k + 1) * n);
-            let row_k = &head[k * n + k + 1..(k + 1) * n];
-            for row_i in below.chunks_exact_mut(n) {
-                let factor = row_i[k] / pivot;
-                let growth = factor.modulus_sq();
-                // NaN growth (non-finite pivot ratio) must also bail out.
-                if growth > limit_sq || growth.is_nan() {
-                    return false;
-                }
-                row_i[k] = factor;
-                for (x, &u) in row_i[k + 1..].iter_mut().zip(row_k) {
-                    *x = *x - factor * u;
-                }
-            }
-        }
-        // Same permutation ⇒ same sign; `scale` is only used during pivot
-        // selection and needs no update.
-        true
-    }
-}
-
 impl<T: Scalar> Default for LuWorkspace<T> {
     fn default() -> Self {
         LuWorkspace::new()
@@ -1287,77 +1210,5 @@ mod tests {
         assert_eq!(m, RMatrix::zeros(2, 2));
         m.reset(1, 3);
         assert_eq!(m, RMatrix::zeros(1, 3));
-    }
-
-    #[test]
-    fn refactor_with_current_perm_is_bit_identical_for_same_matrix() {
-        // Re-eliminating the same matrix through the stored pivot order
-        // must reproduce the pivoted factorization bit for bit: the
-        // permutation coincides, and row updates only depend on the pivot
-        // row, never on physical row placement.
-        let a = pivoting_complex();
-        let mut ws = LuWorkspace::new();
-        a.lu_into(&mut ws).unwrap();
-        let fresh_lu = ws.lu.clone();
-        let fresh_perm = ws.perm.clone();
-        assert!(ws.try_refactor_with_current_perm(&a));
-        assert_eq!(ws.lu, fresh_lu);
-        assert_eq!(ws.perm, fresh_perm);
-        let b = [cx(1.0, -1.0), cx(0.5, 2.0), cx(-3.0, 0.25)];
-        let mut x = Vec::new();
-        ws.solve_into(&b, &mut x);
-        assert_eq!(x, a.solve(&b).unwrap());
-    }
-
-    #[test]
-    fn refactor_with_current_perm_tracks_a_perturbed_matrix() {
-        // A smoothly perturbed matrix (the AC-sweep situation) solves
-        // correctly through the reused pivot sequence.
-        let a = pivoting_complex();
-        let mut ws = LuWorkspace::new();
-        a.lu_into(&mut ws).unwrap();
-        let mut a2 = a.clone();
-        for i in 0..3 {
-            a2[(i, i)] += cx(0.01, 0.02);
-        }
-        assert!(ws.try_refactor_with_current_perm(&a2));
-        let b = [cx(1.0, 0.0), cx(0.0, 1.0), cx(2.0, -0.5)];
-        let mut x = Vec::new();
-        ws.solve_into(&b, &mut x);
-        let reference = a2.solve(&b).unwrap();
-        for (got, want) in x.iter().zip(&reference) {
-            assert!((*got - *want).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn refactor_with_current_perm_rejects_unsafe_inputs() {
-        let a = pivoting_complex();
-        let mut ws = LuWorkspace::new();
-        // Empty workspace: nothing to reuse.
-        assert!(!ws.try_refactor_with_current_perm(&a));
-        a.lu_into(&mut ws).unwrap();
-        // Dimension change.
-        assert!(!ws.try_refactor_with_current_perm(&CMatrix::identity(2)));
-        // Singular input: zero pivot under the fixed order.
-        let z = CMatrix::zeros(3, 3);
-        assert!(!ws.try_refactor_with_current_perm(&z));
-        // A matrix that *needs* different pivoting: the stored order sees
-        // a tiny pivot and the growth guard refuses instead of producing
-        // an inaccurate factorization.
-        a.lu_into(&mut ws).unwrap();
-        let p = ws.perm[0];
-        let mut bad = a.clone();
-        for j in 0..3 {
-            bad[(p, j)] *= cx(1e-12, 0.0);
-        }
-        bad[(p, p)] = cx(1e-14, 0.0);
-        assert!(!ws.try_refactor_with_current_perm(&bad));
-        // The workspace recovers with a full refactorization.
-        a.lu_into(&mut ws).unwrap();
-        let b = [cx(1.0, 0.0), cx(0.0, 1.0), cx(1.0, 1.0)];
-        let mut x = Vec::new();
-        ws.solve_into(&b, &mut x);
-        assert_eq!(x, a.solve(&b).unwrap());
     }
 }

@@ -1,8 +1,7 @@
 //! Unit conversions and physical constants for RF work.
 //!
 //! Everything internal is SI (hertz, ohms, watts, kelvin); these helpers
-//! convert at the presentation boundary (dB, dBm, noise figure ↔ noise
-//! temperature).
+//! convert at the presentation boundary (dB, dBm, noise figure).
 
 /// Boltzmann constant in J/K.
 pub const K_BOLTZMANN: f64 = 1.380_649e-23;
@@ -72,24 +71,6 @@ pub fn nf_db_from_factor(factor: f64) -> f64 {
     db_from_power_ratio(factor)
 }
 
-/// Noise factor (linear) from a noise figure in dB.
-#[inline]
-pub fn factor_from_nf_db(nf_db: f64) -> f64 {
-    power_ratio_from_db(nf_db)
-}
-
-/// Equivalent noise temperature (K) of a noise factor.
-#[inline]
-pub fn noise_temperature_from_factor(factor: f64) -> f64 {
-    (factor - 1.0) * T0_KELVIN
-}
-
-/// Noise factor of an equivalent noise temperature (K).
-#[inline]
-pub fn factor_from_noise_temperature(t: f64) -> f64 {
-    1.0 + t / T0_KELVIN
-}
-
 /// Free-space wavelength (m) at frequency `f_hz`.
 #[inline]
 pub fn wavelength(f_hz: f64) -> f64 {
@@ -126,15 +107,6 @@ mod tests {
         assert!((dbm_from_watts(1e-3) - 0.0).abs() < 1e-12);
         assert!((dbm_from_watts(1.0) - 30.0).abs() < 1e-12);
         assert!((watts_from_dbm(-30.0) - 1e-6).abs() < 1e-18);
-    }
-
-    #[test]
-    fn noise_figure_temperature_relation() {
-        // NF = 3.0103 dB ↔ factor 2 ↔ Te = 290 K
-        let factor = factor_from_nf_db(10.0 * 2f64.log10());
-        assert!((factor - 2.0).abs() < 1e-12);
-        assert!((noise_temperature_from_factor(2.0) - 290.0).abs() < 1e-9);
-        assert!((factor_from_noise_temperature(290.0) - 2.0).abs() < 1e-12);
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //! * `--expect NAME` — a span, counter or histogram with that name is
 //!   present. Proves an armed run actually traced the pipeline.
 //! * `--expect-max NAME:N` — counter `NAME` totals at most `N`; an
-//!   absent counter counts as 0 and passes. Bounds rates, e.g. pivot
-//!   refactors per sweep.
+//!   absent counter counts as 0 and passes. Bounds rates, e.g. rejected
+//!   serve requests.
 //! * `--expect-min NAME:N` — counter `NAME` totals at least `N`; an
 //!   absent counter counts as 0 and fails for `N > 0`. Proves work
 //!   actually happened (a cache that never hit, a sweep that never

@@ -293,8 +293,18 @@ impl SurrogateScreen {
             return;
         }
         let start = self.train_x.len().saturating_sub(MAX_TRAIN);
+        self.since_fit = 0;
+        let window = &self.train_f[start..];
+        if window.iter().all(|row| same_bits(row, &window[0])) {
+            // Every row sits on one value (e.g. the penalty plateau): a
+            // mean-offset model predicts that constant everywhere, the
+            // improvement margin is zero and nothing can be dominated, so
+            // the fit could never reject. Fall back to true evaluation.
+            self.model = None;
+            return;
+        }
         let _span = rfkit_obs::span("surrogate.fit");
-        match ResponseSurface::fit(&self.train_x[start..], &self.train_f[start..], RIDGE) {
+        match ResponseSurface::fit(&self.train_x[start..], window, RIDGE) {
             Ok(m) => {
                 self.model = Some(m);
                 self.stats.fits += 1;
@@ -307,7 +317,6 @@ impl SurrogateScreen {
                 self.model = None;
             }
         }
-        self.since_fit = 0;
     }
 
     /// Predicts every objective of `x` into `out`; `false` when no model
@@ -394,6 +403,12 @@ fn dominates(a: &[f64], b: &[f64]) -> bool {
     strictly
 }
 
+/// `a` and `b` hold the same values bit for bit (rows of one training
+/// set, so the lengths match).
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -440,6 +455,28 @@ mod tests {
 
     fn kept(keep: &[bool]) -> u64 {
         keep.iter().filter(|k| **k).count() as u64
+    }
+
+    #[test]
+    fn constant_training_window_is_not_fitted() {
+        // Every observation on one plateau value: a model of it predicts
+        // that constant with a zero margin and could never reject, so the
+        // screen skips the fit and lets every candidate through.
+        let mut s = new_screen(2, 1);
+        let (xs, _) = scalar_training(60);
+        for x in &xs {
+            s.observe(x, &[1e3]);
+        }
+        let keep = s.screen_multi(&ring(8), &[vec![1e3]]);
+        assert_eq!(kept(&keep), 8);
+        assert!(!s.has_model());
+        assert_eq!(s.stats().fits, 0);
+        assert_eq!(s.stats().fallbacks, 8);
+        // One observation off the plateau makes the window fittable.
+        s.observe(&[0.0, 0.0], &[0.0]);
+        s.screen_multi(&ring(8), &[vec![1e3]]);
+        assert!(s.has_model());
+        assert_eq!(s.stats().fits, 1);
     }
 
     #[test]

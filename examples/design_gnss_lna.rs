@@ -64,10 +64,10 @@ fn main() {
         bias_sol.iterations,
         bias_sol.fet_currents[0] * 1e3
     );
-    // Batched fast path: the output-match netlist goes through the
+    // Compiled sweep: the output-match netlist goes through the
     // process-wide plan cache (compiled and stamped once, shared by every
-    // later sweep of the same topology) and the structure-aware batch
-    // engine — one factorization plan for the whole grid.
+    // later sweep of the same topology) and is solved at each grid point
+    // exactly as the per-call solver would.
     let out_match = output_match_network(&vars);
     let match_freqs = [1.2e9, 1.4e9, 1.6e9];
     let mut match_ws = AcWorkspace::new();
