@@ -64,6 +64,12 @@ if [ "$names" -lt 50 ]; then
   fail=1
 fi
 
+echo "== cargo doc -D warnings (intra-doc links resolve)"
+# rustdoc checks what no compiler pass does: a doc link to a private or
+# renamed item, or an ambiguous one, is a warning here and an error with
+# this flag.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q || fail=1
+
 echo "== cargo build --release"
 cargo build --release || fail=1
 
@@ -84,8 +90,9 @@ echo "== committed experiment outputs (byte-diff against results/)"
 # (fig1_extraction_convergence stays out: its DE-only trace numbers calls
 # in completion order, so it is not stable at 2 threads.)
 diffed_outputs=(table3_final_design table4_performance table5_tsplitter table6_yield
-  table8_constellations fig7_im3 fig8_ga_ablation fig9_dispersion fig11_temperature
-  fig12_harmonic_balance fig13_metaheuristics fig14_snap_repair)
+  table8_constellations fig5_sparams_band fig6_nf_band fig7_im3 fig8_ga_ablation
+  fig9_dispersion fig11_temperature fig12_harmonic_balance fig13_metaheuristics
+  fig14_snap_repair)
 outputs_tmp="$(mktemp -d)"
 for bin in "${diffed_outputs[@]}"; do
   for threads in 1 2; do

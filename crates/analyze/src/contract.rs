@@ -11,7 +11,8 @@
 //! the emitted-name set from the AST (string-literal first arguments of
 //! obs instrument constructors and emitters) and diffs it against all
 //! three artifacts; unknown, orphaned, or misspelled names are errors,
-//! and so is a recorded profile that does not parse.
+//! and so is a recorded profile that does not parse or a registry row
+//! whose "emitted at" `path:line` is not an emission site of its name.
 //!
 //! The pass runs only when the workspace has a `ci.sh` (the fake
 //! workspaces built by engine tests don't, and have no contract to
@@ -159,10 +160,23 @@ pub fn ci_expectations(text: &str) -> Vec<(String, u32)> {
     out
 }
 
-/// Names documented in the DESIGN.md "Telemetry name registry" table:
-/// first backticked token of each table row after the registry
-/// heading, until the next heading.
-pub fn registry_names(design_md: &str) -> Vec<(String, u32)> {
+/// One row of the DESIGN.md telemetry name registry.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RegistryRow {
+    /// Instrument name (first backticked token of the row).
+    pub name: String,
+    /// 1-based line of the row in DESIGN.md.
+    pub line: u32,
+    /// The "emitted at" column as `(file, line)`, when it parses as a
+    /// backticked `path:line`.
+    pub at: Option<(String, u32)>,
+}
+
+/// Rows of the DESIGN.md "Telemetry name registry" table: the first
+/// backticked token of each table row after the registry heading, until
+/// the next heading, with the row's third column read as the emission
+/// site.
+pub fn registry_rows(design_md: &str) -> Vec<RegistryRow> {
     let mut out = Vec::new();
     let mut in_section = false;
     for (i, line) in design_md.lines().enumerate() {
@@ -175,16 +189,23 @@ pub fn registry_names(design_md: &str) -> Vec<(String, u32)> {
         if !in_section || !line.trim_start().starts_with('|') {
             continue;
         }
-        // `| `name` | kind | … |` — take the first backticked token.
-        let mut parts = line.split('`');
-        if parts.next().is_some() {
-            if let Some(name) = parts.next() {
-                let name = name.trim();
-                if !name.is_empty() && !name.contains(' ') && name.contains('.') {
-                    out.push((name.to_string(), (i + 1) as u32));
-                }
-            }
+        // `| `name` | kind | `path:line` |` — take the first backticked
+        // token as the name.
+        let Some(name) = line.split('`').nth(1).map(str::trim) else {
+            continue;
+        };
+        if name.is_empty() || name.contains(' ') || !name.contains('.') {
+            continue;
         }
+        let at = line.split('|').nth(3).and_then(|cell| {
+            let (file, line) = cell.trim().trim_matches('`').rsplit_once(':')?;
+            Some((file.to_string(), line.parse().ok()?))
+        });
+        out.push(RegistryRow {
+            name: name.to_string(),
+            line: (i + 1) as u32,
+            at,
+        });
     }
     out
 }
@@ -274,9 +295,10 @@ pub fn check(root: &Path, files: &[SourceFile]) -> Vec<Finding> {
         }
     }
 
-    // 3/4. DESIGN.md registry ⊇ emitted and emitted ⊇ registry.
+    // 3/4/5. DESIGN.md registry ⊇ emitted, emitted ⊇ registry, and each
+    //        row's "emitted at" column is an emission site of its name.
     if let Ok(design) = fs::read_to_string(root.join("DESIGN.md")) {
-        let registry = registry_names(&design);
+        let registry = registry_rows(&design);
         // A registry that parses to nothing while the code emits names
         // means the table (or its heading) broke — the registry half of
         // the contract would silently go vacuous. Fail loudly instead.
@@ -290,15 +312,42 @@ pub fn check(root: &Path, files: &[SourceFile]) -> Vec<Finding> {
                     .to_string(),
             ));
         }
-        let documented: BTreeSet<&str> = registry.iter().map(|(n, _)| n.as_str()).collect();
-        for (name, line) in &registry {
-            if !emitted.contains(name.as_str()) {
+        let documented: BTreeSet<&str> = registry.iter().map(|r| r.name.as_str()).collect();
+        let sites: BTreeSet<(&str, &str, u32)> = emissions
+            .iter()
+            .map(|e| (e.name.as_str(), e.file.as_str(), e.line))
+            .collect();
+        for row in &registry {
+            let name = row.name.as_str();
+            if !emitted.contains(name) {
                 out.push(finding(
                     "DESIGN.md",
-                    *line,
+                    row.line,
                     format!(
                         "telemetry registry documents `{name}` but no code emits it; \
                          remove the row or restore the instrument"
+                    ),
+                ));
+                continue;
+            }
+            let listed = row
+                .at
+                .as_ref()
+                .is_some_and(|(file, line)| sites.contains(&(name, file.as_str(), *line)));
+            if !listed {
+                let at = row
+                    .at
+                    .as_ref()
+                    .map_or("a cell without a `path:line`".to_string(), |(f, l)| {
+                        format!("`{f}:{l}`")
+                    });
+                out.push(finding(
+                    "DESIGN.md",
+                    row.line,
+                    format!(
+                        "telemetry registry says `{name}` is emitted at {at}, which is not an \
+                         emission site of it; regenerate the table with \
+                         `rfkit-analyze --dump-obs-names`"
                     ),
                 ));
             }
@@ -405,16 +454,61 @@ cargo run -p rfkit-obs --bin rfkit-trace -- --json \\
 
 | name | kind | measures |
 |---|---|---|
-| `plan.cache.hit` | counter | shared plan cache hits |
+| `plan.cache.hit` | counter | `crates/circuit/src/sweep.rs:38` |
 | `design.total` | span | whole design run |
 
 ### Next section
 
 | `not.this.one` | counter | outside the registry |
 ";
-        let names = registry_names(md);
-        let got: Vec<&str> = names.iter().map(|(n, _)| n.as_str()).collect();
+        let rows = registry_rows(md);
+        let got: Vec<&str> = rows.iter().map(|r| r.name.as_str()).collect();
         assert_eq!(got, ["plan.cache.hit", "design.total"]);
+        assert_eq!(
+            rows[0].at,
+            Some(("crates/circuit/src/sweep.rs".to_string(), 38))
+        );
+        assert_eq!(rows[1].at, None);
+    }
+
+    #[test]
+    fn registry_row_with_a_stale_emission_site_is_a_finding() {
+        let root = std::env::temp_dir().join(format!("rfkit_contract_site_{}", std::process::id()));
+        fs::create_dir_all(&root).expect("mkdir");
+        fs::write(root.join("ci.sh"), "").expect("write ci.sh");
+        fs::write(
+            root.join("DESIGN.md"),
+            "\
+### Telemetry name registry
+
+| name | kind | emitted at |
+|---|---|---|
+| `design.total` | span | `crates/core/src/lib.rs:2` |
+| `plan.cache.hit` | counter | `crates/core/src/lib.rs:9` |
+",
+        )
+        .expect("write DESIGN.md");
+        let src = "\
+static OBS_HITS: Counter = Counter::new(\"plan.cache.hit\");
+pub fn run() {
+    let _s = rfkit_obs::span(\"design.total\");
+}
+";
+        let files = [SourceFile::parse("crates/core/src/lib.rs", src)];
+        let findings = check(&root, &files);
+        let _ = fs::remove_dir_all(&root);
+        // `design.total` is emitted at line 3, not 2; `plan.cache.hit` at
+        // line 1, not 9.
+        let lines: Vec<u32> = findings.iter().map(|f| f.line).collect();
+        assert_eq!(lines, [5, 6], "{findings:?}");
+        assert!(findings
+            .iter()
+            .all(|f| f.file == "DESIGN.md" && f.lint == NAME));
+        assert!(
+            findings[0].message.contains("`crates/core/src/lib.rs:2`"),
+            "{}",
+            findings[0].message
+        );
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Intra-procedural dataflow over the [`parser`](crate::parser) AST:
+//! Intra-procedural dataflow over the [`parser`] AST:
 //! per-function scope/symbol tables, def-use chains, loop-nesting
 //! depth, and escapes-into-closure tracking.
 //!

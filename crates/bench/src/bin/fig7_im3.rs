@@ -11,7 +11,7 @@
 use lna::{measure_im3, BuildConfig, BuiltAmplifier};
 use lna_bench::{header, print_series, reference_design};
 use rfkit_circuit::{ip3_sweep, power_series, TwoToneSpec};
-use rfkit_device::Phemt;
+use rfkit_device::{dc, Phemt};
 
 fn main() {
     header(
@@ -47,6 +47,7 @@ fn main() {
     let op = device.operating_point(vgs, built.actual_vars.vds);
     let series_sweep = ip3_sweep(&pins, |p| {
         power_series(
+            &device,
             &op,
             &TwoToneSpec {
                 pin_dbm: p,
@@ -58,6 +59,6 @@ fn main() {
         "power-series cross-check: OIP3 = {:.1} dBm (gm = {:.3} S, gm3 = {:.3} A/V^3)",
         series_sweep.oip3_dbm.expect("well-posed"),
         op.gm,
-        op.gm3,
+        dc::gm3(device.dc_model.as_ref(), &device.dc_params, op.vgs, op.vds),
     );
 }

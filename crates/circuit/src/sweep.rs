@@ -44,7 +44,8 @@ static OBS_PLAN_MISS: rfkit_obs::Counter = rfkit_obs::Counter::new("plan.cache.m
 pub struct SweepBatch {
     n_ports: usize,
     z0: f64,
-    freqs: Vec<f64>,
+    /// Number of grid points.
+    len: usize,
     /// Point-major: entry `(p, i, j)` at index `(p·m + i)·m + j`.
     s: Vec<Complex>,
     /// `(point index, error)`, ascending by point.
@@ -54,27 +55,12 @@ pub struct SweepBatch {
 impl SweepBatch {
     /// Number of grid points (including failed ones).
     pub fn len(&self) -> usize {
-        self.freqs.len()
+        self.len
     }
 
     /// True when the sweep covered no points.
     pub fn is_empty(&self) -> bool {
-        self.freqs.is_empty()
-    }
-
-    /// Port count of every S-matrix in the grid.
-    pub fn n_ports(&self) -> usize {
-        self.n_ports
-    }
-
-    /// Shared port reference impedance.
-    pub fn z0(&self) -> f64 {
-        self.z0
-    }
-
-    /// Frequency of grid point `p`.
-    pub fn freq(&self, p: usize) -> f64 {
-        self.freqs[p]
+        self.len == 0
     }
 
     /// True when point `p` solved successfully.
@@ -151,7 +137,7 @@ impl StampPlan {
         SweepBatch {
             n_ports: m,
             z0: self.z0,
-            freqs: freqs.to_vec(),
+            len: freqs.len(),
             s,
             failures,
         }

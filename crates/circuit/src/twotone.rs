@@ -17,7 +17,7 @@
 //! extrapolation (`rfkit_num::line_intersection`) can reproduce the
 //! standard lab plot.
 
-use rfkit_device::{OperatingPoint, Phemt};
+use rfkit_device::{dc, OperatingPoint, Phemt};
 use rfkit_num::fft::amplitude_spectrum;
 use rfkit_num::units::{dbm_from_watts, watts_from_dbm};
 use rfkit_num::{line_intersection, Polynomial};
@@ -74,13 +74,15 @@ pub struct TwoToneResult {
     pub p_im3_dbm: f64,
 }
 
-/// Closed-form power-series evaluation at the operating point.
-pub fn power_series(op: &OperatingPoint, spec: &TwoToneSpec) -> TwoToneResult {
+/// Closed-form power-series evaluation at the operating point, with
+/// `gm3` taken from the device's DC model there.
+pub fn power_series(device: &Phemt, op: &OperatingPoint, spec: &TwoToneSpec) -> TwoToneResult {
     let a = spec.tone_amplitude();
     // Taylor coefficients: a1 = gm, a3 = gm3/3!. Two-tone results:
     // fundamental gets the (9/4)·a3·A³ self/cross-compression term, each
     // IM3 product is (3/4)·a3·A³.
-    let a3 = op.gm3 / 6.0;
+    let gm3 = dc::gm3(device.dc_model.as_ref(), &device.dc_params, op.vgs, op.vds);
+    let a3 = gm3 / 6.0;
     let i_fund = (op.gm * a + 2.25 * a3 * a * a * a).abs();
     let i_im3 = 0.75 * a3.abs() * a * a * a;
     TwoToneResult {
@@ -264,7 +266,7 @@ mod tests {
                     ..Default::default()
                 };
                 if eval_name == "series" {
-                    power_series(&op, &spec)
+                    power_series(&d, &op, &spec)
                 } else {
                     time_domain(&d, &op, &spec)
                 }
@@ -291,7 +293,7 @@ mod tests {
             pin_dbm: -40.0,
             ..Default::default()
         };
-        let ps = power_series(&op, &spec);
+        let ps = power_series(&d, &op, &spec);
         let td = time_domain(&d, &op, &spec);
         assert!(
             (ps.p_fund_dbm - td.p_fund_dbm).abs() < 0.5,

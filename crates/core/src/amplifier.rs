@@ -124,6 +124,21 @@ pub struct PointMetrics {
     pub mu: f64,
 }
 
+/// The in-band metrics of the amplifier at one frequency: all the band
+/// reduction reads of an in-band grid point, without the stability
+/// factors.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct InBandMetrics {
+    /// Transducer gain into 50 Ω terminations (dB).
+    pub(crate) gain_db: f64,
+    /// Noise figure with a 50 Ω source (dB).
+    pub(crate) nf_db: f64,
+    /// Input reflection |S11| (dB).
+    pub(crate) s11_db: f64,
+    /// Output reflection |S22| (dB).
+    pub(crate) s22_db: f64,
+}
+
 /// Stability factors of the amplifier at one frequency: all a stability
 /// check reads of a grid point.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -293,8 +308,8 @@ impl BiasedAmplifier {
         NoisyAbcd::passive_series(p.c_block, t)
             .cascade(&NoisyAbcd::passive_series(p.l1, t))
             .cascade(&core)
-            .cascade(&NoisyAbcd::passive_shunt(p.feed, t))
-            .cascade(&NoisyAbcd::passive_series(p.c2, t))
+            .then_passive_shunt(p.feed, t)
+            .then_passive_series(p.c2, t)
     }
 
     /// The noiseless chain matrix at `freq_hz`: the chain matrix of
@@ -305,8 +320,8 @@ impl BiasedAmplifier {
         Abcd::series_impedance(p.c_block)
             .cascade(&Abcd::series_impedance(p.l1))
             .cascade(&self.device.abcd(freq_hz))
-            .cascade(&Abcd::shunt_admittance(p.feed))
-            .cascade(&Abcd::series_impedance(p.c2))
+            .then_shunt_admittance(p.feed)
+            .then_series_impedance(p.c2)
     }
 
     /// S-parameters at `freq_hz`, 50 Ω reference.
@@ -321,14 +336,13 @@ impl BiasedAmplifier {
         Some(StabilityFactors::of(&self.s_params(freq_hz)?))
     }
 
-    /// All point metrics at `freq_hz`.
-    pub fn metrics(&self, freq_hz: f64) -> Option<PointMetrics> {
+    /// The S-parameters and in-band metrics at `freq_hz`, from the noisy
+    /// cascade.
+    fn in_band_point(&self, freq_hz: f64) -> Option<(SParams, InBandMetrics)> {
         let noisy = self.noisy_two_port(freq_hz);
         let s = noisy.abcd.to_s(50.0).ok()?;
         let np = noisy.noise_params(50.0).ok()?;
-        let StabilityFactors { k, mu } = StabilityFactors::of(&s);
-        Some(PointMetrics {
-            freq_hz,
+        let m = InBandMetrics {
             gain_db: 10.0
                 * transducer_gain(&s, Complex::ZERO, Complex::ZERO)
                     .max(1e-30)
@@ -336,6 +350,27 @@ impl BiasedAmplifier {
             nf_db: nf_db_from_factor(np.noise_factor(Complex::ZERO)),
             s11_db: db_from_amplitude_ratio(s.s11().abs()),
             s22_db: db_from_amplitude_ratio(s.s22().abs()),
+        };
+        Some((s, m))
+    }
+
+    /// The in-band metrics at `freq_hz`: those of
+    /// [`BiasedAmplifier::metrics`], bit for bit, without the stability
+    /// factors.
+    pub(crate) fn in_band(&self, freq_hz: f64) -> Option<InBandMetrics> {
+        Some(self.in_band_point(freq_hz)?.1)
+    }
+
+    /// All point metrics at `freq_hz`.
+    pub fn metrics(&self, freq_hz: f64) -> Option<PointMetrics> {
+        let (s, m) = self.in_band_point(freq_hz)?;
+        let StabilityFactors { k, mu } = StabilityFactors::of(&s);
+        Some(PointMetrics {
+            freq_hz,
+            gain_db: m.gain_db,
+            nf_db: m.nf_db,
+            s11_db: m.s11_db,
+            s22_db: m.s22_db,
             k,
             mu,
         })

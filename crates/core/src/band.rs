@@ -6,7 +6,7 @@
 //! 1.1–1.7 GHz, and the paper optimizes the worst case over that whole
 //! band rather than a single spot frequency.
 
-use crate::amplifier::{Amplifier, PointMetrics, StabilityFactors};
+use crate::amplifier::{Amplifier, InBandMetrics, StabilityFactors};
 use rfkit_num::linspace;
 use rfkit_par::par_map_indexed;
 use rfkit_robust::{faults, DegradePolicy, PointDiagnostic};
@@ -122,10 +122,11 @@ impl BandSpec {
     }
 }
 
-/// One evaluated grid point as the band reduction reads it: every metric
-/// in band, only the stability factors on the stability grid.
+/// One evaluated grid point as the band reduction reads it: gain, noise
+/// and reflections in band, only the stability factors on the stability
+/// grid.
 enum GridPoint {
-    InBand(PointMetrics),
+    InBand(InBandMetrics),
     Stability(StabilityFactors),
 }
 
@@ -224,9 +225,10 @@ impl BandMetrics {
     /// isolation.
     ///
     /// The per-frequency evaluations (in-band grid plus out-of-band
-    /// stability grid) go through `rfkit-par`. A stability-grid point
-    /// builds only the chain matrix, since no noise figure is read there.
-    /// Each point is a pure
+    /// stability grid) go through `rfkit-par`. Each point computes only
+    /// what the reduction reads of it: an in-band point its gain, noise
+    /// figure and reflections, a stability-grid point the stability
+    /// factors from the chain matrix alone. Each point is a pure
     /// function of frequency, so the worst-case reduction — done serially
     /// in grid order afterwards — is thread-count independent. When this
     /// is itself called from a parallel region (e.g. optimizer population
@@ -265,7 +267,7 @@ impl BandMetrics {
             }
             let biased = biased.as_ref()?;
             if i < n_in_band {
-                biased.metrics(f).map(GridPoint::InBand)
+                biased.in_band(f).map(GridPoint::InBand)
             } else {
                 biased.stability(f).map(GridPoint::Stability)
             }

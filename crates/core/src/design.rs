@@ -106,7 +106,7 @@ pub fn spot_objectives<'a>(device: &'a Phemt, f0_hz: f64) -> impl Fn(&[f64]) -> 
         let Some(biased) = Amplifier::new(device, vars).biased() else {
             return vec![INFEASIBLE; 3];
         };
-        let spot = match biased.metrics(f0_hz) {
+        let spot = match biased.in_band(f0_hz) {
             Some(m) => m,
             None => return vec![INFEASIBLE; 3],
         };

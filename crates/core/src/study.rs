@@ -34,8 +34,8 @@ pub const STUDY_REFERENCE: [f64; 2] = [3.0, 0.0];
 /// `[worst NF dB, −min gain dB]` memoized through `cache`, with
 /// unconditional stability folded in as a feasibility gate: a design
 /// whose stability factor dips to `μ ≤ 1` anywhere on the wide grid
-/// takes the [`INFEASIBLE`] penalty in both objectives, exactly like an
-/// unreachable bias point.
+/// takes the infeasibility penalty (`1e3`) in both objectives, exactly
+/// like an unreachable bias point.
 pub fn nf_gain_objectives<'a>(
     device: &'a Phemt,
     band: &'a BandSpec,
@@ -54,8 +54,8 @@ pub fn nf_gain_objectives<'a>(
 /// `(design vector, objective vector)` pair per entry, in deterministic
 /// snapshot order, scored exactly as [`nf_gain_objectives`] would score
 /// it — feasible stable entries carry their real
-/// `[worst NF dB, −min gain dB]`, everything else the [`INFEASIBLE`]
-/// penalty vector.
+/// `[worst NF dB, −min gain dB]`, everything else the infeasibility
+/// penalty vector (`1e3` in both objectives).
 ///
 /// Penalty rows are deliberately *included*: on this landscape the
 /// dominant structure is the thin unconditionally-stable region inside a
@@ -86,7 +86,7 @@ pub fn surrogate_training_set(cache: &DesignCache) -> Vec<(Vec<f64>, Vec<f64>)> 
 /// Surrogate screen configuration of the band study: the screen's
 /// exploration seed. The screen itself fixes everything else — an RBF
 /// model that can localize the feasibility cliff, an outlier cap that
-/// admits the [`INFEASIBLE`] penalty encoding as training data, an
+/// admits the infeasibility penalty encoding as training data, an
 /// always-on improvement margin, a batch keep floor and an exploration
 /// trickle (the constants in `rfkit-surrogate`'s `screen.rs` give the
 /// values and the reasons).

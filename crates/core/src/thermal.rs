@@ -95,7 +95,7 @@ pub fn band_sweep_over_temperature(
             let mut worst_nf = f64::NEG_INFINITY;
             let mut min_gain = f64::INFINITY;
             for &f in band.grid() {
-                let m = biased.metrics(f)?;
+                let m = biased.in_band(f)?;
                 worst_nf = worst_nf.max(m.nf_db);
                 min_gain = min_gain.min(m.gain_db);
             }

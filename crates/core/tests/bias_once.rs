@@ -226,22 +226,25 @@ fn bits(m: Option<BandMetrics>) -> Option<[u64; 6]> {
 #[test]
 fn band_evaluation_matches_the_layer_composition_bit_for_bit() {
     let device = Phemt::atf54143_like();
-    let band = BandSpec::gnss();
     let bounds = DesignVariables::bounds();
-    let mut rng = Rng64::new(0x0b1a_50ce);
-    let mut feasible = 0;
-    for i in 0..100 {
-        let v = DesignVariables::from_vec(&bounds.sample(&mut rng));
-        let evaluated = BandMetrics::evaluate(&Amplifier::new(&device, v), &band);
-        feasible += usize::from(evaluated.is_some());
-        assert_eq!(
-            bits(evaluated),
-            bits(composed_band(&device, &v, &band)),
-            "design {i}: {v:?}"
+    // The GNSS band, and a denser, wider grid whose in-band points reach
+    // into the stability grid's range.
+    for band in [BandSpec::gnss(), BandSpec::new(0.5e9, 3e9, 26)] {
+        let mut rng = Rng64::new(0x0b1a_50ce);
+        let mut feasible = 0;
+        for i in 0..100 {
+            let v = DesignVariables::from_vec(&bounds.sample(&mut rng));
+            let evaluated = BandMetrics::evaluate(&Amplifier::new(&device, v), &band);
+            feasible += usize::from(evaluated.is_some());
+            assert_eq!(
+                bits(evaluated),
+                bits(composed_band(&device, &v, &band)),
+                "design {i}: {v:?}"
+            );
+        }
+        assert!(
+            feasible > 50,
+            "only {feasible} of 100 designs were feasible"
         );
     }
-    assert!(
-        feasible > 50,
-        "only {feasible} of 100 designs were feasible"
-    );
 }

@@ -34,6 +34,24 @@ pub trait DcModel: Send + Sync {
     /// Implementations panic when `params.len()` differs from
     /// `param_names().len()`.
     fn ids(&self, params: &[f64], vgs: f64, vds: f64) -> f64;
+
+    /// Solves `V_gs` such that `I_ds(V_gs, V_ds) = target` by bisection
+    /// over `[v_lo, v_hi]`. Returns `None` when the target is not
+    /// bracketed (current is monotone in `V_gs` for all five models).
+    ///
+    /// The default bisects over [`DcModel::ids`]. A model may override it
+    /// to evaluate its `V_ds`-only terms once per solve; an override must
+    /// return the default's result bit for bit.
+    fn vgs_for_current(
+        &self,
+        params: &[f64],
+        vds: f64,
+        target: f64,
+        v_lo: f64,
+        v_hi: f64,
+    ) -> Option<f64> {
+        bisect(|vgs| self.ids(params, vgs, vds), target, v_lo, v_hi)
+    }
 }
 
 /// Transconductance `∂I_ds/∂V_gs` by central difference.
@@ -48,15 +66,6 @@ pub fn gds(model: &dyn DcModel, params: &[f64], vgs: f64, vds: f64) -> f64 {
     (model.ids(params, vgs, vds + h) - model.ids(params, vgs, vds - h)) / (2.0 * h)
 }
 
-/// Second-order transconductance `∂²I_ds/∂V_gs²` (drives second-order
-/// intermodulation).
-pub fn gm2(model: &dyn DcModel, params: &[f64], vgs: f64, vds: f64) -> f64 {
-    let h = 2e-4;
-    (model.ids(params, vgs + h, vds) - 2.0 * model.ids(params, vgs, vds)
-        + model.ids(params, vgs - h, vds))
-        / (h * h)
-}
-
 /// Third-order transconductance `∂³I_ds/∂V_gs³` (drives IM3).
 pub fn gm3(model: &dyn DcModel, params: &[f64], vgs: f64, vds: f64) -> f64 {
     let h = 1e-3;
@@ -66,19 +75,11 @@ pub fn gm3(model: &dyn DcModel, params: &[f64], vgs: f64, vds: f64) -> f64 {
         / (2.0 * h * h * h)
 }
 
-/// Solves `V_gs` such that `I_ds(V_gs, V_ds) = target` by bisection over
-/// `[v_lo, v_hi]`. Returns `None` when the target is not bracketed
-/// (current is monotone in `V_gs` for all five models).
-pub fn vgs_for_current(
-    model: &dyn DcModel,
-    params: &[f64],
-    vds: f64,
-    target: f64,
-    v_lo: f64,
-    v_hi: f64,
-) -> Option<f64> {
-    let f_lo = model.ids(params, v_lo, vds) - target;
-    let f_hi = model.ids(params, v_hi, vds) - target;
+/// The bisection behind [`DcModel::vgs_for_current`]: solves
+/// `ids(v) = target` over `[v_lo, v_hi]` for a monotone `ids`.
+fn bisect(ids: impl Fn(f64) -> f64, target: f64, v_lo: f64, v_hi: f64) -> Option<f64> {
+    let f_lo = ids(v_lo) - target;
+    let f_hi = ids(v_hi) - target;
     if f_lo * f_hi > 0.0 {
         return None;
     }
@@ -86,7 +87,7 @@ pub fn vgs_for_current(
     let mut f_lo = f_lo;
     for _ in 0..200 {
         let mid = 0.5 * (lo + hi);
-        let f_mid = model.ids(params, mid, vds) - target;
+        let f_mid = ids(mid) - target;
         if f_mid.abs() < 1e-12 {
             return Some(mid);
         }
@@ -300,24 +301,76 @@ impl DcModel for Angelov {
         .expect("valid")
     }
     fn ids(&self, p: &[f64], vgs: f64, vds: f64) -> f64 {
-        check_len(p, 7, self.name());
+        AngelovCurve::at_vds(p, vds).ids(vgs)
+    }
+
+    fn vgs_for_current(
+        &self,
+        params: &[f64],
+        vds: f64,
+        target: f64,
+        v_lo: f64,
+        v_hi: f64,
+    ) -> Option<f64> {
+        let curve = AngelovCurve::at_vds(params, vds);
+        bisect(|vgs| curve.ids(vgs), target, v_lo, v_hi)
+    }
+}
+
+/// The Angelov transfer curve `I_ds(V_gs)` at one drain voltage: the
+/// `V_ds` factors and the ψ clamp are evaluated once, so a bias solve
+/// pays only for ψ and its tanh at each step. [`Angelov::ids`] goes
+/// through it too, so both multiply in the same order.
+struct AngelovCurve {
+    ipk: f64,
+    vpk: f64,
+    p1: f64,
+    p2: f64,
+    p3: f64,
+    /// The monotone interval ΔV is clamped to, when ψ has one.
+    clamp: Option<(f64, f64)>,
+    /// `1 + λV_ds`.
+    channel: f64,
+    /// `tanh(αV_ds)`.
+    knee: f64,
+}
+
+impl AngelovCurve {
+    fn at_vds(p: &[f64], vds: f64) -> Self {
+        check_len(p, 7, Angelov.name());
         let (ipk, vpk, p1, p2, p3, lambda, alpha) = (p[0], p[1], p[2], p[3], p[4], p[5], p[6]);
-        let mut dv = vgs - vpk;
         // Like the Curtice cubic, the cubic ψ is only physical on its
         // monotone-increasing interval: clamp ΔV at the stationary points
         // so a compressive P3 cannot resurrect current below pinch-off.
+        let mut clamp = None;
         if p3 < 0.0 {
             let disc = p2 * p2 - 3.0 * p3 * p1;
             if disc >= 0.0 {
                 let root = disc.sqrt();
                 let r1 = (-p2 + root) / (3.0 * p3);
                 let r2 = (-p2 - root) / (3.0 * p3);
-                let (lo, hi) = if r1 <= r2 { (r1, r2) } else { (r2, r1) };
-                dv = dv.clamp(lo, hi);
+                clamp = Some(if r1 <= r2 { (r1, r2) } else { (r2, r1) });
             }
         }
-        let psi = p1 * dv + p2 * dv * dv + p3 * dv * dv * dv;
-        ipk * (1.0 + psi.tanh()) * (1.0 + lambda * vds) * (alpha * vds).tanh()
+        AngelovCurve {
+            ipk,
+            vpk,
+            p1,
+            p2,
+            p3,
+            clamp,
+            channel: 1.0 + lambda * vds,
+            knee: (alpha * vds).tanh(),
+        }
+    }
+
+    fn ids(&self, vgs: f64) -> f64 {
+        let mut dv = vgs - self.vpk;
+        if let Some((lo, hi)) = self.clamp {
+            dv = dv.clamp(lo, hi);
+        }
+        let psi = self.p1 * dv + self.p2 * dv * dv + self.p3 * dv * dv * dv;
+        self.ipk * (1.0 + psi.tanh()) * self.channel * self.knee
     }
 }
 
@@ -464,7 +517,9 @@ mod tests {
         for m in models() {
             let p = m.default_params();
             let target = 0.5 * m.ids(&p, 0.3, 2.0);
-            let vgs = vgs_for_current(m.as_ref(), &p, 2.0, target, -2.0, 0.8).expect("bracketed");
+            let vgs = m
+                .vgs_for_current(&p, 2.0, target, -2.0, 0.8)
+                .expect("bracketed");
             let i = m.ids(&p, vgs, 2.0);
             assert!(
                 (i - target).abs() / target < 1e-6,
@@ -478,7 +533,7 @@ mod tests {
     fn vgs_for_current_unbracketed_returns_none() {
         let m = Angelov;
         let p = m.default_params();
-        assert!(vgs_for_current(&m, &p, 2.0, 10.0, -2.0, 0.8).is_none());
+        assert!(m.vgs_for_current(&p, 2.0, 10.0, -2.0, 0.8).is_none());
     }
 
     #[test]

@@ -66,8 +66,9 @@ impl NoiseModel {
     }
 }
 
-/// The DC operating point and the small-signal/nonlinear quantities
-/// derived from it.
+/// The DC operating point and the small-signal quantities derived from
+/// it. The nonlinear coefficients are computed by their readers
+/// ([`dc::gm3`] for the two-tone power series).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OperatingPoint {
     /// Gate-source voltage (V).
@@ -80,10 +81,6 @@ pub struct OperatingPoint {
     pub gm: f64,
     /// Output conductance (S).
     pub gds: f64,
-    /// Second-order transconductance (A/V²).
-    pub gm2: f64,
-    /// Third-order transconductance (A/V³).
-    pub gm3: f64,
 }
 
 /// A complete packaged pHEMT.
@@ -164,15 +161,14 @@ impl Phemt {
             ids: m.ids(&self.dc_params, vgs, vds),
             gm: dc::gm(m, &self.dc_params, vgs, vds),
             gds: dc::gds(m, &self.dc_params, vgs, vds),
-            gm2: dc::gm2(m, &self.dc_params, vgs, vds),
-            gm3: dc::gm3(m, &self.dc_params, vgs, vds),
         }
     }
 
     /// Finds the gate voltage that sets drain current `ids` at `vds`.
     /// Returns `None` when the current is outside the device's range.
     pub fn bias_for_current(&self, vds: f64, ids: f64) -> Option<f64> {
-        dc::vgs_for_current(self.dc_model.as_ref(), &self.dc_params, vds, ids, -2.0, 1.0)
+        self.dc_model
+            .vgs_for_current(&self.dc_params, vds, ids, -2.0, 1.0)
     }
 
     /// The small-signal equivalent circuit at the operating point.
@@ -294,10 +290,10 @@ mod tests {
         // or above it where gm3 < 0; the sweet spot between them is what
         // two-tone sweeps exploit. Just pin the signs at the extremes.
         let d = Phemt::atf54143_like();
-        let low = d.operating_point(-0.7, 3.0);
-        let high = d.operating_point(-0.1, 3.0);
-        assert!(low.gm3 > 0.0, "gm3 at low bias = {}", low.gm3);
-        assert!(high.gm3 < 0.0, "gm3 at high bias = {}", high.gm3);
+        let gm3 = |vgs: f64| dc::gm3(d.dc_model.as_ref(), &d.dc_params, vgs, 3.0);
+        let (low, high) = (gm3(-0.7), gm3(-0.1));
+        assert!(low > 0.0, "gm3 at low bias = {low}");
+        assert!(high < 0.0, "gm3 at high bias = {high}");
     }
 
     #[test]

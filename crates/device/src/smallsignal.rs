@@ -32,7 +32,32 @@ pub struct Intrinsic {
     pub tau: f64,
 }
 
+/// The intrinsic gate branch at one frequency, computed once for both
+/// the Y-parameters and the noise-correlation matrix.
+struct GateBranch {
+    /// Angular frequency ω (rad/s).
+    w: f64,
+    /// `jω`.
+    jw: Complex,
+    /// Gate branch admittance: Cgs in series with Ri.
+    y_gs: Complex,
+    /// Delayed transconductance referred to the Cgs voltage.
+    gm_eff: Complex,
+}
+
 impl Intrinsic {
+    fn gate_branch(&self, freq_hz: f64) -> GateBranch {
+        let w = angular(freq_hz);
+        let jw = Complex::imag(w);
+        let den = Complex::ONE + jw * Complex::real(self.ri * self.cgs);
+        GateBranch {
+            w,
+            jw,
+            y_gs: jw * Complex::real(self.cgs) / den,
+            gm_eff: Complex::from_polar(self.gm, -w * self.tau) / den,
+        }
+    }
+
     /// Intrinsic Y-parameters at `freq_hz`.
     ///
     /// # Panics
@@ -40,16 +65,13 @@ impl Intrinsic {
     /// Panics on non-positive frequency.
     pub fn y_params(&self, freq_hz: f64) -> YParams {
         assert!(freq_hz > 0.0, "frequency must be positive");
-        let w = angular(freq_hz);
-        let jw = Complex::imag(w);
-        // Gate branch admittance: Cgs in series with Ri.
-        let den = Complex::ONE + jw * Complex::real(self.ri * self.cgs);
-        let y_gs = jw * Complex::real(self.cgs) / den;
-        let y_gd = jw * Complex::real(self.cgd);
-        let y_ds = Complex::real(self.gds) + jw * Complex::real(self.cds);
-        // Delayed transconductance referred to the Cgs voltage.
-        let gm_eff = Complex::from_polar(self.gm, -w * self.tau) / den;
-        YParams::new(y_gs + y_gd, -y_gd, gm_eff - y_gd, y_ds + y_gd)
+        self.y_params_at(&self.gate_branch(freq_hz))
+    }
+
+    fn y_params_at(&self, g: &GateBranch) -> YParams {
+        let y_gd = g.jw * Complex::real(self.cgd);
+        let y_ds = Complex::real(self.gds) + g.jw * Complex::real(self.cds);
+        YParams::new(g.y_gs + y_gd, -y_gd, g.gm_eff - y_gd, y_ds + y_gd)
     }
 
     /// Intrinsic cutoff frequency `f_T = gm / (2π·(Cgs + Cgd))`.
@@ -67,15 +89,14 @@ impl Intrinsic {
     /// gate/drain terms; the drain conductance adds `4kT_d·g_ds`
     /// uncorrelated at port 2.
     pub fn noise_cy(&self, freq_hz: f64, tg: f64, td: f64) -> M2 {
-        let w = angular(freq_hz);
-        let jw = Complex::imag(w);
-        let den = Complex::ONE + jw * Complex::real(self.ri * self.cgs);
-        let y_gs = jw * Complex::real(self.cgs) / den;
-        let gm_eff = Complex::from_polar(self.gm, -w * self.tau) / den;
+        self.noise_cy_at(&self.gate_branch(freq_hz), tg, td)
+    }
+
+    fn noise_cy_at(&self, g: &GateBranch, tg: f64, td: f64) -> M2 {
         let se = 4.0 * K_BOLTZMANN * tg * self.ri; // V²/Hz of the Ri source
-        let c11 = Complex::real(y_gs.norm_sqr() * se);
-        let c12 = y_gs * gm_eff.conj() * Complex::real(se);
-        let c22 = Complex::real(gm_eff.norm_sqr() * se + 4.0 * K_BOLTZMANN * td * self.gds);
+        let c11 = Complex::real(g.y_gs.norm_sqr() * se);
+        let c12 = g.y_gs * g.gm_eff.conj() * Complex::real(se);
+        let c22 = Complex::real(g.gm_eff.norm_sqr() * se + 4.0 * K_BOLTZMANN * td * self.gds);
         M2::new(c11, c12, c12.conj(), c22)
     }
 }
@@ -151,6 +172,9 @@ pub struct SmallSignalDevice {
 /// The per-frequency elements of the embedding, computed once and shared
 /// by the noisy and the chain-only cascades.
 struct Embedding {
+    /// The intrinsic gate branch, which the noise-correlation matrix reads
+    /// again.
+    branch: GateBranch,
     /// Intrinsic Z-parameters.
     z: ZParams,
     /// Intrinsic Z plus the common source lead (`Z + Zs·ones`).
@@ -183,12 +207,13 @@ impl SmallSignalDevice {
     }
 
     fn embedding(&self, freq_hz: f64) -> Embedding {
-        let w = angular(freq_hz);
-        let jw = Complex::imag(w);
+        assert!(freq_hz > 0.0, "frequency must be positive");
+        let branch = self.intrinsic.gate_branch(freq_hz);
+        let (w, jw) = (branch.w, branch.jw);
         let e = &self.extrinsic;
         let z = self
             .intrinsic
-            .y_params(freq_hz)
+            .y_params_at(&branch)
             .to_z()
             .expect("intrinsic Y invertible");
         let zs = Complex::new(e.rs, w * e.ls);
@@ -196,6 +221,7 @@ impl SmallSignalDevice {
             m: z.m.add(&ONES.scale(zs)),
         };
         Embedding {
+            branch,
             z,
             z_core,
             gate: Complex::new(e.rg, w * e.lg),
@@ -214,7 +240,7 @@ impl SmallSignalDevice {
         let emb = self.embedding(freq_hz);
         // Intrinsic CY → CZ, then add the common source lead's noise
         // (it appears in both loops: CZ += 4kT·Rs·ones).
-        let cy = self.intrinsic.noise_cy(freq_hz, temps.tg, temps.td);
+        let cy = self.intrinsic.noise_cy_at(&emb.branch, temps.tg, temps.td);
         let cz = rfkit_net::correlation::cy_to_cz(&cy, &emb.z);
         let sn = 4.0 * K_BOLTZMANN * temps.ambient * self.extrinsic.rs;
         let cz_total = cz.add(&ONES.scale(Complex::real(sn)));
@@ -225,8 +251,8 @@ impl SmallSignalDevice {
         NoisyAbcd::passive_shunt(emb.pad_g, t)
             .cascade(&NoisyAbcd::passive_series(emb.gate, t))
             .cascade(&core)
-            .cascade(&NoisyAbcd::passive_series(emb.drain, t))
-            .cascade(&NoisyAbcd::passive_shunt(emb.pad_d, t))
+            .then_passive_series(emb.drain, t)
+            .then_passive_shunt(emb.pad_d, t)
     }
 
     /// Noiseless chain matrix at `freq_hz`: the chain matrix of
@@ -238,8 +264,8 @@ impl SmallSignalDevice {
         Abcd::shunt_admittance(emb.pad_g)
             .cascade(&Abcd::series_impedance(emb.gate))
             .cascade(&core)
-            .cascade(&Abcd::series_impedance(emb.drain))
-            .cascade(&Abcd::shunt_admittance(emb.pad_d))
+            .then_series_impedance(emb.drain)
+            .then_shunt_admittance(emb.pad_d)
     }
 }
 

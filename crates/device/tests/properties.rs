@@ -3,11 +3,12 @@
 //! `Rng64` stream (the workspace builds offline, so no proptest), which
 //! keeps every run reproducible.
 
-use rfkit_device::dc::{all_models, gds, gm};
+use rfkit_device::dc::{all_models, gds, gm, Angelov, DcModel};
 use rfkit_device::smallsignal::NoiseTemperatures;
 use rfkit_device::Phemt;
 use rfkit_num::rng::Rng64;
 use rfkit_num::Complex;
+use rfkit_opt::Bounds;
 
 #[test]
 fn dc_models_nonnegative_current_and_conductances() {
@@ -188,4 +189,90 @@ fn chain_only_abcd_equals_noisy_cascade_chain_bit_for_bit() {
             );
         }
     }
+}
+
+/// The Angelov model with only `ids` implemented, so its bias solve is
+/// the trait's default bisection.
+struct Bisecting;
+
+impl DcModel for Bisecting {
+    fn name(&self) -> &'static str {
+        Angelov.name()
+    }
+    fn param_names(&self) -> &'static [&'static str] {
+        Angelov.param_names()
+    }
+    fn default_params(&self) -> Vec<f64> {
+        Angelov.default_params()
+    }
+    fn param_bounds(&self) -> Bounds {
+        Angelov.param_bounds()
+    }
+    fn ids(&self, params: &[f64], vgs: f64, vds: f64) -> f64 {
+        Angelov.ids(params, vgs, vds)
+    }
+}
+
+/// The Angelov equation written out as its definition reads, every term
+/// evaluated at each call.
+fn angelov_reference(p: &[f64], vgs: f64, vds: f64) -> f64 {
+    let (ipk, vpk, p1, p2, p3, lambda, alpha) = (p[0], p[1], p[2], p[3], p[4], p[5], p[6]);
+    let mut dv = vgs - vpk;
+    if p3 < 0.0 {
+        let disc = p2 * p2 - 3.0 * p3 * p1;
+        if disc >= 0.0 {
+            let root = disc.sqrt();
+            let r1 = (-p2 + root) / (3.0 * p3);
+            let r2 = (-p2 - root) / (3.0 * p3);
+            let (lo, hi) = if r1 <= r2 { (r1, r2) } else { (r2, r1) };
+            dv = dv.clamp(lo, hi);
+        }
+    }
+    let psi = p1 * dv + p2 * dv * dv + p3 * dv * dv * dv;
+    ipk * (1.0 + psi.tanh()) * (1.0 + lambda * vds) * (alpha * vds).tanh()
+}
+
+#[test]
+fn angelov_bias_solve_matches_the_default_bisection_bit_for_bit() {
+    let mut rng = Rng64::new(0xde1c_0006);
+    let bounds = Angelov.param_bounds();
+    let (mut clamped, mut unclamped, mut unbracketed) = (0, 0, 0);
+    for case in 0..256 {
+        let p = if case == 0 {
+            Angelov.default_params()
+        } else {
+            bounds.sample(&mut rng)
+        };
+        let vds = rng.uniform(0.1, 4.0);
+        // The shared drain-current curve is the defining equation, bit
+        // for bit.
+        for _ in 0..4 {
+            let vgs = rng.uniform(-2.0, 1.0);
+            assert_eq!(
+                Angelov.ids(&p, vgs, vds).to_bits(),
+                angelov_reference(&p, vgs, vds).to_bits(),
+                "case {case}: ids at ({vgs}, {vds}) with {p:?}"
+            );
+        }
+        // Up to 1.5x the current at the top of the bracket, so some
+        // targets are out of reach.
+        let target = rng.uniform(0.0, 1.5 * Angelov.ids(&p, 1.0, vds));
+        let fast = Angelov.vgs_for_current(&p, vds, target, -2.0, 1.0);
+        let default = Bisecting.vgs_for_current(&p, vds, target, -2.0, 1.0);
+        assert_eq!(
+            fast.map(f64::to_bits),
+            default.map(f64::to_bits),
+            "case {case}: {target} A at {vds} V with {p:?}"
+        );
+        unbracketed += usize::from(fast.is_none());
+        if p[4] < 0.0 {
+            clamped += 1;
+        } else {
+            unclamped += 1;
+        }
+    }
+    assert!(
+        clamped > 50 && unclamped > 50 && unbracketed > 10 && unbracketed < 200,
+        "{clamped} clamped, {unclamped} unclamped, {unbracketed} unbracketed"
+    );
 }

@@ -17,7 +17,7 @@
 //! in a tree of the calling thread's own. Span paths are tracked per
 //! thread, so spans opened on pool workers root at the worker's own
 //! stack (see `par.task` in rfkit-par), and each thread folds its spans
-//! into its own tree behind a mutex only [`reset`] and the flush ever
+//! into its own tree behind a mutex only `reset` and the flush ever
 //! contend for: workers closing spans at the same time never wait on one
 //! another. The flush merges the trees path by path. Counters and
 //! histograms keep their lock-free hot path.

@@ -14,7 +14,7 @@
 //! respect to the numeric pipeline. Nothing in this crate is ever read
 //! back by instrumented code, so arming tracing cannot change results.
 //! Wall-clock types (`Instant`/`SystemTime`) live only here — numeric
-//! crates time work through [`span`] and [`stopwatch`] so the
+//! crates time work through [`span()`] and [`stopwatch`] so the
 //! `nondeterminism` lint keeps them out of numeric code.
 //!
 //! Environment variables:

@@ -1,5 +1,5 @@
 //! Where the profile goes: the path an armed run writes on flush.
-//! Nothing streams; [`write_whole`] replaces the file in one write at
+//! Nothing streams; `write_whole` replaces the file in one write at
 //! each flush.
 
 use std::fs;

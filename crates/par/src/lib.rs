@@ -130,7 +130,7 @@ impl ParConfig {
 }
 
 /// Effective auto thread count: `RFKIT_THREADS` if set to a positive
-/// integer, else `available_parallelism()`, clamped to [`MAX_THREADS`].
+/// integer, else `available_parallelism()`, clamped to `MAX_THREADS` (64).
 ///
 /// `RFKIT_THREADS` is read on every call so tests and callers can vary it
 /// at runtime; `available_parallelism()` (which may read cgroup files) is

@@ -69,7 +69,7 @@ impl NoisyAbcd {
     /// A passive series impedance `z` at temperature `temp` (K): only the
     /// real part generates noise, `⟨|vₙ|²⟩ = 4kT·Re(z)`.
     pub fn passive_series(z: Complex, temp: f64) -> Self {
-        let cvv = 4.0 * K_BOLTZMANN * temp * z.re.max(0.0);
+        let cvv = thermal_psd(z.re, temp);
         NoisyAbcd {
             abcd: Abcd::series_impedance(z),
             ca: M2::new(
@@ -84,7 +84,7 @@ impl NoisyAbcd {
     /// A passive shunt admittance `y` at temperature `temp` (K):
     /// `⟨|iₙ|²⟩ = 4kT·Re(y)`.
     pub fn passive_shunt(y: Complex, temp: f64) -> Self {
-        let cii = 4.0 * K_BOLTZMANN * temp * y.re.max(0.0);
+        let cii = thermal_psd(y.re, temp);
         NoisyAbcd {
             abcd: Abcd::shunt_admittance(y),
             ca: M2::new(
@@ -175,6 +175,55 @@ impl NoisyAbcd {
         }
     }
 
+    /// `self` followed by a passive series impedance `z` at `temp` (K):
+    /// `self.cascade(&NoisyAbcd::passive_series(z, temp))` without the
+    /// terms in the element's structural 0 and 1 entries.
+    ///
+    /// The element's only noise source is `⟨|vₙ|²⟩` in the (1,1) entry of
+    /// its correlation matrix, so the referred noise `A·CA·A†` is
+    /// `⟨|vₙ|²⟩·[A₁₁; A₂₁]·[A₁₁; A₂₁]†`. Equal to the generic cascade bit
+    /// for bit when the real and imaginary parts of `self`'s chain entries
+    /// are finite and nonzero and the element is lossy (`Re z > 0`);
+    /// otherwise a skipped `x·1 + y·0` can differ in the sign of a zero,
+    /// or in NaN for an infinity.
+    pub fn then_passive_series(&self, z: Complex, temp: f64) -> NoisyAbcd {
+        let t = &self.abcd.m;
+        let cvv = thermal_psd(z.re, temp);
+        let (p1, p2) = (t.m11.scale(cvv), t.m21.scale(cvv));
+        let referred = M2::new(
+            p1 * t.m11.conj(),
+            p1 * t.m21.conj(),
+            p2 * t.m11.conj(),
+            p2 * t.m21.conj(),
+        );
+        NoisyAbcd {
+            abcd: self.abcd.then_series_impedance(z),
+            ca: self.ca.add(&referred),
+        }
+    }
+
+    /// `self` followed by a passive shunt admittance `y` at `temp` (K):
+    /// `self.cascade(&NoisyAbcd::passive_shunt(y, temp))` without the
+    /// terms in the element's structural 0 and 1 entries. The referred
+    /// noise is `⟨|iₙ|²⟩·[A₁₂; A₂₂]·[A₁₂; A₂₂]†`; bit-for-bit equality
+    /// holds under the conditions of [`NoisyAbcd::then_passive_series`],
+    /// with `Re y > 0`.
+    pub fn then_passive_shunt(&self, y: Complex, temp: f64) -> NoisyAbcd {
+        let t = &self.abcd.m;
+        let cii = thermal_psd(y.re, temp);
+        let (q1, q2) = (t.m12.scale(cii), t.m22.scale(cii));
+        let referred = M2::new(
+            q1 * t.m12.conj(),
+            q1 * t.m22.conj(),
+            q2 * t.m12.conj(),
+            q2 * t.m22.conj(),
+        );
+        NoisyAbcd {
+            abcd: self.abcd.then_shunt_admittance(y),
+            ca: self.ca.add(&referred),
+        }
+    }
+
     /// Extracts the classic noise parameters (referenced to `z0`).
     ///
     /// # Errors
@@ -202,6 +251,12 @@ impl NoisyAbcd {
         let gamma_opt = (Complex::real(y0) - y_opt) / (Complex::real(y0) + y_opt);
         Ok(NoiseParams::new(fmin, rn, gamma_opt, z0))
     }
+}
+
+/// One-sided thermal noise density `4kT·max(Re, 0)` of a passive
+/// element's resistance (V²/Hz) or conductance (A²/Hz) `re` at `temp` (K).
+fn thermal_psd(re: f64, temp: f64) -> f64 {
+    4.0 * K_BOLTZMANN * temp * re.max(0.0)
 }
 
 /// `scale · Re(M)` as a real diagonal-symmetric M2 (entry-wise real part).

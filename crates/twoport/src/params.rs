@@ -433,6 +433,28 @@ impl Abcd {
         }
     }
 
+    /// `self` followed by an ideal series impedance `z`: the product
+    /// `self.cascade(&Abcd::series_impedance(z))` without its terms in the
+    /// element's structural 0 and 1 entries.
+    ///
+    /// Equal to that cascade bit for bit when the real and imaginary parts
+    /// of `self`'s entries are finite and nonzero; otherwise a skipped
+    /// `x·1 + y·0` can differ in the sign of a zero, or in NaN for an
+    /// infinity.
+    pub fn then_series_impedance(&self, z: Complex) -> Abcd {
+        let m = &self.m;
+        Abcd::new(m.m11, m.m11 * z + m.m12, m.m21, m.m21 * z + m.m22)
+    }
+
+    /// `self` followed by an ideal shunt admittance `y`: the product
+    /// `self.cascade(&Abcd::shunt_admittance(y))` without its terms in the
+    /// element's structural 0 and 1 entries, equal to it bit for bit under
+    /// the conditions of [`Abcd::then_series_impedance`].
+    pub fn then_shunt_admittance(&self, y: Complex) -> Abcd {
+        let m = &self.m;
+        Abcd::new(m.m11 + m.m12 * y, m.m12, m.m21 + m.m22 * y, m.m22)
+    }
+
     /// Converts to S parameters referenced to `z0`.
     ///
     /// # Errors

@@ -198,3 +198,66 @@ fn noise_params_roundtrip() {
         assert!((back.gamma_opt - np.gamma_opt).abs() < 1e-6);
     }
 }
+
+/// Every real and imaginary part of a 2×2 matrix, as bits.
+fn m2_bits(m: &rfkit_net::M2) -> [u64; 8] {
+    [m.m11, m.m12, m.m21, m.m22]
+        .map(|z| [z.re.to_bits(), z.im.to_bits()])
+        .concat()
+        .try_into()
+        .expect("eight parts")
+}
+
+/// A noisy two-port with arbitrary chain and correlation entries: the
+/// state a cascade has reached when a passive element follows.
+fn noisy_chain(rng: &mut Rng64) -> NoisyAbcd {
+    let mut entry =
+        |scale: f64| Complex::new(rng.uniform(-scale, scale), rng.uniform(-scale, scale));
+    NoisyAbcd {
+        abcd: Abcd::new(entry(2.0), entry(200.0), entry(0.05), entry(2.0)),
+        ca: rfkit_net::M2::new(entry(1e-18), entry(1e-20), entry(1e-20), entry(1e-22)),
+    }
+}
+
+#[test]
+fn cascade_steps_match_the_generic_cascade_bit_for_bit() {
+    let mut rng = Rng64::new(0x2b02_000b);
+    for case in 0..CASES {
+        let n = noisy_chain(&mut rng);
+        let z = Complex::new(rng.uniform(0.01, 50.0), rng.uniform(-500.0, 500.0));
+        let y = Complex::new(rng.uniform(1e-4, 0.1), rng.uniform(-0.5, 0.5));
+        let t = rng.uniform(200.0, 400.0);
+
+        let fast = n.abcd.then_series_impedance(z);
+        let generic = n.abcd.cascade(&Abcd::series_impedance(z));
+        assert_eq!(m2_bits(&fast.m), m2_bits(&generic.m), "case {case}: series");
+        let fast = n.abcd.then_shunt_admittance(y);
+        let generic = n.abcd.cascade(&Abcd::shunt_admittance(y));
+        assert_eq!(m2_bits(&fast.m), m2_bits(&generic.m), "case {case}: shunt");
+
+        let fast = n.then_passive_series(z, t);
+        let generic = n.cascade(&NoisyAbcd::passive_series(z, t));
+        assert_eq!(
+            m2_bits(&fast.abcd.m),
+            m2_bits(&generic.abcd.m),
+            "case {case}: noisy series chain"
+        );
+        assert_eq!(
+            m2_bits(&fast.ca),
+            m2_bits(&generic.ca),
+            "case {case}: noisy series correlation"
+        );
+        let fast = n.then_passive_shunt(y, t);
+        let generic = n.cascade(&NoisyAbcd::passive_shunt(y, t));
+        assert_eq!(
+            m2_bits(&fast.abcd.m),
+            m2_bits(&generic.abcd.m),
+            "case {case}: noisy shunt chain"
+        );
+        assert_eq!(
+            m2_bits(&fast.ca),
+            m2_bits(&generic.ca),
+            "case {case}: noisy shunt correlation"
+        );
+    }
+}

@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release --example im3_two_tone`
 
 use rfkit_circuit::{ip3_sweep, power_series, time_domain, TwoToneSpec};
-use rfkit_device::Phemt;
+use rfkit_device::{dc, Phemt};
 
 fn main() {
     let device = Phemt::atf54143_like();
@@ -28,6 +28,7 @@ fn main() {
         });
         let ps = ip3_sweep(&pins, |p| {
             power_series(
+                &device,
                 &op,
                 &TwoToneSpec {
                     pin_dbm: p,
@@ -39,7 +40,7 @@ fn main() {
             "Ids = {ids_ma:>4.0} mA: OIP3 = {:>5.1} dBm (time domain), {:>5.1} dBm (power series); gm3 = {:+.2} A/V^3",
             td.oip3_dbm.unwrap_or(f64::NAN),
             ps.oip3_dbm.unwrap_or(f64::NAN),
-            op.gm3,
+            dc::gm3(device.dc_model.as_ref(), &device.dc_params, op.vgs, op.vds),
         );
     }
 

@@ -2,7 +2,7 @@
 //! as-built measurement — the whole paper pipeline across every crate.
 
 use lna::{design_lna, measure, Amplifier, BuildConfig, BuiltAmplifier, DesignConfig, DesignGoals};
-use rfkit_device::dc::Angelov;
+use rfkit_device::dc::{Angelov, DcModel};
 use rfkit_device::{GoldenDevice, MeasurementNoise, Phemt};
 use rfkit_extract::{three_step, ExtractionData, ThreeStepConfig};
 use rfkit_num::linspace;
@@ -37,9 +37,9 @@ fn extracted_model_predicts_unseen_bias_points() {
     let result = three_step(&Angelov, &data, &cfg);
     for ids in [0.02, 0.03, 0.05] {
         let vgs_true = golden.device.bias_for_current(3.0, ids).unwrap();
-        let vgs_fit =
-            rfkit_device::dc::vgs_for_current(&Angelov, &result.dc_params, 3.0, ids, -2.0, 1.0)
-                .expect("extracted model must reach the bias");
+        let vgs_fit = Angelov
+            .vgs_for_current(&result.dc_params, 3.0, ids, -2.0, 1.0)
+            .expect("extracted model must reach the bias");
         assert!(
             (vgs_fit - vgs_true).abs() < 0.03,
             "bias prediction at {ids} A: {vgs_fit} vs {vgs_true}"

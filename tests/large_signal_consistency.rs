@@ -114,6 +114,7 @@ fn power_series_and_time_domain_ip3_track_across_bias() {
         });
         let ps = rfkit_circuit::ip3_sweep(&pins, |p| {
             power_series(
+                &device,
                 &op,
                 &TwoToneSpec {
                     pin_dbm: p,
