@@ -139,7 +139,7 @@ rm -f results/PROFILE_faults.json
 RFKIT_TRACE=1 RFKIT_TRACE_OUT=results/PROFILE_faults.json \
   cargo run --release -q --features rfkit-faults --example robust_faults \
   >/dev/null || fail=1
-cargo run --release -q -p rfkit-obs --bin rfkit-trace -- --json \
+cargo run --release -q -p rfkit-obs --bin rfkit-trace -- \
   --expect dc.retry.attempts --expect dc.fallback.stage \
   --expect band.points.failed --expect faults.injected \
   --expect-min faults.injected:4 --expect-max faults.injected:4 \
@@ -163,7 +163,7 @@ echo "== traced design run and profile diff gate (vs committed baseline)"
 rm -f results/PROFILE_ci.json
 RFKIT_THREADS=1 RFKIT_TRACE=1 RFKIT_TRACE_OUT=results/PROFILE_ci.json \
   cargo run --release -q --example design_gnss_lna >/dev/null || fail=1
-cargo run --release -q -p rfkit-obs --bin rfkit-trace -- --json \
+cargo run --release -q -p rfkit-obs --bin rfkit-trace -- \
   --expect design.total --expect design.optimize --expect opt.improved_goal \
   --expect band.evaluate \
   --expect design.cache.hit --expect design.cache.miss \
@@ -189,7 +189,7 @@ echo "== surrogate screening smoke (traced example + bench_surrogate)"
 rm -f results/PROFILE_surrogate.json
 RFKIT_TRACE=1 RFKIT_TRACE_OUT=results/PROFILE_surrogate.json \
   cargo run --release -q --example surrogate_screening >/dev/null || fail=1
-cargo run --release -q -p rfkit-obs --bin rfkit-trace -- --json \
+cargo run --release -q -p rfkit-obs --bin rfkit-trace -- \
   --expect surrogate.fit --expect surrogate.true_evals \
   --expect-min surrogate.reject:1 \
   --expect-min surrogate.accept:1 \
@@ -211,7 +211,7 @@ cargo run --release -q -p lna-bench --bin bench_surrogate -- \
   --profile-out results/PROFILE_bench_surrogate_smoke.json \
   >/dev/null || fail=1
 grep -q '"reduction"' results/BENCH_surrogate_smoke.json || fail=1
-cargo run --release -q -p rfkit-obs --bin rfkit-trace -- --json \
+cargo run --release -q -p rfkit-obs --bin rfkit-trace -- \
   --expect-min surrogate.fit:3 --expect-max surrogate.fit:3 \
   --expect-min surrogate.reject:109 --expect-max surrogate.reject:109 \
   --expect-min surrogate.accept:83 --expect-max surrogate.accept:83 \
@@ -234,7 +234,7 @@ RFKIT_TRACE=1 RFKIT_TRACE_OUT=results/PROFILE_serve.json \
   cargo run --release -q -p lna-bench --bin bench_serve -- \
   --clients 8 --requests 12 --out results/BENCH_serve_smoke.json \
   >/dev/null || fail=1
-cargo run --release -q -p rfkit-obs --bin rfkit-trace -- --json \
+cargo run --release -q -p rfkit-obs --bin rfkit-trace -- \
   --expect serve.requests.accepted --expect serve.requests.completed \
   --expect serve.queue.depth --expect serve.request.latency_us \
   --expect-min serve.requests.accepted:96 \

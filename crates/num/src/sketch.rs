@@ -11,12 +11,12 @@
 //! bucket-wise add, so the structure is exactly associative *and*
 //! commutative: any merge order of any partition of a stream yields the
 //! same sketch as ingesting the stream whole. The price is a bounded
-//! relative error on reported quantile values (≈ 2.2% with 16
+//! relative error on reported quantile values (at most 1/32 with 16
 //! sub-buckets per octave) instead of a rank guarantee.
 //!
 //! The observability layer folds span durations and histogram samples
-//! into these sketches in aggregate-profile mode, and the bench harness
-//! uses them to summarize repetition timings; both rely on the
+//! into these sketches in aggregate-profile mode, and `bench_serve`
+//! summarizes its request latencies with them; both rely on the
 //! merge-determinism property pinned by `tests/sketch_merge.rs`.
 
 use std::collections::BTreeMap;
@@ -64,9 +64,12 @@ fn upper_of(key: i64) -> f64 {
 }
 
 impl QuantileSketch {
-    /// An empty sketch.
-    pub fn new() -> Self {
-        Self::default()
+    /// An empty sketch. `const`, so a sketch can sit in a `static`.
+    pub const fn new() -> Self {
+        QuantileSketch {
+            zeros: 0,
+            buckets: BTreeMap::new(),
+        }
     }
 
     /// Record one sample. `O(log buckets)`; NaN and infinities are
@@ -102,9 +105,10 @@ impl QuantileSketch {
         }
     }
 
-    /// Quantile estimate for `q` in `[0, 1]`: the geometric midpoint of
-    /// the bucket holding the target rank (relative error bounded by
-    /// half the bucket width, ≈ 2.2%). Returns 0 for an empty sketch.
+    /// Quantile estimate for `q` in `[0, 1]`: the midpoint of the bucket
+    /// holding the nearest-rank sample, so the estimate is within half a
+    /// bucket width, at most 1/32 relative, of that sample. Returns 0
+    /// for an empty sketch.
     pub fn quantile(&self, q: f64) -> f64 {
         let n = self.count();
         if n == 0 {

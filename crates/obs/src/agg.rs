@@ -19,8 +19,8 @@
 //! stack (see `par.task` in rfkit-par), and each thread folds its spans
 //! into its own tree behind a mutex only `reset` and the flush ever
 //! contend for: workers closing spans at the same time never wait on one
-//! another. The flush merges the trees path by path. Counters and
-//! histograms keep their lock-free hot path.
+//! another. The flush merges the trees path by path. Counters stay
+//! lock-free; a histogram sample takes only its own histogram's mutex.
 
 use std::cell::RefCell;
 use std::collections::btree_map::Entry;
@@ -30,8 +30,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use rfkit_num::QuantileSketch;
 
 use crate::metrics;
-use crate::profile::{render_profile_json, ProfNode, Profile};
-use crate::summary::SeriesAgg;
+use crate::profile::{render_profile_json, ProfNode, Profile, SeriesAgg};
 
 /// Parent marker for root-level nodes.
 const ROOT: u32 = u32::MAX;

@@ -1,17 +1,18 @@
 //! Summarize, render and diff rfkit-obs aggregate profiles.
 //!
 //! ```text
-//! rfkit-trace [--json] [--top N] [--expect NAME]...
+//! rfkit-trace [--top N] [--expect NAME]...
 //!             [--expect-max NAME:N]... [--expect-min NAME:N]... <profile.json>
 //! rfkit-trace tree  [--top N] <profile.json>
 //! rfkit-trace flame <profile.json>
 //! rfkit-trace diff  [--rel-tol X] [--min-self-us N] <baseline.json> <current.json>
 //! ```
 //!
-//! The default mode summarizes a `PROFILE_*.json` and prints top spans
-//! by self-time, counter totals, histogram percentiles and a
-//! convergence table; `--json` emits the same aggregates as one JSON
-//! object. A file that is not a profile exits 2.
+//! The default mode summarizes a `PROFILE_*.json` and prints top span
+//! names by self-time (each name's call paths folded into one row),
+//! counter totals, the file's histogram percentiles and a convergence
+//! table. The profile itself is the machine-readable form. A file that
+//! is not a profile exits 2.
 //!
 //! Assertions (all exit 1 on failure; CI builds on them):
 //!
@@ -40,12 +41,12 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use rfkit_obs::{profile, summary};
+use rfkit_obs::profile;
 
 fn usage(err: &str) -> ExitCode {
     eprintln!("rfkit-trace: {err}");
     eprintln!(
-        "usage: rfkit-trace [--json] [--top N] [--expect NAME]... \
+        "usage: rfkit-trace [--top N] [--expect NAME]... \
          [--expect-max NAME:N]... [--expect-min NAME:N]... <profile.json>\n\
          \x20      rfkit-trace tree  [--top N] <profile.json>\n\
          \x20      rfkit-trace flame <profile.json>\n\
@@ -177,7 +178,6 @@ fn cmd_diff(args: &[String]) -> ExitCode {
 }
 
 fn cmd_summarize(args: &[String]) -> ExitCode {
-    let mut json = false;
     let mut top = 15usize;
     let mut expect: Vec<String> = Vec::new();
     let mut expect_max: Vec<(String, u64)> = Vec::new();
@@ -186,7 +186,6 @@ fn cmd_summarize(args: &[String]) -> ExitCode {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--json" => json = true,
             "--top" => match it.next().and_then(|v| v.parse().ok()) {
                 Some(n) => top = n,
                 None => return usage("--top needs a number"),
@@ -221,11 +220,11 @@ fn cmd_summarize(args: &[String]) -> ExitCode {
         return usage("missing profile file");
     };
 
-    let s = match read_profile(&path) {
-        Ok(p) => profile::to_summary(&p),
+    let p = match read_profile(&path) {
+        Ok(p) => p,
         Err(code) => return code,
     };
-    if s.records == 0 {
+    if p.nodes.is_empty() && p.counters.is_empty() && p.hists.is_empty() && p.events.is_empty() {
         eprintln!(
             "rfkit-trace: {} contains no profile records",
             path.display()
@@ -233,20 +232,16 @@ fn cmd_summarize(args: &[String]) -> ExitCode {
         return ExitCode::from(2);
     }
 
-    if json {
-        println!("{}", summary::render_json(&s));
-    } else {
-        print!("{}", summary::render_human(&s, top));
-    }
+    print!("{}", profile::render_summary(&p, top));
 
     // An expectation is satisfied by any instrument kind: span, counter
     // or histogram. Bench and CI runs mix all three.
     let missing: Vec<&String> = expect
         .iter()
         .filter(|name| {
-            !s.spans.iter().any(|a| &a.name == *name)
-                && !s.counters.contains_key(*name)
-                && !s.hists.contains_key(*name)
+            !p.nodes.iter().any(|n| &n.name == *name)
+                && !p.counters.contains_key(*name)
+                && !p.hists.contains_key(*name)
         })
         .collect();
     let mut failed = !missing.is_empty();
@@ -256,14 +251,14 @@ fn cmd_summarize(args: &[String]) -> ExitCode {
     // Bound checks: a counter that never fired totals 0, which passes
     // every --expect-max and fails any positive --expect-min.
     for (name, limit) in &expect_max {
-        let total = s.counters.get(name).copied().unwrap_or(0);
+        let total = p.counters.get(name).copied().unwrap_or(0);
         if total > *limit {
             eprintln!("rfkit-trace: counter `{name}` = {total} exceeds the bound {limit}");
             failed = true;
         }
     }
     for (name, floor) in &expect_min {
-        let total = s.counters.get(name).copied().unwrap_or(0);
+        let total = p.counters.get(name).copied().unwrap_or(0);
         if total < *floor {
             eprintln!("rfkit-trace: counter `{name}` = {total} is below the floor {floor}");
             failed = true;

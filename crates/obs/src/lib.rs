@@ -4,7 +4,7 @@
 //! unset, every instrumentation call is a single relaxed atomic load
 //! plus a predictable branch. When armed, the crate folds RAII
 //! [`Span`]s into a per-thread call-path tree and keeps [`Counter`]s,
-//! log2-bucket [`Hist`]ograms and per-name [`event`] summaries; at
+//! quantile-sketch [`Hist`]ograms and per-name [`event`] summaries; at
 //! [`flush`] the run writes one aggregate profile (default
 //! `results/PROFILE_<secs>_<pid>.json`, overridable via
 //! `RFKIT_TRACE_OUT`) that [`profile::parse`] reads back and
@@ -35,7 +35,6 @@ pub mod profile;
 pub mod registry;
 pub mod sink;
 pub mod span;
-pub mod summary;
 
 pub use config::{TraceConfig, TraceMode};
 pub use metrics::{Counter, Hist};

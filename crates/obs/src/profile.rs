@@ -8,15 +8,15 @@
 //! for byte. `rfkit-trace` renders a profile as an indented call-path
 //! profile ([`render_tree`]), folded flamegraph stacks
 //! ([`render_flame`] — one `path self_us` line per call path, directly
-//! consumable by flamegraph tooling), or converts it to the by-name
-//! [`Summary`] that the `--expect*` assertions check. [`diff`] compares
-//! two profiles path-by-path with noise-aware thresholds and backs the
-//! CI perf-regression gate.
+//! consumable by flamegraph tooling), or the by-name summary
+//! ([`render_summary`]) whose names the `--expect*` assertions check.
+//! [`diff`] compares two profiles path-by-path with noise-aware
+//! thresholds and backs the CI perf-regression gate.
 
+use std::cmp::Reverse;
 use std::collections::BTreeMap;
 
 use crate::json::{self, Json, JsonObj};
-use crate::summary::{HistAgg, SeriesAgg, SpanAgg, Summary};
 
 /// One call-path node of a parsed profile.
 #[derive(Debug, Clone)]
@@ -46,14 +46,27 @@ pub struct ProfHist {
     pub count: u64,
     /// Sample sum.
     pub sum: u64,
-    /// Interpolated percentiles computed at flush time.
+    /// Median (sketch estimate, computed at flush time).
     pub p50: f64,
-    /// 90th percentile.
+    /// 90th percentile (sketch estimate).
     pub p90: f64,
-    /// 99th percentile.
+    /// 99th percentile (sketch estimate).
     pub p99: f64,
-    /// `(inclusive_upper, count)` log2 buckets.
-    pub buckets: Vec<(u64, u64)>,
+}
+
+/// A named event series (e.g. `opt.de.gen`), keeping the first and
+/// last numeric field sets so convergence start -> end is visible
+/// without storing every point.
+#[derive(Debug, Clone)]
+pub struct SeriesAgg {
+    /// Event name.
+    pub name: String,
+    /// Number of events observed.
+    pub points: u64,
+    /// Numeric fields of the first event.
+    pub first: BTreeMap<String, f64>,
+    /// Numeric fields of the last event.
+    pub last: BTreeMap<String, f64>,
 }
 
 /// A parsed aggregate profile.
@@ -75,20 +88,6 @@ fn num_of(v: &Json, key: &str) -> f64 {
     v.get(key).and_then(Json::as_f64).unwrap_or(0.0)
 }
 
-fn pairs_of(v: &Json, key: &str) -> Vec<(u64, u64)> {
-    v.get(key)
-        .and_then(Json::as_arr)
-        .map(|arr| {
-            arr.iter()
-                .filter_map(|pair| {
-                    let p = pair.as_arr()?;
-                    Some((p.first()?.as_f64()? as u64, p.get(1)?.as_f64()? as u64))
-                })
-                .collect()
-        })
-        .unwrap_or_default()
-}
-
 fn fields_of(v: &Json, key: &str) -> BTreeMap<String, f64> {
     let mut out = BTreeMap::new();
     if let Some(Json::Obj(m)) = v.get(key) {
@@ -102,8 +101,10 @@ fn fields_of(v: &Json, key: &str) -> BTreeMap<String, f64> {
 }
 
 /// Parse a profile document. Rejects non-profile JSON with a message
-/// naming the expected `kind`, so feeding a summary JSON or an event
-/// stream here fails loudly instead of producing an empty profile.
+/// naming the expected `kind`, so feeding an event stream or any other
+/// document here fails loudly instead of producing an empty profile.
+/// Keys the writer no longer emits (a histogram's old `buckets`) are
+/// ignored.
 pub fn parse(text: &str) -> Result<Profile, String> {
     let v = json::parse(text)?;
     if v.get("kind").and_then(Json::as_str) != Some("rfkit-profile") {
@@ -164,7 +165,6 @@ pub fn parse(text: &str) -> Result<Profile, String> {
                 p50: num_of(h, "p50"),
                 p90: num_of(h, "p90"),
                 p99: num_of(h, "p99"),
-                buckets: pairs_of(h, "buckets"),
             },
         );
     }
@@ -181,48 +181,6 @@ pub fn parse(text: &str) -> Result<Profile, String> {
         });
     }
     Ok(p)
-}
-
-/// Fold a profile into the flat by-name [`Summary`]: nodes sharing a
-/// span name merge (a name reached via two call paths reports combined
-/// totals). This is the view `--expect`/`--expect-min`/`--expect-max`
-/// assert on.
-pub fn to_summary(p: &Profile) -> Summary {
-    let mut s = Summary {
-        records: p.nodes.len() + p.counters.len() + p.hists.len() + p.events.len(),
-        meta: p.meta.clone(),
-        ..Summary::default()
-    };
-    let mut by_name: BTreeMap<String, SpanAgg> = BTreeMap::new();
-    for n in &p.nodes {
-        let agg = by_name.entry(n.name.clone()).or_insert_with(|| SpanAgg {
-            name: n.name.clone(),
-            count: 0,
-            total_us: 0,
-            self_us: 0,
-            max_us: 0,
-        });
-        agg.count += n.count;
-        agg.total_us += n.total_us;
-        agg.self_us += n.self_us;
-        agg.max_us = agg.max_us.max(n.max_us);
-    }
-    s.spans = by_name.into_values().collect();
-    s.spans
-        .sort_by(|a, b| b.self_us.cmp(&a.self_us).then(a.name.cmp(&b.name)));
-    s.counters = p.counters.clone();
-    for (name, h) in &p.hists {
-        s.hists.insert(
-            name.clone(),
-            HistAgg {
-                count: h.count,
-                sum: h.sum,
-                buckets: h.buckets.clone(),
-            },
-        );
-    }
-    s.series = p.events.clone();
-    s
 }
 
 fn fmt_us(us: u64) -> String {
@@ -287,6 +245,112 @@ pub fn render_tree(p: &Profile, top: usize) -> String {
         ));
     }
     out
+}
+
+/// Render the by-name summary: the profile's meta, the top `top` span
+/// names by self time (every call path of a name folded into one row),
+/// counter totals, each histogram's mean and the file's own
+/// p50/p90/p99, and the event series (optimizer convergence first ->
+/// last, then the rest).
+pub fn render_summary(p: &Profile, top: usize) -> String {
+    let records = p.nodes.len() + p.counters.len() + p.hists.len() + p.events.len();
+    let mut out = format!("profile: {records} records\n");
+    for (k, v) in &p.meta {
+        out.push_str(&format!("  {k}: {v}\n"));
+    }
+
+    // name -> (count, self, total, max), folded over call paths.
+    let mut by_name: BTreeMap<&str, (u64, u64, u64, u64)> = BTreeMap::new();
+    for n in &p.nodes {
+        let row = by_name.entry(&n.name).or_default();
+        row.0 += n.count;
+        row.1 += n.self_us;
+        row.2 += n.total_us;
+        row.3 = row.3.max(n.max_us);
+    }
+    let mut spans: Vec<_> = by_name.into_iter().collect();
+    spans.sort_by_key(|&(name, (_, self_us, _, _))| (Reverse(self_us), name));
+    if !spans.is_empty() {
+        out.push_str(&format!("\nTop spans by self time (of {}):\n", spans.len()));
+        out.push_str(&format!(
+            "  {:<28} {:>7} {:>10} {:>10} {:>10}\n",
+            "name", "count", "self", "total", "max"
+        ));
+        for (name, (count, self_us, total_us, max_us)) in spans.iter().take(top) {
+            out.push_str(&format!(
+                "  {:<28} {:>7} {:>10} {:>10} {:>10}\n",
+                name,
+                count,
+                fmt_us(*self_us),
+                fmt_us(*total_us),
+                fmt_us(*max_us)
+            ));
+        }
+    }
+
+    if !p.counters.is_empty() {
+        out.push_str("\nCounters:\n");
+        for (name, value) in &p.counters {
+            out.push_str(&format!("  {name:<28} {value}\n"));
+        }
+    }
+
+    if !p.hists.is_empty() {
+        out.push_str("\nHistograms:\n");
+        out.push_str(&format!(
+            "  {:<28} {:>7} {:>10} {:>8} {:>8} {:>8}\n",
+            "name", "count", "mean", "p50", "p90", "p99"
+        ));
+        for (name, h) in &p.hists {
+            let mean = if h.count == 0 {
+                0.0
+            } else {
+                h.sum as f64 / h.count as f64
+            };
+            out.push_str(&format!(
+                "  {:<28} {:>7} {:>10.1} {:>8} {:>8} {:>8}\n",
+                name,
+                h.count,
+                mean,
+                json::fmt_f64(h.p50),
+                json::fmt_f64(h.p90),
+                json::fmt_f64(h.p99)
+            ));
+        }
+    }
+
+    let is_opt = |e: &&SeriesAgg| e.name.starts_with("opt.") || e.name.starts_with("design.");
+    let (opt, other): (Vec<&SeriesAgg>, Vec<&SeriesAgg>) = p.events.iter().partition(is_opt);
+    if !opt.is_empty() {
+        out.push_str("\nConvergence (first -> last event):\n");
+        for e in opt {
+            out.push_str(&format!("  {} ({} events)\n", e.name, e.points));
+            out.push_str(&format!("    first: {}\n", fields_line(&e.first)));
+            if e.points > 1 {
+                out.push_str(&format!("    last:  {}\n", fields_line(&e.last)));
+            }
+        }
+    }
+    if !other.is_empty() {
+        out.push_str("\nOther events:\n");
+        for e in other {
+            out.push_str(&format!(
+                "  {:<28} {:>7} events; last: {}\n",
+                e.name,
+                e.points,
+                fields_line(&e.last)
+            ));
+        }
+    }
+    out
+}
+
+fn fields_line(fields: &BTreeMap<String, f64>) -> String {
+    fields
+        .iter()
+        .map(|(k, v)| format!("{k}={v:.6}"))
+        .collect::<Vec<_>>()
+        .join(" ")
 }
 
 /// Render folded flamegraph stacks: one `path self_us` line per call
@@ -545,15 +609,6 @@ pub fn render_profile_json(p: &Profile) -> String {
         o.num("p50", h.p50);
         o.num("p90", h.p90);
         o.num("p99", h.p99);
-        let mut arr = String::from("[");
-        for (j, (upper, c)) in h.buckets.iter().enumerate() {
-            if j > 0 {
-                arr.push(',');
-            }
-            arr.push_str(&format!("[{upper},{c}]"));
-        }
-        arr.push(']');
-        o.raw("buckets", &arr);
         out.push_str(&o.finish());
         out.push_str(if i + 1 == p.hists.len() { "\n" } else { ",\n" });
     }
@@ -616,10 +671,9 @@ mod tests {
             ProfHist {
                 count: 4,
                 sum: 20,
-                p50: 5.0,
+                p50: 5.0625,
                 p90: 7.0,
-                p99: 7.0,
-                buckets: vec![(3, 1), (7, 3)],
+                p99: 7.25,
             },
         );
         p.events.push(SeriesAgg {
@@ -640,7 +694,7 @@ mod tests {
         assert_eq!(q.nodes[1].path, "design.total;circuit.ac.sweep");
         assert_eq!(q.nodes[1].self_us, 4000);
         assert_eq!(q.counters.get("plan.cache.hit"), Some(&3));
-        assert_eq!(q.hists["circuit.dc.iters"].buckets, vec![(3, 1), (7, 3)]);
+        assert_eq!(q.hists["circuit.dc.iters"].p50, 5.0625);
         assert_eq!(q.events[0].points, 10);
         // Serialising the reparse is byte-identical: the format is a
         // fixed point, so baseline refreshes never churn spuriously.
@@ -656,7 +710,18 @@ mod tests {
     }
 
     #[test]
-    fn to_summary_merges_same_name_paths_and_keeps_metrics() {
+    fn parse_ignores_the_old_histogram_buckets() {
+        let text = render_profile_json(&sample())
+            .replace("\"p99\":7.25}", "\"p99\":7.25,\"buckets\":[[3,1],[7,3]]}");
+        assert!(text.contains("\"buckets\""));
+        let q = parse(&text).expect("profile with buckets parses");
+        assert_eq!(q.hists["circuit.dc.iters"].count, 4);
+        assert_eq!(q.hists["circuit.dc.iters"].p99, 7.25);
+        assert_eq!(render_profile_json(&q), render_profile_json(&sample()));
+    }
+
+    #[test]
+    fn summary_merges_same_name_paths_and_prints_the_file_percentiles() {
         let mut p = sample();
         // Same span name reached via a second path.
         p.nodes.push(ProfNode {
@@ -669,17 +734,25 @@ mod tests {
             p50_us: 500.0,
             p95_us: 500.0,
         });
-        let s = to_summary(&p);
-        let sweep = s
-            .spans
-            .iter()
-            .find(|a| a.name == "circuit.ac.sweep")
-            .expect("merged span");
-        assert_eq!(sweep.count, 5);
-        assert_eq!(sweep.total_us, 4500);
-        assert_eq!(s.counters.get("plan.cache.hit"), Some(&3));
-        assert_eq!(s.hists["circuit.dc.iters"].count, 4);
-        assert_eq!(s.series.len(), 1);
+        p.meta.insert("threads_env".to_string(), "4".to_string());
+        let text = render_summary(&p, 10);
+        let row = |name: &str| {
+            text.lines()
+                .map(|l| l.split_whitespace().collect::<Vec<_>>())
+                .find(|cols| cols.first() == Some(&name))
+                .unwrap_or_else(|| panic!("no `{name}` row in:\n{text}"))
+        };
+        // Both circuit.ac.sweep paths fold into one row: 4 + 1 calls,
+        // 4000 + 500 us of self and total time.
+        assert_eq!(row("circuit.ac.sweep")[1..4], ["5", "4.50ms", "4.50ms"]);
+        assert_eq!(row("plan.cache.hit")[1], "3");
+        // count, mean, then the file's p50/p90/p99 as written.
+        assert_eq!(
+            row("circuit.dc.iters")[1..],
+            ["4", "5.0", "5.0625", "7", "7.25"]
+        );
+        assert!(text.contains("threads_env: 4"));
+        assert!(text.contains("opt.de.gen (10 events)"));
     }
 
     #[test]

@@ -39,7 +39,7 @@ mod tests {
                     \"total_us\":5,\"self_us\":5,\"max_us\":5,\"p50_us\":5,\"p95_us\":5}],\
                     \"counters\":{\"plan.cache.hit\":2},\
                     \"hists\":[{\"name\":\"circuit.dc.iters\",\"count\":1,\"sum\":3,\
-                    \"p50\":3,\"p90\":3,\"p99\":3,\"buckets\":[[3,1]]}],\
+                    \"p50\":3,\"p90\":3,\"p99\":3}],\
                     \"events\":[{\"name\":\"opt.de.gen\",\"points\":1,\"first\":{},\"last\":{}}]}";
         let dir = std::env::temp_dir().join(format!("rfkit_obs_regtest_{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("mkdir");

@@ -10,6 +10,19 @@ use rfkit_obs::{profile, Counter, Hist, TraceConfig};
 
 static TASKS: Counter = Counter::new("test.agg.tasks");
 static ITERS: Hist = Hist::new("test.agg.iters");
+static STAGE: Hist = Hist::new("test.agg.stage");
+
+const ITER_SAMPLES: [u64; 4] = [1, 2, 400, 900];
+const STAGE_SAMPLES: [u64; 3] = [0, 0, 2];
+
+/// Exact nearest-rank percentile: the sample at 1-based rank
+/// `ceil(q * n)`, the rank the sketch's estimate targets.
+fn nearest_rank(samples: &[u64], q: f64) -> f64 {
+    let mut sorted = samples.to_vec();
+    sorted.sort_unstable();
+    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
+    sorted[rank - 1] as f64
+}
 
 fn busy_wait_us(us: u64) {
     let t0 = std::time::Instant::now();
@@ -49,8 +62,13 @@ fn agg_mode_folds_spans_into_a_call_path_profile() {
         rfkit_obs::event("test.agg.gen", &[("gen", 4.0), ("best", 1.5)]);
         rfkit_obs::event("test.agg.nan", &[("bad", f64::NAN), ("ok", 2.0)]);
         TASKS.add(11);
-        for v in [1u64, 2, 400, 900] {
+        for v in ITER_SAMPLES {
             ITERS.record(v);
+        }
+        // The fault smoke's DC fallback shape: ladders that ended at
+        // rungs 0, 0 and 2.
+        for v in STAGE_SAMPLES {
+            STAGE.record(v);
         }
     }
     // Each thread folds spans into its own tree; the flush merges them
@@ -120,8 +138,26 @@ fn agg_mode_folds_spans_into_a_call_path_profile() {
     let h = p.hists.get("test.agg.iters").expect("hist in profile");
     assert_eq!(h.count, 4);
     assert_eq!(h.sum, 1303);
-    // Interpolated percentile: within the 512..=1023 log2 bucket.
-    assert!(h.p99 >= 512.0 && h.p99 <= 1023.0, "p99 = {}", h.p99);
+    // Every reported percentile is the sketch's estimate of the exact
+    // nearest-rank sample: within 1/32 of it.
+    for (name, samples) in [
+        ("test.agg.iters", &ITER_SAMPLES[..]),
+        ("test.agg.stage", &STAGE_SAMPLES[..]),
+    ] {
+        let h = &p.hists[name];
+        for (q, got) in [(0.50, h.p50), (0.90, h.p90), (0.99, h.p99)] {
+            let exact = nearest_rank(samples, q);
+            assert!(
+                (got - exact).abs() <= exact / 32.0,
+                "{name} q={q}: reported {got}, exact {exact}"
+            );
+        }
+    }
+    // One sample of 2 among zeros: p90 is that sample, not the upper
+    // edge of a power-of-two bucket (3).
+    let stage = &p.hists["test.agg.stage"];
+    assert_eq!((stage.count, stage.sum, stage.p50), (3, 2, 0.0));
+    assert!((stage.p90 - 2.0).abs() <= 2.0 / 32.0, "p90 = {}", stage.p90);
 
     let gen = p
         .events
@@ -141,14 +177,23 @@ fn agg_mode_folds_spans_into_a_call_path_profile() {
     // The flush records its own shape.
     assert!(p.events.iter().any(|e| e.name == "profile.flush"));
 
-    // The summarizer view merges the two test.step paths by name.
-    let s = profile::to_summary(&p);
-    let step = s
-        .spans
+    // The summary view folds the two test.step paths into one row by
+    // name, and prints each histogram's percentiles as the file has them.
+    let summary = profile::render_summary(&p, 100);
+    let row = |name: &str| {
+        summary
+            .lines()
+            .map(|l| l.split_whitespace().collect::<Vec<_>>())
+            .find(|cols| cols.first() == Some(&name))
+            .unwrap_or_else(|| panic!("no `{name}` row in:\n{summary}"))
+    };
+    assert_eq!(row("test.step")[1], "6");
+    let stage_row = row("test.agg.stage");
+    let printed: Vec<f64> = stage_row[3..]
         .iter()
-        .find(|a| a.name == "test.step")
-        .expect("merged span");
-    assert_eq!(step.count, 6);
+        .map(|c| c.parse().expect("numeric percentile"))
+        .collect();
+    assert_eq!(printed, [stage.p50, stage.p90, stage.p99]);
 
     // Tree + flame renderings cover the recorded paths.
     let tree = profile::render_tree(&p, 100);

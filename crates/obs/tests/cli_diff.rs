@@ -1,10 +1,14 @@
 //! Drive the `rfkit-trace` binary end-to-end over profile fixtures:
 //! the regression gate (`diff`), the profile views (`tree`, `flame`),
-//! and the `--expect-min` floor. These tests never arm tracing — they
-//! write profile documents directly — so many tests per file are fine.
+//! the summary's histogram percentiles and the `--expect-min` floor.
+//! These tests never arm tracing — they write profile documents
+//! directly — so many tests per file are fine.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
+
+use rfkit_num::QuantileSketch;
+use rfkit_obs::profile::{self, ProfHist, Profile};
 
 fn fixture_dir() -> PathBuf {
     let dir = std::env::temp_dir().join(format!("rfkit_cli_diff_{}", std::process::id()));
@@ -155,10 +159,56 @@ fn summarize_reads_profiles_and_honours_expect() {
     assert!(stdout(&out).contains("circuit.ac.sweep"));
     let out = trace(&[path, "--expect", "absent.span"]);
     assert_eq!(out.status.code(), Some(1));
-    // --json emits the summary shape for profiles too.
+    // The profile is the JSON form; there is no second one.
     let out = trace(&[path, "--json"]);
-    assert!(out.status.success());
-    assert!(stdout(&out).contains("\"counters\":{\"plan.cache.hit\":10}"));
+    assert_eq!(out.status.code(), Some(2));
+}
+
+#[test]
+fn summary_prints_the_flushed_histogram_percentiles() {
+    // Histograms as the flush writes them: count, sum and p50/p90/p99
+    // from a quantile sketch of the samples.
+    let mut p = Profile::default();
+    for (name, samples) in [
+        (
+            "serve.request.latency_us",
+            &[26u64, 31, 113, 127, 90, 18, 2400][..],
+        ),
+        ("dc.fallback.stage", &[0, 0, 2][..]),
+    ] {
+        let mut sketch = QuantileSketch::new();
+        for &v in samples {
+            sketch.record(v as f64);
+        }
+        p.hists.insert(
+            name.to_string(),
+            ProfHist {
+                count: sketch.count(),
+                sum: samples.iter().sum(),
+                p50: sketch.quantile(0.50),
+                p90: sketch.quantile(0.90),
+                p99: sketch.quantile(0.99),
+            },
+        );
+    }
+    let path = write_profile("hist_prof.json", &profile::render_profile_json(&p));
+    let file = profile::parse(&std::fs::read_to_string(&path).expect("read back"))
+        .expect("fixture parses");
+    let out = trace(&[path.to_str().expect("utf8 path")]);
+    assert!(out.status.success(), "summary failed: {}", stderr(&out));
+    let text = stdout(&out);
+    for (name, h) in &file.hists {
+        let row = text
+            .lines()
+            .map(|l| l.split_whitespace().collect::<Vec<_>>())
+            .find(|cols| cols.first() == Some(&name.as_str()))
+            .unwrap_or_else(|| panic!("no `{name}` row in:\n{text}"));
+        let printed: Vec<f64> = row[3..]
+            .iter()
+            .map(|c| c.parse().expect("numeric percentile"))
+            .collect();
+        assert_eq!(printed, [h.p50, h.p90, h.p99], "{name} in:\n{text}");
+    }
 }
 
 #[test]

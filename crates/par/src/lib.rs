@@ -111,14 +111,6 @@ impl Default for ParConfig {
 }
 
 impl ParConfig {
-    /// Config that always runs serially, regardless of environment.
-    pub fn serial() -> Self {
-        ParConfig {
-            threads: 1,
-            ..ParConfig::default()
-        }
-    }
-
     /// Config pinned to exactly `threads` participants with no serial
     /// fallback threshold (used by benches and determinism tests).
     pub fn exact(threads: usize) -> Self {

@@ -254,6 +254,16 @@ fn opt_num(obj: &Json, ctx: &str, key: &str, default: f64) -> Result<f64, String
     }
 }
 
+/// A count field's value: integral, so `7.9` points or `12.5` units are
+/// refused rather than truncated. Negative values saturate to 0 and meet
+/// the field's range check or clamp.
+fn count(v: f64, ctx: &str, key: &str) -> Result<usize, String> {
+    if v != v.trunc() {
+        return Err(format!("field `{ctx}{key}` is not an integer"));
+    }
+    Ok(v as usize)
+}
+
 fn parse_vars(doc: &Json) -> Result<DesignVariables, String> {
     let v = doc
         .get("vars")
@@ -275,7 +285,7 @@ fn parse_band(doc: &Json) -> Result<BandSpec, String> {
     };
     let f_lo = req_num(b, "band.", "f_lo")?;
     let f_hi = req_num(b, "band.", "f_hi")?;
-    let points = req_num(b, "band.", "points")? as usize;
+    let points = count(req_num(b, "band.", "points")?, "band.", "points")?;
     if f_lo <= 0.0 || f_hi <= f_lo {
         return Err("band requires 0 < f_lo < f_hi".into());
     }
@@ -360,21 +370,25 @@ impl Request {
                 band: parse_band(&doc).map_err(|m| (id, m))?,
             },
             "design" => {
-                let evals = opt_num(&doc, "", "max_evals", 1200.0).map_err(|m| (id, m))?;
+                let evals = opt_num(&doc, "", "max_evals", 1200.0)
+                    .and_then(|v| count(v, "", "max_evals"))
+                    .map_err(|m| (id, m))?;
                 RequestBody::Design {
                     goals: parse_goals(&doc).map_err(|m| (id, m))?,
-                    max_evals: (evals as usize).clamp(DESIGN_EVALS_RANGE.0, DESIGN_EVALS_RANGE.1),
+                    max_evals: evals.clamp(DESIGN_EVALS_RANGE.0, DESIGN_EVALS_RANGE.1),
                     seed: opt_num(&doc, "", "seed", 0x1a5 as f64).map_err(|m| (id, m))? as u64,
                     band: parse_band(&doc).map_err(|m| (id, m))?,
                 }
             }
             "yield" => {
-                let units = opt_num(&doc, "", "units", 64.0).map_err(|m| (id, m))?;
+                let units = opt_num(&doc, "", "units", 64.0)
+                    .and_then(|v| count(v, "", "units"))
+                    .map_err(|m| (id, m))?;
                 RequestBody::Yield {
                     vars: parse_vars(&doc).map_err(|m| (id, m))?,
                     band: parse_band(&doc).map_err(|m| (id, m))?,
                     spec: parse_spec(&doc).map_err(|m| (id, m))?,
-                    units: (units as usize).clamp(1, MAX_YIELD_UNITS),
+                    units: units.clamp(1, MAX_YIELD_UNITS),
                     seed: opt_num(&doc, "", "seed", 1.0).map_err(|m| (id, m))? as u64,
                     policy: parse_policy(&doc, DegradePolicy::lenient(1.0)).map_err(|m| (id, m))?,
                 }
@@ -604,6 +618,53 @@ mod tests {
             "band":{"f_lo":2e9,"f_hi":1e9,"points":5}}"#;
         let (_, msg) = Request::parse(bad).unwrap_err();
         assert!(msg.contains("f_lo < f_hi"));
+    }
+
+    const VARS: &str = r#""vars":{"vds":3,"ids":0.05,"l1":6.8e-9,"ls_deg":0.4e-9,
+        "l2":1e-8,"c2":2.2e-12,"r_bias":30}"#;
+
+    #[test]
+    fn band_points_must_be_integral() {
+        let req = format!(
+            r#"{{"id":4,"type":"sweep",{VARS},"band":{{"f_lo":1e9,"f_hi":2e9,"points":7.9}}}}"#
+        );
+        assert_eq!(
+            Request::parse(&req).unwrap_err(),
+            (4, "field `band.points` is not an integer".to_string())
+        );
+        assert!(matches!(
+            Request::parse(&req.replace("7.9", "7")).map(|r| r.body),
+            Ok(RequestBody::Sweep { band, .. }) if band.n_points() == 7
+        ));
+    }
+
+    #[test]
+    fn yield_units_must_be_integral() {
+        let req = format!(r#"{{"id":5,"type":"yield",{VARS},"units":12.5}}"#);
+        assert_eq!(
+            Request::parse(&req).unwrap_err(),
+            (5, "field `units` is not an integer".to_string())
+        );
+        assert!(matches!(
+            Request::parse(&req.replace("12.5", "12")).map(|r| r.body),
+            Ok(RequestBody::Yield { units: 12, .. })
+        ));
+    }
+
+    #[test]
+    fn design_max_evals_must_be_integral() {
+        let req = r#"{"id":6,"type":"design","max_evals":1200.5}"#;
+        assert_eq!(
+            Request::parse(req).unwrap_err(),
+            (6, "field `max_evals` is not an integer".to_string())
+        );
+        assert!(matches!(
+            Request::parse(&req.replace("1200.5", "1200")).map(|r| r.body),
+            Ok(RequestBody::Design {
+                max_evals: 1200,
+                ..
+            })
+        ));
     }
 
     #[test]

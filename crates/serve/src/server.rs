@@ -15,7 +15,7 @@ use std::time::Instant;
 use lna::{
     cached_sweep, design_lna, reference_netlist, yield_analysis_robust, BandOutcome, BandSpec,
     BuildConfig, DesignCache, DesignConfig, DesignVariables, LnaDesign, PointDiagnostic,
-    YieldOutcome, DEFAULT_CACHE_CAPACITY,
+    YieldOutcome,
 };
 use rfkit_circuit::{shared_plan_cache, AcWorkspace};
 use rfkit_device::Phemt;
@@ -35,7 +35,8 @@ static OBS_EXPIRED: rfkit_obs::Counter = rfkit_obs::Counter::new("serve.requests
 static OBS_PROTOCOL_ERRORS: rfkit_obs::Counter = rfkit_obs::Counter::new("serve.protocol.errors");
 static OBS_LATENCY: rfkit_obs::Hist = rfkit_obs::Hist::new("serve.request.latency_us");
 
-/// Most per-band design caches kept at once. Clients may name any band,
+/// Most per-band design caches kept at once, each bounded to
+/// [`lna::DEFAULT_CACHE_CAPACITY`] designs. Clients may name any band,
 /// so the map is bounded; an evicted band's cache starts cold on its next
 /// request.
 pub const MAX_BAND_CACHES: usize = 8;
@@ -57,8 +58,6 @@ pub struct ServeConfig {
     /// Default queue-to-start deadline applied when a request carries
     /// none. `None` = wait indefinitely.
     pub default_deadline_ms: Option<u64>,
-    /// Capacity of each per-band design memo cache.
-    pub design_cache_capacity: usize,
 }
 
 impl Default for ServeConfig {
@@ -69,7 +68,6 @@ impl Default for ServeConfig {
             queue_capacity: 64,
             max_frame_bytes: protocol::DEFAULT_MAX_FRAME_BYTES,
             default_deadline_ms: None,
-            design_cache_capacity: DEFAULT_CACHE_CAPACITY,
         }
     }
 }
@@ -213,7 +211,7 @@ impl Shared {
         ];
         let mut retired = self.retired.lock().unwrap_or_else(PoisonError::into_inner);
         let Ok(fetched) = self.caches.get_or_insert_with(key, || {
-            Ok::<_, Infallible>(Arc::new(DesignCache::new(self.cfg.design_cache_capacity)))
+            Ok::<_, Infallible>(Arc::new(DesignCache::with_default_capacity()))
         });
         if let Some(evicted) = fetched.evicted {
             retired.add(&evicted);
