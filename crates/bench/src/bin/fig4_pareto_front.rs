@@ -18,6 +18,12 @@
 //! lower bias power costs noise figure — and there the front has real
 //! extent: the goal sweep of the improved method traces it point by
 //! point.
+//!
+//! Exits nonzero unless standard goal attainment has the lowest
+//! hypervolume of the four methods and panel B's NF falls monotonically
+//! as the power cap rises.
+
+use std::process::ExitCode;
 
 use lna::{spot_objectives, DesignVariables};
 use lna_bench::header;
@@ -33,7 +39,8 @@ use rfkit_opt::{
 const F0: f64 = 1.4e9;
 const EVALS_PER_POINT: usize = 6_000;
 
-fn print_front(name: &str, points: &[(f64, f64)], evals: usize) {
+/// Prints one method's front and returns its hypervolume.
+fn print_front(name: &str, points: &[(f64, f64)], evals: usize) -> f64 {
     println!("\n{name} ({evals} objective evaluations):");
     println!("{:>10} {:>12}", "NF (dB)", "gain (dB)");
     for (nf, gain) in points {
@@ -46,9 +53,10 @@ fn print_front(name: &str, points: &[(f64, f64)], evals: usize) {
         "  non-dominated: {nondom}/{}  hypervolume(ref NF=2 dB, G=0 dB): {hv:.3}",
         points.len()
     );
+    hv
 }
 
-fn main() {
+fn main() -> ExitCode {
     header(
         "Figure 4",
         "NF vs gain Pareto front at 1.4 GHz, four methods",
@@ -82,7 +90,7 @@ fn main() {
         improved_evals += r.evaluations;
         improved.push((r.objectives[0], -r.objectives[1]));
     }
-    print_front("improved goal attainment", &improved, improved_evals);
+    let improved_hv = print_front("improved goal attainment", &improved, improved_evals);
 
     // Standard goal attainment: same sweep, penalty + single NM descent.
     let mut standard = Vec::new();
@@ -108,7 +116,7 @@ fn main() {
         standard_evals += r.evaluations;
         standard.push((r.objectives[0], -r.objectives[1]));
     }
-    print_front("standard goal attainment", &standard, standard_evals);
+    let standard_hv = print_front("standard goal attainment", &standard, standard_evals);
 
     // Weighted sum baseline on [NF, -gain] + stability penalty.
     let penalized = |x: &[f64]| -> Vec<f64> {
@@ -127,7 +135,7 @@ fn main() {
         .iter()
         .map(|r| (r.objectives[0], -r.objectives[1]))
         .collect();
-    print_front(
+    let ws_hv = print_front(
         "weighted sum",
         &ws_points,
         ws.iter().map(|r| r.evaluations).sum(),
@@ -154,13 +162,32 @@ fn main() {
     // Thin to ~12 representative points for the printout.
     let step = (nsga_points.len() / 12).max(1);
     let thinned: Vec<(f64, f64)> = nsga_points.iter().step_by(step).copied().collect();
-    print_front("NSGA-II (thinned)", &thinned, nsga.evaluations);
+    let nsga_hv = print_front("NSGA-II (thinned)", &thinned, nsga.evaluations);
 
-    panel_b(&device);
+    let panel_b_nf = panel_b(&device);
+
+    let mut ok = true;
+    if [improved_hv, ws_hv, nsga_hv]
+        .iter()
+        .any(|hv| *hv <= standard_hv)
+    {
+        eprintln!("claim failed: standard goal attainment does not have the lowest hypervolume");
+        ok = false;
+    }
+    if panel_b_nf.windows(2).any(|w| w[1] > w[0]) {
+        eprintln!("claim failed: panel B's NF does not fall as the power cap rises");
+        ok = false;
+    }
+    if ok {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
 }
 
 /// Panel B: worst-band NF vs DC power — a genuinely conflicting pair.
-fn panel_b(device: &Phemt) {
+/// Returns the worst-band NF at each power goal, in ascending goal order.
+fn panel_b(device: &Phemt) -> Vec<f64> {
     use lna::{band_objectives, BandSpec};
     println!(
         "
@@ -185,6 +212,7 @@ fn panel_b(device: &Phemt) {
         "{:>14} {:>10} {:>12}",
         "P goal (mW)", "NF (dB)", "power (mW)"
     );
+    let mut nf = Vec::new();
     for (k, power_goal) in [40.0, 70.0, 100.0, 150.0, 220.0, 320.0].iter().enumerate() {
         let p = GoalProblem::new(
             obj_ref,
@@ -206,6 +234,8 @@ fn panel_b(device: &Phemt) {
             "{:>14.0} {:>10.3} {:>12.1}",
             power_goal, r.objectives[0], r.objectives[1]
         );
+        nf.push(r.objectives[0]);
     }
     println!("(lower power caps must show higher worst-band NF: the real trade)");
+    nf
 }

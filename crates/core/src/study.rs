@@ -12,9 +12,14 @@
 //! (prune-never-propagate).
 //!
 //! The cache is taken by reference so a warm-up run (or a previous
-//! study) can seed the surrogate's training set: points the flow already
-//! paid for become free model fodder through
-//! [`surrogate_training_set`].
+//! study) can seed the surrogate's training set through
+//! [`surrogate_training_set`]. A fit reads only the screen's newest 128
+//! rows, and the seed comes first, in the snapshot's ascending key order
+//! (largest `vds` last), followed by the initial population. So the
+//! first fits of a warm-started study train on its initial population
+//! plus the cached designs with the largest `vds` (80 cached rows at
+//! population 48), not on the cache as a whole; later fits slide on to
+//! the study's own evaluations.
 
 use crate::amplifier::DesignVariables;
 use crate::band::BandSpec;
@@ -51,11 +56,15 @@ pub fn nf_gain_objectives<'a>(
 }
 
 /// Extracts the surrogate training set from a cache snapshot: one
-/// `(design vector, objective vector)` pair per entry, in deterministic
-/// snapshot order, scored exactly as [`nf_gain_objectives`] would score
-/// it — feasible stable entries carry their real
-/// `[worst NF dB, −min gain dB]`, everything else the infeasibility
-/// penalty vector (`1e3` in both objectives).
+/// `(design vector, objective vector)` pair per entry, in the snapshot's
+/// ascending key order (by `vds` first), scored exactly as
+/// [`nf_gain_objectives`] would score it — feasible stable entries carry
+/// their real `[worst NF dB, −min gain dB]`, everything else the
+/// infeasibility penalty vector (`1e3` in both objectives).
+///
+/// The screen keeps only a window of its newest rows, so when the
+/// snapshot is larger than that window a fit sees only its tail: the
+/// cached designs with the largest `vds` (see the module docs).
 ///
 /// Penalty rows are deliberately *included*: on this landscape the
 /// dominant structure is the thin unconditionally-stable region inside a
@@ -153,7 +162,8 @@ pub struct ParetoStudy {
 /// Traces the band-level NF/gain Pareto front for `device` over `band`.
 ///
 /// With `config.surrogate` set, the screen is seeded from the cache's
-/// current contents ([`surrogate_training_set`]) and consulted serially
+/// current contents ([`surrogate_training_set`], of which a fit reads
+/// only the newest rows) and consulted serially
 /// before every parallel offspring batch; otherwise this is a plain
 /// NSGA-II run. Either way the cache memoizes band sweeps, so a study
 /// run on a warm cache both trains better models and pays for fewer
@@ -220,16 +230,6 @@ pub fn pareto_front_study(
 mod tests {
     use super::*;
 
-    fn quick_study(surrogate: Option<SurrogateConfig>) -> ParetoStudyConfig {
-        ParetoStudyConfig {
-            population: 16,
-            generations: 5,
-            seed: 7,
-            initial: Vec::new(),
-            surrogate,
-        }
-    }
-
     #[test]
     fn training_set_mirrors_objective_penalty_encoding() {
         let d = Phemt::atf54143_like();
@@ -280,7 +280,14 @@ mod tests {
         let d = Phemt::atf54143_like();
         let band = BandSpec::gnss();
         let cache = DesignCache::with_default_capacity();
-        let study = pareto_front_study(&d, &band, &quick_study(None), &cache);
+        let config = ParetoStudyConfig {
+            population: 16,
+            generations: 5,
+            seed: 7,
+            initial: Vec::new(),
+            surrogate: None,
+        };
+        let study = pareto_front_study(&d, &band, &config, &cache);
         assert!(!study.front.is_empty());
         assert!(study.hypervolume > 0.0, "no usable design on the front");
         // Every front point re-evaluates (from cache) to exactly the
@@ -298,23 +305,39 @@ mod tests {
         );
     }
 
-    #[test]
-    fn warm_cache_seeds_screen_and_preserves_quality() {
+    /// A plain warm-up study on a fresh cache, then a screened study of
+    /// the same size and seed on the warm cache. Also returns how many
+    /// rows the warm-up cached for the screen's training set.
+    fn warm_then_screened(
+        population: usize,
+        generations: usize,
+    ) -> (ParetoStudy, ParetoStudy, usize) {
         let d = Phemt::atf54143_like();
         let band = BandSpec::gnss();
-        // Warm-up: a plain run populates the cache.
         let cache = DesignCache::with_default_capacity();
-        let warmup = pareto_front_study(&d, &band, &quick_study(None), &cache);
-        assert!(!surrogate_training_set(&cache).is_empty());
-
-        // Screened run on the warm cache: the seeded model prunes, and
-        // the front quality (hypervolume) stays in the same regime.
+        let config = |surrogate| ParetoStudyConfig {
+            population,
+            generations,
+            seed: 7,
+            initial: Vec::new(),
+            surrogate,
+        };
+        let warmup = pareto_front_study(&d, &band, &config(None), &cache);
+        let rows = surrogate_training_set(&cache).len();
         let screened = pareto_front_study(
             &d,
             &band,
-            &quick_study(Some(study_screen_config(0x5ca1e))),
+            &config(Some(study_screen_config(0x5ca1e))),
             &cache,
         );
+        (warmup, screened, rows)
+    }
+
+    /// The seeded model prunes and the screened front's hypervolume stays
+    /// in the warm-up's regime. The screen's decisions are serial and
+    /// seeded, so they move only when a prediction's bits move: the
+    /// callers pin them exactly.
+    fn assert_screen_pruned_and_kept_quality(warmup: &ParetoStudy, screened: &ParetoStudy) {
         let stats = screened.screen_stats.expect("screen was armed");
         assert!(stats.fits > 0, "seeded screen never fitted a model");
         assert!(
@@ -323,22 +346,56 @@ mod tests {
             screened.hypervolume,
             warmup.hypervolume
         );
-        // The screen's decisions are serial and seeded, so they move
-        // only when a prediction's bits move: pin them exactly.
+    }
+
+    #[test]
+    fn warm_cache_seeds_screen_and_preserves_quality() {
+        // The warm-up caches fewer rows than the screen's fit window, so
+        // the first fit trains on the whole cache.
+        let (warmup, screened, rows) = warm_then_screened(16, 5);
+        assert_eq!(rows, 91);
+        assert_screen_pruned_and_kept_quality(&warmup, &screened);
         assert_eq!(
-            stats,
-            ScreenStats {
+            screened.screen_stats,
+            Some(ScreenStats {
                 fits: 1,
                 accepted: 6,
                 rejected: 65,
                 explored: 9,
                 fallbacks: 0,
                 forced: 0,
-            }
+            })
         );
         assert_eq!(
             screened.hypervolume.to_bits(),
             39.34273959308099_f64.to_bits(),
+            "{}",
+            screened.hypervolume
+        );
+    }
+
+    #[test]
+    fn warm_cache_larger_than_the_fit_window_keeps_quality() {
+        // The warm-up caches more rows than the fit window holds, so the
+        // fits read only the window's newest rows: the initial population
+        // plus the cached designs with the largest `vds`.
+        let (warmup, screened, rows) = warm_then_screened(24, 10);
+        assert_eq!(rows, 249);
+        assert_screen_pruned_and_kept_quality(&warmup, &screened);
+        assert_eq!(
+            screened.screen_stats,
+            Some(ScreenStats {
+                fits: 1,
+                accepted: 4,
+                rejected: 206,
+                explored: 30,
+                fallbacks: 0,
+                forced: 4,
+            })
+        );
+        assert_eq!(
+            screened.hypervolume.to_bits(),
+            17.54255162641959_f64.to_bits(),
             "{}",
             screened.hypervolume
         );

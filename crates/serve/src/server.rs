@@ -470,17 +470,21 @@ fn reader_main(mut stream: TcpStream, conn_id: u64, shared: &Arc<Shared>) {
         };
         match &request.body {
             // Cheap introspection answered inline: stats must stay
-            // observable even when every worker is busy.
-            RequestBody::Ping => {
+            // observable even when every worker is busy. With telemetry
+            // armed it is timed like a queued request, so the latency
+            // view counts every completed request.
+            RequestBody::Ping | RequestBody::Stats => {
+                let timed = rfkit_obs::enabled()
+                    .then(|| (rfkit_obs::span("serve.request"), Instant::now()));
                 note_accepted(shared);
-                let mut o = protocol::response_base(request.id, "ok");
-                o.raw("result", "{\"pong\":1}");
-                writer.send(&o.finish());
-                note_completed(shared, false);
-            }
-            RequestBody::Stats => {
-                note_accepted(shared);
-                writer.send(&stats_response(request.id, shared));
+                let payload = match request.body {
+                    RequestBody::Ping => ping_response(request.id),
+                    _ => stats_response(request.id, shared),
+                };
+                if let Some((_, admitted)) = &timed {
+                    OBS_LATENCY.record(admitted.elapsed().as_micros().min(u64::MAX as u128) as u64);
+                }
+                writer.send(&payload);
                 note_completed(shared, false);
             }
             _ => {
@@ -638,13 +642,15 @@ fn handle(shared: &Shared, ws: &mut AcWorkspace, req: &Request) -> (String, bool
         }
         // Inline types normally never reach a worker; answering them
         // here anyway keeps the dispatch total.
-        RequestBody::Ping => {
-            let mut o = protocol::response_base(req.id, "ok");
-            o.raw("result", "{\"pong\":1}");
-            (o.finish(), false)
-        }
+        RequestBody::Ping => (ping_response(req.id), false),
         RequestBody::Stats => (stats_response(req.id, shared), false),
     }
+}
+
+fn ping_response(id: u64) -> String {
+    let mut o = protocol::response_base(id, "ok");
+    o.raw("result", "{\"pong\":1}");
+    o.finish()
 }
 
 fn sweep_response(id: u64, outcome: &BandOutcome) -> (String, bool) {

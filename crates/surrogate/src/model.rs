@@ -308,8 +308,8 @@ mod tests {
 
     #[test]
     fn rbf_fused_prediction_is_bit_identical_to_separate_kernel_rows() {
-        // ~50 seeded fits, sized from the minimum up to a full 256-point
-        // training window.
+        // ~50 seeded fits, sized from the minimum up to 256 points (twice
+        // the screen's training window).
         let n_min = ResponseSurface::min_train_points(7);
         let mut rng = rfkit_num::rng::Rng64::new(77);
         for s in 0..50u64 {

@@ -49,7 +49,16 @@ use crate::model::ResponseSurface;
 use rfkit_num::rng::Rng64;
 
 /// Most-recent training window used per fit (older points age out).
-const MAX_TRAIN: usize = 256;
+///
+/// A fit factors an n × n kernel (n³/3 LU work, n²/2 `exp` pairs) and
+/// each screened candidate costs n kernel `exp` calls, so the window
+/// sets the screen's price. At 256 rows the study's refits took about
+/// half of a perfbench `study`; at 128 each refit does an eighth of the
+/// LU work and the study runs about 2× faster at equal or better
+/// hypervolume. At 64 rows the model can no longer hold the feasibility
+/// cliff: the warm-cache study test's screened front collapses to
+/// hypervolume 0.
+const MAX_TRAIN: usize = 128;
 /// Refit after this many new observations.
 const RETRAIN_EVERY: usize = 32;
 /// Dimensionless ridge weight added to the unit kernel diagonal.
@@ -172,6 +181,11 @@ impl SurrogateScreen {
     /// Seeds the training set from already-evaluated `(x, f)` pairs —
     /// e.g. a `DesignCache` snapshot — without counting toward the
     /// retrain cadence. Rows are filtered as in [`observe`](Self::observe).
+    ///
+    /// Seed rows join the same window as observed ones: a fit reads only
+    /// the newest 128 rows, so of a larger seed only its tail (in the
+    /// order given) trains the model, and rows observed later push the
+    /// seed out.
     ///
     /// # Panics
     ///
@@ -633,6 +647,27 @@ mod tests {
         s.observe(&xs[91], &fs[91]);
         s.screen_multi(&cands, &[vec![10.0]]);
         assert_eq!(s.stats().fits, 2, "cadence-due refit did not happen");
+    }
+
+    #[test]
+    fn fit_reads_exactly_the_newest_window() {
+        let mut s = new_screen(2, 1);
+        let (xs, fs) = scalar_training(3 * MAX_TRAIN);
+        for (x, f) in xs.iter().zip(&fs) {
+            s.observe(x, f);
+            assert!(s.training_len() < 2 * MAX_TRAIN, "{}", s.training_len());
+        }
+        s.screen_multi(&ring(8), &[vec![10.0]]);
+        assert_eq!(s.stats().fits, 1);
+        let start = xs.len() - MAX_TRAIN;
+        let reference = ResponseSurface::fit(&xs[start..], &fs[start..], RIDGE).expect("fits");
+        let armed = s.model.as_ref().expect("model armed");
+        let (mut got, mut want) = ([0.0], [0.0]);
+        for x in ring(16).iter().chain(&xs[..4]) {
+            armed.predict_into(x, &mut got);
+            reference.predict_into(x, &mut want);
+            assert_eq!(got[0].to_bits(), want[0].to_bits(), "at {x:?}");
+        }
     }
 
     #[test]
