@@ -81,18 +81,17 @@ echo "== cargo check perfbench (the benchmark still compiles)"
 cargo check --release --offline --locked --manifest-path perfbench/Cargo.toml || fail=1
 
 echo "== committed experiment outputs (byte-diff against results/)"
-# Reruns each experiment binary whose committed output matches the code
-# and fails on any byte of difference: a change that moves one of these
+# Reruns the experiment binary behind every committed results/*.txt and
+# fails on any byte of difference: a change that moves one of these
 # results must commit the new output, and its diff shows the move.
 # Each binary runs at RFKIT_THREADS=1 and 2, so the outputs' thread-count
-# independence is checked, not assumed. An output joins this list once it
-# is regenerated and its EXPERIMENTS.md claims re-read.
-# (fig1_extraction_convergence stays out: its DE-only trace numbers calls
-# in completion order, so it is not stable at 2 threads.)
-diffed_outputs=(table3_final_design table4_performance table5_tsplitter table6_yield
-  table8_constellations fig4_pareto_front fig5_sparams_band fig6_nf_band fig7_im3
-  fig8_ga_ablation fig9_dispersion fig11_temperature fig12_harmonic_balance
-  fig13_metaheuristics fig14_snap_repair)
+# independence is checked, not assumed. The list is the directory's, so
+# no committed output can be left out.
+diffed_outputs=()
+for f in results/*.txt; do
+  diffed_outputs+=("$(basename "$f" .txt)")
+done
+echo "   ${#diffed_outputs[@]} committed outputs"
 outputs_tmp="$(mktemp -d)"
 for bin in "${diffed_outputs[@]}"; do
   for threads in 1 2; do

@@ -119,8 +119,8 @@ mod tests {
     fn wildcard_let_of_solver_result_is_flagged() {
         let src = "\
 pub fn f(c: &Circuit) {
-    let _ = solve_dc(c, &policy);
-    let _ = solve_dc(c, &policy).map(|s| s.iterations);
+    let _ = solve_dc(c);
+    let _ = solve_dc(c).map(|s| s.iterations);
 }
 ";
         let hits = run("crates/x/src/lib.rs", src);
@@ -146,9 +146,9 @@ pub fn f(m: &Matrix, rhs: &[f64]) {
     fn quiet_on_handled_results_and_unrelated_discards() {
         let src = "\
 pub fn f(c: &Circuit) -> Result<(), SolveError> {
-    let sol = solve_dc(c, &policy)?;
+    let sol = solve_dc(c)?;
     let _ = unrelated_cleanup();
-    match solve_dc(c, &policy) {
+    match solve_dc(c) {
         Ok(_) => {}
         Err(e) => log(e),
     }

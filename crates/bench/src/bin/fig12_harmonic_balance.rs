@@ -9,7 +9,7 @@
 //! drive.
 
 use lna_bench::{header, print_series};
-use rfkit_circuit::hb::{solve, HbConfig, HbTestbench};
+use rfkit_circuit::hb::{solve, HbTestbench};
 use rfkit_circuit::{single_tone, TwoToneSpec};
 use rfkit_device::Phemt;
 use rfkit_num::units::dbm_from_watts;
@@ -35,7 +35,6 @@ fn main() {
         r_dc_feed: 20.0,
         load: Box::new(move |_| Complex::real(r_load)),
     };
-    let cfg = HbConfig::default();
 
     let amplitudes: Vec<f64> = (1..=12).map(|k| 0.03 * k as f64).collect();
     let mut p1_hb = Vec::new();
@@ -44,7 +43,7 @@ fn main() {
     let mut idc = Vec::new();
     let mut p1_fixed = Vec::new();
     for &a in &amplitudes {
-        let sol = solve(&bench, a, &cfg).expect("HB converges");
+        let sol = solve(&bench, a).expect("HB converges");
         p1_hb.push(sol.harmonic_power_dbm(1, Complex::real(r_load)));
         p2_hb.push(sol.harmonic_power_dbm(2, Complex::real(r_load)));
         p3_hb.push(sol.harmonic_power_dbm(3, Complex::real(r_load)));

@@ -47,7 +47,6 @@ fn main() {
                 &DeConfig {
                     max_evals: BUDGET,
                     seed,
-                    ..Default::default()
                 },
             )
             .value,
@@ -59,7 +58,6 @@ fn main() {
                 &SaConfig {
                     max_evals: BUDGET,
                     seed,
-                    ..Default::default()
                 },
             )
             .value,
@@ -71,7 +69,6 @@ fn main() {
                 &PsoConfig {
                     max_evals: BUDGET,
                     seed,
-                    ..Default::default()
                 },
             )
             .value,

@@ -8,30 +8,44 @@
 //! minimum one to two orders of magnitude higher; DE-only never stalls
 //! but its 20-dimensional tail converges slowly; the three-step
 //! combination is the only one whose **worst** seed equals its best.
+//!
+//! Each method's seeds run as one `rfkit-par` batch, so every optimizer
+//! inside a seed runs serially and `CountingObjective` numbers its calls
+//! in input order: the printed traces are the same at any
+//! `RFKIT_THREADS`.
 
 use lna_bench::{golden_dataset, header};
 use rfkit_device::dc::Angelov;
 use rfkit_device::MeasurementNoise;
 use rfkit_extract::{extract_single_method, three_step, SingleMethod, ThreeStepConfig};
 use rfkit_num::stats::median;
+use rfkit_par::{par_collect, ParConfig};
 
 const BUDGET: usize = 30_000;
-const SEEDS: u64 = 7;
+const SEEDS: usize = 7;
 
 fn main() {
     header("Figure 1", "extraction convergence over 7 random seeds");
     let data = golden_dataset(MeasurementNoise::default());
+    // One item per seed: each is a whole extraction run, so even a short
+    // batch is worth dispatching.
+    let seeds_cfg = ParConfig {
+        serial_threshold: 0,
+        ..ParConfig::default()
+    };
 
     // Three-step: checkpoints after each phase.
     let mut three_errors: Vec<Vec<f64>> = vec![Vec::new(); 3];
-    for seed in 0..SEEDS {
+    let three_runs = par_collect(SEEDS, &seeds_cfg, |seed| {
         let cfg = ThreeStepConfig {
             step1_evals: BUDGET * 2 / 5,
             step2_evals: BUDGET * 2 / 5,
             step3_evals: BUDGET / 5,
-            seed,
+            seed: seed as u64,
         };
-        let r = three_step(&Angelov, &data, &cfg);
+        three_step(&Angelov, &data, &cfg)
+    });
+    for r in &three_runs {
         for (k, (_, err)) in r.checkpoints.iter().enumerate() {
             three_errors[k].push(*err);
         }
@@ -65,8 +79,10 @@ fn main() {
         let fractions = [0.1, 0.25, 0.5, 0.75, 1.0];
         let mut sampled: Vec<Vec<f64>> = vec![Vec::new(); fractions.len()];
         let mut finals = Vec::new();
-        for seed in 0..SEEDS {
-            let (r, trace) = extract_single_method(method, &Angelov, &data, BUDGET, seed);
+        let runs = par_collect(SEEDS, &seeds_cfg, |seed| {
+            extract_single_method(method, &Angelov, &data, BUDGET, seed as u64)
+        });
+        for (r, trace) in runs {
             finals.push(r.dc_rmse + r.sparam_rmse);
             for (k, frac) in fractions.iter().enumerate() {
                 let target = (*frac * BUDGET as f64) as usize;

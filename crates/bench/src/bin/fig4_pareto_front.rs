@@ -84,7 +84,6 @@ fn main() -> ExitCode {
                 seed: 40 + k as u64,
                 multistart: 1,
                 global_fraction: 0.7,
-                ..Default::default()
             },
         );
         improved_evals += r.evaluations;
@@ -227,7 +226,6 @@ fn panel_b(device: &Phemt) -> Vec<f64> {
                 seed: 400 + k as u64,
                 multistart: 1,
                 global_fraction: 0.7,
-                ..Default::default()
             },
         );
         println!(

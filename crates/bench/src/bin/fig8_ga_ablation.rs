@@ -58,7 +58,6 @@ fn main() {
                 seed,
                 multistart: 1,
                 global_fraction: 0.7,
-                ..Default::default()
             },
         );
         improved.push(r.attainment);

@@ -22,15 +22,17 @@
 //!    fraction to 100 %, again continuing from level to level.
 //!
 //! Every rung restarts from the zero iterate, so the reported solution is
-//! a pure function of (circuit, policy, first rung that succeeds) and the
-//! whole ladder is bit-reproducible. Budgets are iteration-denominated
-//! ([`RetryPolicy`]); failures carry provenance ([`SolveError`]).
+//! a pure function of (circuit, first rung that succeeds) and the whole
+//! ladder is bit-reproducible. Each rung has a fixed Newton-iteration
+//! budget: 50 plain, 200 damped, 80 per homotopy level, so a full ladder
+//! spends at most 1,450 iterations. Failures carry provenance
+//! ([`SolveError`]).
 
 use crate::netlist::{Circuit, Element};
 use rfkit_device::dc::{gds as fet_gds, gm as fet_gm};
 use rfkit_num::RMatrix;
 use rfkit_robust::faults::{self, FaultKind};
-pub use rfkit_robust::{RetryPolicy, SolveError, SolveStage};
+pub use rfkit_robust::{SolveError, SolveStage};
 use std::collections::BTreeMap;
 
 // Solver telemetry (runtime-gated, write-only; see rfkit-obs).
@@ -44,6 +46,18 @@ const CONVERGED_NORM: f64 = 1e-12;
 /// Looser acceptance when a rung exhausts its budget close to a root
 /// (matches the historical solver's behavior on stiff FET bias points).
 const NEAR_CONVERGED_NORM: f64 = 1e-6;
+/// Iteration budget of the plain-Newton rung.
+const PLAIN_ITERS: usize = 50;
+/// Iteration budget of the damped-Newton rung.
+const DAMPED_ITERS: usize = 200;
+/// Iteration budget of each homotopy level (gmin decade or source
+/// fraction).
+const HOMOTOPY_ITERS: usize = 80;
+/// Gmin levels stepped from 1e-2 S down, in double decades, before the
+/// exact final solve.
+const GMIN_STEPS: usize = 6;
+/// Source-ramp levels (the last level is exactly 100 %).
+const SOURCE_STEPS: usize = 8;
 /// Step size below which the iteration has stopped moving.
 const STAGNATION_STEP: f64 = 1e-14;
 /// A stalled iterate only counts as converged below this residual;
@@ -73,19 +87,16 @@ impl DcSolution {
 }
 
 /// Solves the DC operating point, escalating through the fallback ladder
-/// under `policy` and reporting structured provenance on failure.
-/// `RetryPolicy::default()` runs the full ladder.
+/// and reporting structured provenance on failure. The error of the last
+/// rung is returned when no rung converges.
 ///
 /// # Errors
 ///
-/// * [`SolveError::SingularSystem`] — the linearized MNA matrix was
-///   singular in every rung attempted;
-/// * [`SolveError::NonConvergence`] — budgets ran out or the residual
-///   went non-finite in every rung attempted;
-/// * [`SolveError::BudgetExhausted`] — the cross-stage iteration ceiling
-///   ([`RetryPolicy::max_total_iters`]) expired mid-ladder (reported
-///   immediately; remaining rungs are not attempted).
-pub fn solve_dc(circuit: &Circuit, policy: &RetryPolicy) -> Result<DcSolution, SolveError> {
+/// * [`SolveError::SingularSystem`] — the last rung's linearized MNA
+///   matrix was singular;
+/// * [`SolveError::NonConvergence`] — the last rung ran out of iterations,
+///   stagnated away from a root or saw a non-finite residual.
+pub fn solve_dc(circuit: &Circuit) -> Result<DcSolution, SolveError> {
     let n = circuit.n_nodes();
     // Assign extra unknowns (branch currents) to V sources and inductors.
     // Keyed by element index in a sorted map so any future traversal is
@@ -115,25 +126,18 @@ pub fn solve_dc(circuit: &Circuit, policy: &RetryPolicy) -> Result<DcSolution, S
         branch_of: &branch_of,
         dim,
     };
-    let rungs = &SolveStage::LADDER[..policy.max_attempts.clamp(1, SolveStage::LADDER.len())];
     let mut used = 0usize;
     let mut last_err: Option<SolveError> = None;
-    for (attempt, &stage) in rungs.iter().enumerate() {
+    for (attempt, &stage) in SolveStage::LADDER.iter().enumerate() {
         if attempt > 0 {
             OBS_DC_RETRIES.add(1);
         }
-        match run_stage(&sys, stage, policy, &mut used) {
+        match run_stage(&sys, stage, &mut used) {
             Ok(x) => {
                 if rfkit_obs::enabled() {
                     OBS_DC_STAGE.record(stage.index() as u64);
                 }
                 return Ok(finish(circuit, x, used, stage, attempt + 1));
-            }
-            // The iteration ceiling is cross-stage: once it expires there
-            // is no budget left for later rungs either.
-            Err(e @ SolveError::BudgetExhausted { .. }) => {
-                emit_failure(&e);
-                return Err(e);
             }
             Err(e) => last_err = Some(e),
         }
@@ -169,7 +173,6 @@ struct System<'a> {
 fn run_stage(
     sys: &System<'_>,
     stage: SolveStage,
-    policy: &RetryPolicy,
     used: &mut usize,
 ) -> Result<Vec<f64>, SolveError> {
     let mut x = vec![0.0; sys.dim];
@@ -183,9 +186,8 @@ fn run_stage(
                 false,
                 0.0,
                 1.0,
-                policy.plain_iters,
+                PLAIN_ITERS,
                 used,
-                policy,
             )?;
         }
         SolveStage::DampedNewton => {
@@ -197,9 +199,8 @@ fn run_stage(
                 true,
                 0.0,
                 1.0,
-                policy.damped_iters,
+                DAMPED_ITERS,
                 used,
-                policy,
             )?;
         }
         SolveStage::GminStepping => {
@@ -208,7 +209,7 @@ fn run_stage(
             // removed (the baseline 1e-15 S of `assemble` always remains,
             // so the final system is identical to the direct rungs').
             let mut gmin = 1e-2;
-            for _ in 0..policy.gmin_steps {
+            for _ in 0..GMIN_STEPS {
                 newton_run(
                     sys,
                     &mut x,
@@ -217,9 +218,8 @@ fn run_stage(
                     true,
                     gmin,
                     1.0,
-                    policy.homotopy_iters,
+                    HOMOTOPY_ITERS,
                     used,
-                    policy,
                 )?;
                 gmin *= 1e-2;
             }
@@ -231,17 +231,15 @@ fn run_stage(
                 true,
                 0.0,
                 1.0,
-                policy.homotopy_iters,
+                HOMOTOPY_ITERS,
                 used,
-                policy,
             )?;
         }
         SolveStage::SourceStepping => {
             // Continuation in the source scale: ramp every V/I source to
             // 100 % in equal fractions; the final level is exactly 1.0.
-            let levels = policy.source_steps.max(1);
-            for s in 1..=levels {
-                let alpha = s as f64 / levels as f64;
+            for s in 1..=SOURCE_STEPS {
+                let alpha = s as f64 / SOURCE_STEPS as f64;
                 newton_run(
                     sys,
                     &mut x,
@@ -250,9 +248,8 @@ fn run_stage(
                     true,
                     0.0,
                     alpha,
-                    policy.homotopy_iters,
+                    HOMOTOPY_ITERS,
                     used,
-                    policy,
                 )?;
             }
         }
@@ -275,7 +272,6 @@ fn newton_run(
     src_scale: f64,
     max_iters: usize,
     used: &mut usize,
-    policy: &RetryPolicy,
 ) -> Result<(), SolveError> {
     let norm_of = |r: &[f64]| -> f64 { r.iter().map(|v| v * v).sum::<f64>().sqrt() };
     for iteration in 1..=max_iters {
@@ -311,13 +307,6 @@ fn newton_run(
         }
         if norm < CONVERGED_NORM {
             return Ok(());
-        }
-        if *used >= policy.max_total_iters {
-            return Err(SolveError::BudgetExhausted {
-                stage,
-                iterations: *used,
-                residual: norm,
-            });
         }
         let rhs: Vec<f64> = residual.iter().map(|r| -r).collect();
         let delta = jac.solve(&rhs).map_err(|_| SolveError::SingularSystem {
@@ -533,7 +522,7 @@ mod tests {
             .resistor("vin", "mid", 1000.0)
             .resistor("mid", "gnd", 1000.0);
         let mid = c.node("mid").unwrap();
-        let sol = solve_dc(&c, &RetryPolicy::default()).unwrap();
+        let sol = solve_dc(&c).unwrap();
         assert!((sol.voltages[mid] - 5.0).abs() < 1e-9);
         // A linear circuit is plain-Newton territory: first rung, done.
         assert_eq!(sol.stage, SolveStage::PlainNewton);
@@ -545,7 +534,7 @@ mod tests {
         let mut c = Circuit::new();
         c.isource("gnd", "out", 2e-3).resistor("out", "gnd", 1000.0);
         let out = c.node("out").unwrap();
-        let sol = solve_dc(&c, &RetryPolicy::default()).unwrap();
+        let sol = solve_dc(&c).unwrap();
         assert!((sol.voltages[out] - 2.0).abs() < 1e-9);
     }
 
@@ -556,7 +545,7 @@ mod tests {
             .inductor("vin", "out", 10e-9)
             .resistor("out", "gnd", 100.0);
         let out = c.node("out").unwrap();
-        let sol = solve_dc(&c, &RetryPolicy::default()).unwrap();
+        let sol = solve_dc(&c).unwrap();
         assert!((sol.voltages[out] - 5.0).abs() < 1e-9);
     }
 
@@ -567,7 +556,7 @@ mod tests {
             .resistor("vin", "out", 1000.0)
             .capacitor("out", "gnd", 1e-9);
         let out = c.node("out").unwrap();
-        let sol = solve_dc(&c, &RetryPolicy::default()).unwrap();
+        let sol = solve_dc(&c).unwrap();
         // No DC path: the node floats to the source voltage through R.
         assert!((sol.voltages[out] - 5.0).abs() < 1e-6);
     }
@@ -584,7 +573,7 @@ mod tests {
             .resistor("vdd", "drain", 33.0)
             .fet("vg", "drain", "gnd", Box::new(Angelov), params.clone());
         let drain = c.node("drain").unwrap();
-        let sol = solve_dc(&c, &RetryPolicy::default()).unwrap();
+        let sol = solve_dc(&c).unwrap();
         let vds = sol.voltages[drain];
         let ids = sol.fet_currents[0];
         // KVL: Vdd − Ids·RD = Vds, and Ids = model(vgs, vds).
@@ -612,7 +601,7 @@ mod tests {
             );
         let g_id = c.node("g").unwrap();
         let s_id = c.node("s").unwrap();
-        let sol = solve_dc(&c, &RetryPolicy::default()).unwrap();
+        let sol = solve_dc(&c).unwrap();
         let ids = sol.fet_currents[0];
         assert!(sol.voltages[g_id].abs() < 1e-6, "no gate current");
         assert!((sol.voltages[s_id] - ids * 10.0).abs() < 1e-8);
@@ -634,14 +623,14 @@ mod tests {
             Box::new(Angelov),
             d.dc_params.clone(),
         );
-        let sol = solve_dc(&c, &RetryPolicy::default()).unwrap();
+        let sol = solve_dc(&c).unwrap();
         assert!((sol.fet_currents[0] - target).abs() < 1e-6);
     }
 
     #[test]
     fn empty_circuit_solves_trivially() {
         let c = Circuit::new();
-        let sol = solve_dc(&c, &RetryPolicy::default()).unwrap();
+        let sol = solve_dc(&c).unwrap();
         assert!(sol.voltages.is_empty());
         assert_eq!(sol.iterations, 0);
     }
@@ -653,56 +642,9 @@ mod tests {
         c.vsource("a", "gnd", 1.0).vsource("a", "gnd", 2.0);
         // The structured error shows the whole ladder was exhausted: the
         // source loop is inconsistent at every gmin and source scale.
-        let err = solve_dc(&c, &RetryPolicy::default()).unwrap_err();
+        let err = solve_dc(&c).unwrap_err();
         assert_eq!(err.stage(), SolveStage::SourceStepping);
         assert!(matches!(err, SolveError::SingularSystem { .. }));
         assert!(err.iterations() >= 4, "every rung touched the system");
-    }
-
-    #[test]
-    fn restricted_ladder_still_solves_easy_circuits() {
-        let mut c = Circuit::new();
-        c.vsource("vin", "gnd", 10.0)
-            .resistor("vin", "mid", 1000.0)
-            .resistor("mid", "gnd", 1000.0);
-        let sol = solve_dc(&c, &RetryPolicy::first_stages(1)).unwrap();
-        let mid = c.node("mid").unwrap();
-        assert!((sol.voltages[mid] - 5.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn tiny_total_budget_reports_exhaustion() {
-        // A FET bias network needs a handful of Newton iterations; a
-        // 2-iteration global ceiling must trip BudgetExhausted (with
-        // provenance), not mislabel it as plain non-convergence.
-        let mut c = Circuit::new();
-        c.vsource("vdd", "gnd", 5.0)
-            .resistor("vdd", "drain", 50.0)
-            .resistor("g", "gnd", 10000.0)
-            .resistor("s", "gnd", 10.0)
-            .fet(
-                "g",
-                "drain",
-                "s",
-                Box::new(Angelov),
-                Angelov.default_params(),
-            );
-        let policy = RetryPolicy {
-            max_total_iters: 2,
-            ..Default::default()
-        };
-        let err = solve_dc(&c, &policy).unwrap_err();
-        match err {
-            SolveError::BudgetExhausted {
-                stage,
-                iterations,
-                residual,
-            } => {
-                assert_eq!(stage, SolveStage::PlainNewton);
-                assert_eq!(iterations, 2);
-                assert!(residual.is_finite() && residual > 0.0);
-            }
-            other => panic!("expected BudgetExhausted, got {other:?}"),
-        }
     }
 }

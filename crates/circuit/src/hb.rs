@@ -37,27 +37,16 @@ pub struct HbTestbench<'a> {
     pub load: Box<dyn Fn(usize) -> Complex + 'a>,
 }
 
-/// Configuration of the solve.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HbConfig {
-    /// Number of harmonics kept (excluding DC); time grid is
-    /// `4 × next_power_of_two(harmonics + 1)` samples.
-    pub harmonics: usize,
-    /// Newton tolerance on the KCL residual (A).
-    pub tol: f64,
-    /// Maximum Newton iterations.
-    pub max_iter: usize,
-}
-
-impl Default for HbConfig {
-    fn default() -> Self {
-        HbConfig {
-            harmonics: 7,
-            tol: 1e-9,
-            max_iter: 60,
-        }
-    }
-}
+/// Number of harmonics kept (excluding DC); the time grid has
+/// `(4 × (HARMONICS + 1)).next_power_of_two()` samples.
+const HARMONICS: usize = 7;
+/// Newton tolerance on the KCL residual (A).
+const TOL: f64 = 1e-9;
+/// Residual (A) up to which a solve that spent its iterations is still
+/// accepted.
+const ACCEPT_TOL: f64 = 1e-6;
+/// Maximum Newton iterations per solve.
+const MAX_ITER: usize = 60;
 
 /// Result of a harmonic-balance solve.
 #[derive(Debug, Clone, PartialEq)]
@@ -120,7 +109,8 @@ impl std::fmt::Display for HbError {
 
 impl std::error::Error for HbError {}
 
-/// Solves the testbench at gate-drive amplitude `a_gate` volts (peak).
+/// Solves the testbench at gate-drive amplitude `a_gate` volts (peak),
+/// keeping 7 harmonics and iterating Newton to a 1e-9 A KCL residual.
 ///
 /// Hard-clipping cases are handled by source stepping: when the direct
 /// Newton solve stalls, the amplitude is ramped in stages and each stage
@@ -129,29 +119,20 @@ impl std::error::Error for HbError {}
 /// # Errors
 ///
 /// See [`HbError`].
-pub fn solve(
-    bench: &HbTestbench<'_>,
-    a_gate: f64,
-    config: &HbConfig,
-) -> Result<HbSolution, HbError> {
+pub fn solve(bench: &HbTestbench<'_>, a_gate: f64) -> Result<HbSolution, HbError> {
     let watch = rfkit_obs::stopwatch();
-    let result = solve_inner(bench, a_gate, config);
+    let result = solve_inner(bench, a_gate);
     if let Some(us) = watch.elapsed_us() {
         OBS_HB_SOLVE_US.record(us);
     }
     result
 }
 
-fn solve_inner(
-    bench: &HbTestbench<'_>,
-    a_gate: f64,
-    config: &HbConfig,
-) -> Result<HbSolution, HbError> {
-    let h = config.harmonics.max(1);
-    let dim = 1 + 2 * h;
+fn solve_inner(bench: &HbTestbench<'_>, a_gate: f64) -> Result<HbSolution, HbError> {
+    let dim = 1 + 2 * HARMONICS;
     let mut x0 = vec![0.0; dim];
     x0[0] = bench.op.vds;
-    match solve_from(bench, a_gate, config, x0.clone()) {
+    match solve_from(bench, a_gate, x0.clone()) {
         Ok(sol) => Ok(sol),
         Err(_) => {
             // Continuation: ramp the drive, warm-starting each stage.
@@ -160,7 +141,7 @@ fn solve_inner(
             let mut last = Err(HbError::NoConvergence { residual: f64::NAN });
             for s in 1..=stages {
                 let a = a_gate * s as f64 / stages as f64;
-                match solve_from(bench, a, config, x.clone()) {
+                match solve_from(bench, a, x.clone()) {
                     Ok(sol) => {
                         x = pack(&sol);
                         last = Ok(sol);
@@ -188,10 +169,9 @@ fn pack(sol: &HbSolution) -> Vec<f64> {
 fn solve_from(
     bench: &HbTestbench<'_>,
     a_gate: f64,
-    config: &HbConfig,
     mut x: Vec<f64>,
 ) -> Result<HbSolution, HbError> {
-    let h = config.harmonics.max(1);
+    let h = HARMONICS;
     let n_time = (4 * (h + 1)).next_power_of_two();
     let model = bench.device.dc_model.as_ref();
     let dim = 1 + 2 * h;
@@ -224,7 +204,7 @@ fn solve_from(
     let norm = |r: &[f64]| r.iter().map(|v| v * v).sum::<f64>().sqrt();
     let mut r = residual_of(&x);
     let mut iterations = 0;
-    while norm(&r) > config.tol && iterations < config.max_iter {
+    while norm(&r) > TOL && iterations < MAX_ITER {
         iterations += 1;
         // Fault hook, keyed by iteration number so armed plans fire at the
         // same logical step regardless of thread count or call order.
@@ -255,7 +235,7 @@ fn solve_from(
         r = residual_of(&x);
     }
     let res = norm(&r);
-    if res > config.tol.max(1e-6) {
+    if res > ACCEPT_TOL {
         return Err(HbError::NoConvergence { residual: res });
     }
 
@@ -313,13 +293,12 @@ fn device_harmonics(
 pub fn compression_sweep(
     bench: &HbTestbench<'_>,
     amplitudes: &[f64],
-    config: &HbConfig,
 ) -> (Vec<(f64, f64)>, Option<f64>) {
     let mut rows = Vec::new();
     let mut small_signal_gain: Option<f64> = None;
     let mut p1db = None;
     for &a in amplitudes {
-        let Ok(sol) = solve(bench, a, config) else {
+        let Ok(sol) = solve(bench, a) else {
             continue;
         };
         let p_fund = sol.harmonic_power_dbm(1, (bench.load)(1));
@@ -357,7 +336,7 @@ mod tests {
     fn zero_drive_reproduces_quiescent_point() {
         let device = Phemt::atf54143_like();
         let bench = bench_with_load(&device, 50.0);
-        let sol = solve(&bench, 0.0, &HbConfig::default()).unwrap();
+        let sol = solve(&bench, 0.0).unwrap();
         assert!(
             (sol.v_ds[0].re - bench.op.vds).abs() < 1e-6,
             "V0 = {}",
@@ -377,7 +356,7 @@ mod tests {
         let r_load = 50.0;
         let bench = bench_with_load(&device, r_load);
         let a = 1e-3;
-        let sol = solve(&bench, a, &HbConfig::default()).unwrap();
+        let sol = solve(&bench, a).unwrap();
         let expect = bench.op.gm * a / (1.0 + bench.op.gds * r_load);
         assert!(
             (sol.i_d[1].abs() - expect).abs() / expect < 1e-3,
@@ -394,9 +373,8 @@ mod tests {
     fn harmonics_grow_with_drive() {
         let device = Phemt::atf54143_like();
         let bench = bench_with_load(&device, 50.0);
-        let cfg = HbConfig::default();
-        let small = solve(&bench, 0.02, &cfg).unwrap();
-        let large = solve(&bench, 0.30, &cfg).unwrap();
+        let small = solve(&bench, 0.02).unwrap();
+        let large = solve(&bench, 0.30).unwrap();
         let hd2 = |s: &HbSolution| s.i_d[2].abs() / s.i_d[1].abs();
         let hd3 = |s: &HbSolution| s.i_d[3].abs() / s.i_d[1].abs();
         assert!(hd2(&large) > 5.0 * hd2(&small), "HD2 must grow with drive");
@@ -410,9 +388,8 @@ mod tests {
         // when driven hard — invisible to the fixed-Vds analysis.
         let device = Phemt::atf54143_like();
         let bench = bench_with_load(&device, 50.0);
-        let cfg = HbConfig::default();
         let quiescent = bench.op.ids;
-        let driven = solve(&bench, 0.35, &cfg).unwrap();
+        let driven = solve(&bench, 0.35).unwrap();
         assert!(
             (driven.dc_current() - quiescent).abs() > 1e-3,
             "self-bias shift: {} vs {}",
@@ -426,7 +403,7 @@ mod tests {
         let device = Phemt::atf54143_like();
         let bench = bench_with_load(&device, 100.0);
         let amplitudes: Vec<f64> = (1..25).map(|k| 0.02 * k as f64).collect();
-        let (rows, p1db) = compression_sweep(&bench, &amplitudes, &HbConfig::default());
+        let (rows, p1db) = compression_sweep(&bench, &amplitudes);
         assert!(rows.len() > 15, "most drive levels must converge");
         let a1db = p1db.expect("the stage must compress within ±0.5 V drive");
         assert!(a1db > 0.05 && a1db < 0.5, "A(1 dB) = {a1db} V");
@@ -446,11 +423,10 @@ mod tests {
         // the same gate drive the knee clips deeper: embedding matters,
         // which is the whole point of harmonic balance.
         let device = Phemt::atf54143_like();
-        let cfg = HbConfig::default();
         let compression_at = |r_load: f64, a: f64| {
             let bench = bench_with_load(&device, r_load);
-            let small = solve(&bench, 1e-3, &cfg).unwrap();
-            let large = solve(&bench, a, &cfg).unwrap();
+            let small = solve(&bench, 1e-3).unwrap();
+            let large = solve(&bench, a).unwrap();
             // Gain drop in dB relative to small signal (currents scale
             // linearly absent compression).
             20.0 * (small.i_d[1].abs() / 1e-3).log10() - 20.0 * (large.i_d[1].abs() / a).log10()
@@ -467,7 +443,7 @@ mod tests {
     fn harmonic_power_accounting() {
         let device = Phemt::atf54143_like();
         let bench = bench_with_load(&device, 50.0);
-        let sol = solve(&bench, 0.1, &HbConfig::default()).unwrap();
+        let sol = solve(&bench, 0.1).unwrap();
         let p1 = sol.harmonic_power_dbm(1, Complex::real(50.0));
         // ½|I1|²·R in dBm must match the helper.
         let direct = dbm_from_watts(0.5 * sol.i_d[1].norm_sqr() * 50.0);
@@ -493,7 +469,7 @@ mod tests {
                 }
             }),
         };
-        let sol = solve(&bench, 0.25, &HbConfig::default()).unwrap();
+        let sol = solve(&bench, 0.25).unwrap();
         // Harmonic voltages are suppressed by the short even though the
         // harmonic currents are not.
         assert!(sol.v_ds[2].abs() < 0.1 * sol.v_ds[1].abs());

@@ -17,7 +17,7 @@
 //! ## Example: bias network plus device
 //!
 //! ```
-//! use rfkit_circuit::{solve_dc, Circuit, RetryPolicy};
+//! use rfkit_circuit::{solve_dc, Circuit};
 //! use rfkit_device::dc::{Angelov, DcModel as _};
 //!
 //! let mut c = Circuit::new();
@@ -25,7 +25,7 @@
 //!     .resistor("vdd", "drain", 33.0)
 //!     .vsource("vg", "gnd", -0.3)
 //!     .fet("vg", "drain", "gnd", Box::new(Angelov), Angelov.default_params());
-//! let sol = solve_dc(&c, &RetryPolicy::default())?;
+//! let sol = solve_dc(&c)?;
 //! assert!(sol.fet_currents[0] > 0.0);
 //! # Ok::<(), rfkit_circuit::SolveError>(())
 //! ```
@@ -42,8 +42,8 @@ pub mod sweep;
 pub mod twotone;
 
 pub use ac::{s_matrix, two_port_s, AcError, AcStamps};
-pub use dc::{solve_dc, DcSolution, RetryPolicy, SolveError, SolveStage};
-pub use hb::{compression_sweep, HbConfig, HbError, HbSolution, HbTestbench};
+pub use dc::{solve_dc, DcSolution, SolveError, SolveStage};
+pub use hb::{compression_sweep, HbError, HbSolution, HbTestbench};
 pub use netlist::{Circuit, Element, NodeId, Port};
 pub use plan::{AcWorkspace, StampPlan};
 pub use sweep::{shared_plan, shared_plan_cache, SweepBatch, DEFAULT_PLAN_CACHE_CAPACITY};

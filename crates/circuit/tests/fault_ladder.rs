@@ -8,7 +8,7 @@
 //! hooks are `#[inline(always)] None` and this file is empty.
 #![cfg(feature = "rfkit-faults")]
 
-use rfkit_circuit::dc::{RetryPolicy, SolveError, SolveStage};
+use rfkit_circuit::dc::{SolveError, SolveStage};
 use rfkit_circuit::{s_matrix, solve_dc, AcError, AcStamps, Circuit, DcSolution, StampPlan};
 use rfkit_robust::faults::{self, FaultKind, FaultPlan};
 
@@ -46,9 +46,9 @@ fn rlc_two_port() -> Circuit {
 
 /// Solves with nothing armed. Plans are process-wide, so the empty
 /// scoped plan serializes this solve against the other fault tests.
-fn healthy_solve(c: &Circuit, policy: &RetryPolicy) -> DcSolution {
+fn healthy_solve(c: &Circuit) -> DcSolution {
     let _quiet = faults::scoped(FaultPlan::new());
-    solve_dc(c, policy).expect("healthy solve")
+    solve_dc(c).expect("healthy solve")
 }
 
 const ALL_DC_SITES: [&str; 4] = [
@@ -67,9 +67,8 @@ fn fail_everywhere(kind: FaultKind) -> FaultPlan {
 #[test]
 fn every_ladder_rung_is_reachable_by_failing_the_rungs_below_it() {
     let c = bias_network();
-    let policy = RetryPolicy::default();
     // No faults: the easy path.
-    let baseline = healthy_solve(&c, &policy);
+    let baseline = healthy_solve(&c);
     assert_eq!(baseline.stage, SolveStage::PlainNewton);
     assert_eq!(baseline.attempts, 1);
     // Knock out rung after rung; the ladder must land exactly one higher
@@ -90,8 +89,7 @@ fn every_ladder_rung_is_reachable_by_failing_the_rungs_below_it() {
                 p.fail_all(site, FaultKind::Stagnate)
             });
         let _g = faults::scoped(plan);
-        let sol =
-            solve_dc(&c, &policy).unwrap_or_else(|e| panic!("rung {stage} should recover: {e}"));
+        let sol = solve_dc(&c).unwrap_or_else(|e| panic!("rung {stage} should recover: {e}"));
         assert_eq!(sol.stage, stage);
         assert_eq!(sol.attempts, n_dead + 1);
         for (v, b) in sol.voltages.iter().zip(&baseline.voltages) {
@@ -110,11 +108,10 @@ fn every_ladder_rung_is_reachable_by_failing_the_rungs_below_it() {
 #[test]
 fn every_solve_error_variant_is_reachable() {
     let c = bias_network();
-    let policy = RetryPolicy::default();
     // SingularSystem: every rung's linear solve reports a singular matrix.
     {
         let _g = faults::scoped(fail_everywhere(FaultKind::SingularLu));
-        match solve_dc(&c, &policy) {
+        match solve_dc(&c) {
             Err(SolveError::SingularSystem { stage, iterations }) => {
                 assert_eq!(stage, SolveStage::SourceStepping, "last rung reports");
                 assert!(iterations >= 1);
@@ -125,7 +122,7 @@ fn every_solve_error_variant_is_reachable() {
     // NonConvergence via stagnation: every rung stalls.
     {
         let _g = faults::scoped(fail_everywhere(FaultKind::Stagnate));
-        match solve_dc(&c, &policy) {
+        match solve_dc(&c) {
             Err(SolveError::NonConvergence {
                 stage, residual, ..
             }) => {
@@ -138,55 +135,17 @@ fn every_solve_error_variant_is_reachable() {
     // NonConvergence via NaN residual: the norm goes non-finite.
     {
         let _g = faults::scoped(fail_everywhere(FaultKind::NanResidual));
-        match solve_dc(&c, &policy) {
+        match solve_dc(&c) {
             Err(SolveError::NonConvergence { residual, .. }) => {
                 assert!(residual.is_nan(), "NaN fault must surface as NaN residual");
             }
             other => panic!("expected NaN NonConvergence, got {other:?}"),
         }
     }
-    // BudgetExhausted: the cross-stage ceiling expires while faults force
-    // retries. The injected stagnation burns one plain iteration, so the
-    // second (and last) budgeted iteration lands in the damped rung —
-    // proving the ceiling is counted across stages, not per rung.
-    {
-        let _g = faults::scoped(FaultPlan::new().fail_all("dc.newton.plain", FaultKind::Stagnate));
-        let tiny = RetryPolicy {
-            max_total_iters: 2,
-            ..RetryPolicy::default()
-        };
-        match solve_dc(&c, &tiny) {
-            Err(SolveError::BudgetExhausted {
-                stage, iterations, ..
-            }) => {
-                assert_eq!(stage, SolveStage::DampedNewton);
-                assert_eq!(iterations, 2);
-            }
-            other => panic!("expected BudgetExhausted, got {other:?}"),
-        }
-    }
     // Fault cleared: the solver is healthy again, first rung, one attempt.
-    let sol = healthy_solve(&c, &policy);
+    let sol = healthy_solve(&c);
     assert_eq!(sol.stage, SolveStage::PlainNewton);
     assert_eq!(sol.attempts, 1);
-}
-
-#[test]
-fn restricted_ladder_cannot_recover_past_its_last_rung() {
-    let c = bias_network();
-    // Only plain Newton allowed, and it is dead: the error must carry the
-    // plain stage, proving no hidden rung ran.
-    let _g = faults::scoped(FaultPlan::new().fail_all("dc.newton.plain", FaultKind::Stagnate));
-    match solve_dc(&c, &RetryPolicy::first_stages(1)) {
-        Err(SolveError::NonConvergence { stage, .. }) => {
-            assert_eq!(stage, SolveStage::PlainNewton);
-        }
-        other => panic!("expected plain-stage NonConvergence, got {other:?}"),
-    }
-    // Two rungs: the damped rung rescues it.
-    let sol = solve_dc(&c, &RetryPolicy::first_stages(2)).expect("damped rescues");
-    assert_eq!(sol.stage, SolveStage::DampedNewton);
-    assert_eq!(sol.attempts, 2);
 }
 
 #[test]
@@ -195,8 +154,7 @@ fn seeded_fault_subsets_replay_bit_identically() {
     // firings and the same solver outcome when replayed — and once the
     // fault clears, the solution is bit-identical to the unfaulted run.
     let c = bias_network();
-    let policy = RetryPolicy::default();
-    let baseline = healthy_solve(&c, &policy);
+    let baseline = healthy_solve(&c);
     // Keys are plain-Newton iteration numbers; iteration 1 always runs,
     // so a subset containing 1 forces a retry and one without it doesn't.
     let domain: Vec<u64> = (1..=50).collect();
@@ -209,7 +167,7 @@ fn seeded_fault_subsets_replay_bit_identically() {
                 &domain,
                 6,
             ));
-            let r = solve_dc(&c, &policy);
+            let r = solve_dc(&c);
             (r, faults::fired("dc.newton.plain"))
         };
         let (first, fired_a) = outcome_of();
@@ -217,7 +175,7 @@ fn seeded_fault_subsets_replay_bit_identically() {
         assert_eq!(first, second, "seed {seed} did not replay");
         assert_eq!(fired_a, fired_b, "seed {seed} fired differently");
         // Whatever the injected subset did, recovery after disarm is exact.
-        assert_eq!(healthy_solve(&c, &policy), baseline);
+        assert_eq!(healthy_solve(&c), baseline);
     }
 }
 
@@ -261,7 +219,7 @@ fn ac_hook_fails_legacy_and_compiled_paths_identically() {
 
 #[test]
 fn hb_newton_hook_forces_both_hb_errors() {
-    use rfkit_circuit::hb::{solve, HbConfig, HbError, HbTestbench};
+    use rfkit_circuit::hb::{solve, HbError, HbTestbench};
     use rfkit_num::Complex;
     let device = rfkit_device::Phemt::atf54143_like();
     let op = device.operating_point(device.bias_for_current(3.0, 0.06).unwrap(), 3.0);
@@ -272,22 +230,21 @@ fn hb_newton_hook_forces_both_hb_errors() {
         r_dc_feed: 20.0,
         load: Box::new(|_k| Complex::real(50.0)),
     };
-    let cfg = HbConfig::default();
     let drive = 0.05;
-    let baseline = solve(&bench, drive, &cfg).expect("healthy HB solve");
+    let baseline = solve(&bench, drive).expect("healthy HB solve");
     {
         let _g = faults::scoped(FaultPlan::new().fail_all("hb.newton", FaultKind::SingularLu));
-        assert_eq!(solve(&bench, drive, &cfg).unwrap_err(), HbError::Singular);
+        assert_eq!(solve(&bench, drive).unwrap_err(), HbError::Singular);
     }
     {
         let _g = faults::scoped(FaultPlan::new().fail_all("hb.newton", FaultKind::NanResidual));
-        match solve(&bench, drive, &cfg) {
+        match solve(&bench, drive) {
             Err(HbError::NoConvergence { residual }) => assert!(residual.is_nan()),
             other => panic!("expected NoConvergence, got {other:?}"),
         }
     }
     // Recovery is bit-identical once the fault clears.
-    assert_eq!(solve(&bench, drive, &cfg).unwrap(), baseline);
+    assert_eq!(solve(&bench, drive).unwrap(), baseline);
 }
 
 #[test]

@@ -3,9 +3,7 @@
 //! fixed-seed `Rng64` stream (the workspace builds offline, so no
 //! proptest), which keeps every run reproducible.
 
-use rfkit_circuit::{
-    ip3_sweep, solve_dc, time_domain, two_port_s, AcStamps, Circuit, RetryPolicy, TwoToneSpec,
-};
+use rfkit_circuit::{ip3_sweep, solve_dc, time_domain, two_port_s, AcStamps, Circuit, TwoToneSpec};
 use rfkit_device::dc::{Angelov, DcModel as _};
 use rfkit_device::Phemt;
 use rfkit_net::Abcd;
@@ -28,7 +26,7 @@ fn divider_chain_obeys_kirchhoff() {
             .resistor("b", "gnd", r3);
         let a = c.node("a").unwrap();
         let b = c.node("b").unwrap();
-        let sol = solve_dc(&c, &RetryPolicy::default()).unwrap();
+        let sol = solve_dc(&c).unwrap();
         let i = v / (r1 + r2 + r3);
         assert!(
             (sol.voltages[a] - (v - i * r1)).abs() < 1e-6 * v,
@@ -57,7 +55,7 @@ fn fet_bias_respects_load_line() {
                 Angelov.default_params(),
             );
         let d = c.node("d").unwrap();
-        let sol = solve_dc(&c, &RetryPolicy::default()).unwrap();
+        let sol = solve_dc(&c).unwrap();
         let vds = sol.voltages[d];
         let ids = sol.fet_currents[0];
         // Load line: Vdd = Vds + Ids·Rd, and the device equation holds.

@@ -194,7 +194,6 @@ pub fn design_lna(device: &Phemt, goals: &DesignGoals, config: &DesignConfig) ->
         seed: config.seed,
         multistart: 1,
         global_fraction: 0.7,
-        ..Default::default()
     };
     let result = {
         let _span = rfkit_obs::span("design.optimize");
@@ -271,7 +270,6 @@ fn repair_snapped(problem: &GoalProblem<'_>, snapped: DesignVariables) -> Design
         &PatternConfig {
             max_evals: 600,
             initial_step: 0.02,
-            ..Default::default()
         },
     );
     let mut repaired = DesignVariables::from_vec(&expand(&r.x));

@@ -50,7 +50,7 @@ pub use design::{
 pub use measure::{
     gain_gap_db, measure, measure_im3, BuildConfig, BuiltAmplifier, MeasurementSession,
 };
-pub use rfkit_robust::{DegradePolicy, PointDiagnostic, RetryPolicy, SolveError, SolveStage};
+pub use rfkit_robust::{DegradePolicy, PointDiagnostic, SolveError, SolveStage};
 pub use study::{
     nf_gain_objectives, pareto_front_study, study_screen_config, surrogate_training_set,
     ParetoStudy, ParetoStudyConfig, STUDY_REFERENCE,

@@ -184,7 +184,6 @@ pub fn pareto_front_study(
         seed: config.seed,
         hv_reference: Some(STUDY_REFERENCE),
         initial_population: config.initial.clone(),
-        ..Default::default()
     };
     let hits_before = cache.hits();
     let misses_before = cache.misses();

@@ -82,7 +82,6 @@ pub fn cold_fet_extraction(
         &DeConfig {
             max_evals: config.global_evals,
             seed: config.seed,
-            ..Default::default()
         },
     );
     let lm = levenberg_marquardt(
@@ -94,7 +93,6 @@ pub fn cold_fet_extraction(
         &bounds,
         &LmConfig {
             max_evals: config.polish_evals,
-            ..Default::default()
         },
     );
     let cold_model = ss_from_vec(&lm.x);

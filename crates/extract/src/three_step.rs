@@ -107,7 +107,6 @@ pub fn three_step(
     let de1 = DeConfig {
         max_evals: config.step1_evals,
         seed: config.seed,
-        ..Default::default()
     };
     let step1 = {
         let _span = rfkit_obs::span("extract.step1_dc");
@@ -122,7 +121,6 @@ pub fn three_step(
     let de2 = DeConfig {
         max_evals: config.step2_evals,
         seed: config.seed.wrapping_add(1),
-        ..Default::default()
     };
     let step2 = {
         let _span = rfkit_obs::span("extract.step2_ss");
@@ -163,7 +161,6 @@ pub fn three_step(
         &joint_bounds,
         &LmConfig {
             max_evals: config.step3_evals,
-            ..Default::default()
         },
     );
     drop(_span3);
@@ -228,7 +225,6 @@ pub fn three_step_with_extrinsics(
     let de1 = DeConfig {
         max_evals: config.step1_evals,
         seed: config.seed,
-        ..Default::default()
     };
     let step1 = {
         let _span = rfkit_obs::span("extract.step1_dc");
@@ -259,7 +255,6 @@ pub fn three_step_with_extrinsics(
     let de2 = DeConfig {
         max_evals: config.step2_evals,
         seed: config.seed.wrapping_add(1),
-        ..Default::default()
     };
     let step2 = {
         let _span = rfkit_obs::span("extract.step2_ss");
@@ -292,7 +287,6 @@ pub fn three_step_with_extrinsics(
         &joint_bounds,
         &LmConfig {
             max_evals: config.step3_evals,
-            ..Default::default()
         },
     );
     drop(_span3);
@@ -412,7 +406,6 @@ pub fn extract_single_method(
                 &DeConfig {
                     max_evals: budget,
                     seed,
-                    ..Default::default()
                 },
             )
             .x
@@ -422,10 +415,7 @@ pub fn extract_single_method(
                 |x| counter.eval(x),
                 &start,
                 &bounds,
-                &NelderMeadConfig {
-                    max_evals: budget,
-                    ..Default::default()
-                },
+                &NelderMeadConfig { max_evals: budget },
             )
             .x
         }
@@ -441,10 +431,7 @@ pub fn extract_single_method(
                 },
                 &start,
                 &bounds,
-                &LmConfig {
-                    max_evals: budget,
-                    ..Default::default()
-                },
+                &LmConfig { max_evals: budget },
             )
             .x
         }

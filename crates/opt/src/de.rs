@@ -14,22 +14,23 @@ use crate::problem::{Bounds, OptResult};
 use rfkit_num::rng::Rng64;
 use rfkit_par::par_map;
 
-/// Configuration for [`differential_evolution`] (DE/rand/1/bin).
+/// Differential weight F.
+const WEIGHT: f64 = 0.7;
+/// Crossover probability CR.
+const CROSSOVER: f64 = 0.5;
+/// Stop when the population's best value stagnates within this relative
+/// tolerance for `STALL_GENERATIONS` generations.
+const F_TOL: f64 = 1e-12;
+/// Generations of stagnation allowed before declaring convergence.
+const STALL_GENERATIONS: usize = 30;
+
+/// Configuration for [`differential_evolution`] (DE/rand/1/bin): the
+/// budget and the seed. The population is `10 × dim` (at least 8), the
+/// differential weight 0.7 and the crossover probability 0.5.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeConfig {
-    /// Population size; 0 selects `10 × dim` automatically.
-    pub population: usize,
-    /// Differential weight F ∈ (0, 2].
-    pub weight: f64,
-    /// Crossover probability CR ∈ [0, 1].
-    pub crossover: f64,
     /// Maximum objective evaluations.
     pub max_evals: usize,
-    /// Stop when the population's best value stagnates within `f_tol` for
-    /// `stall_generations` generations.
-    pub f_tol: f64,
-    /// Generations of stagnation allowed before declaring convergence.
-    pub stall_generations: usize,
     /// RNG seed for reproducible runs.
     pub seed: u64,
 }
@@ -37,12 +38,7 @@ pub struct DeConfig {
 impl Default for DeConfig {
     fn default() -> Self {
         DeConfig {
-            population: 0,
-            weight: 0.7,
-            crossover: 0.5,
             max_evals: 20_000,
-            f_tol: 1e-12,
-            stall_generations: 30,
             seed: 0x5eed,
         }
     }
@@ -52,10 +48,6 @@ impl Default for DeConfig {
 ///
 /// Trial vectors are generated serially (all randomness lives here) and
 /// evaluated as one parallel batch per generation.
-///
-/// # Panics
-///
-/// Panics if `weight` or `crossover` are outside their valid ranges.
 ///
 /// # Examples
 ///
@@ -74,20 +66,8 @@ pub fn differential_evolution(
     bounds: &Bounds,
     config: &DeConfig,
 ) -> OptResult {
-    assert!(
-        config.weight > 0.0 && config.weight <= 2.0,
-        "differential weight must be in (0, 2]"
-    );
-    assert!(
-        (0.0..=1.0).contains(&config.crossover),
-        "crossover must be in [0, 1]"
-    );
     let n = bounds.dim();
-    let pop_size = if config.population == 0 {
-        (10 * n).max(8)
-    } else {
-        config.population.max(4)
-    };
+    let pop_size = (10 * n).max(8);
     let mut rng = Rng64::new(config.seed);
     let mut evals = 0usize;
 
@@ -131,10 +111,10 @@ pub fn differential_evolution(
                 // Dither the differential weight per trial — keeps separable
                 // multimodal landscapes (Rastrigin-like extraction objectives)
                 // from stagnating at a fixed step ratio.
-                let weight = config.weight * rng.uniform(0.7, 1.3);
+                let weight = WEIGHT * rng.uniform(0.7, 1.3);
                 let mut trial = population[i].clone();
                 for (d, slot) in trial.iter_mut().enumerate() {
-                    if d == forced || rng.chance(config.crossover) {
+                    if d == forced || rng.chance(CROSSOVER) {
                         *slot = population[a][d] + weight * (population[b][d] - population[c][d]);
                     }
                 }
@@ -174,9 +154,9 @@ pub fn differential_evolution(
         }
 
         let best_now = values.iter().copied().fold(f64::INFINITY, f64::min);
-        if (best_prev - best_now).abs() <= config.f_tol * best_now.abs().max(1.0) {
+        if (best_prev - best_now).abs() <= F_TOL * best_now.abs().max(1.0) {
             stall += 1;
-            if stall >= config.stall_generations {
+            if stall >= STALL_GENERATIONS {
                 converged = true;
                 break;
             }
@@ -245,7 +225,6 @@ mod tests {
         let cfg = DeConfig {
             max_evals: 2000,
             seed: 42,
-            ..Default::default()
         };
         let r1 = differential_evolution(rastrigin, &b, &cfg);
         let r2 = differential_evolution(rastrigin, &b, &cfg);
@@ -259,7 +238,6 @@ mod tests {
         let short = DeConfig {
             max_evals: 300,
             seed: 1,
-            ..Default::default()
         };
         let r1 = differential_evolution(rastrigin, &b, &short);
         let r2 = differential_evolution(
@@ -292,19 +270,5 @@ mod tests {
         assert!(b.contains(&r.x));
         assert!((r.x[0] - 1.0).abs() < 1e-9);
         assert!((r.x[1] + 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "crossover")]
-    fn validates_crossover() {
-        let b = Bounds::uniform(2, 0.0, 1.0);
-        differential_evolution(
-            |x| x[0],
-            &b,
-            &DeConfig {
-                crossover: 1.5,
-                ..Default::default()
-            },
-        );
     }
 }

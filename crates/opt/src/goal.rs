@@ -116,13 +116,14 @@ pub struct GoalResult {
     pub evaluations: usize,
 }
 
+/// Quadratic penalty weight of [`standard_goal_attainment`].
+const PENALTY: f64 = 1e4;
+
 /// Configuration shared by both goal-attainment solvers.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GoalConfig {
     /// Total objective-evaluation budget.
     pub max_evals: usize,
-    /// Quadratic penalty weight for [`standard_goal_attainment`].
-    pub penalty: f64,
     /// Number of global/local restarts for [`improved_goal_attainment`].
     pub multistart: usize,
     /// Fraction of the budget given to the global (DE) phase of the
@@ -136,7 +137,6 @@ impl Default for GoalConfig {
     fn default() -> Self {
         GoalConfig {
             max_evals: 10_000,
-            penalty: 1e4,
             multistart: 2,
             global_fraction: 0.6,
             seed: 0x60a1,
@@ -172,7 +172,6 @@ pub fn standard_goal_attainment(
     hi.push(gamma0 + gamma_span);
     let aug_bounds = Bounds::new(lo, hi).expect("augmented bounds valid");
 
-    let penalty = config.penalty;
     let objective = |xz: &[f64]| -> f64 {
         let (x, gamma) = xz.split_at(n);
         let gamma = gamma[0];
@@ -185,14 +184,13 @@ pub fn standard_goal_attainment(
                 pen += slack * slack;
             }
         }
-        gamma + penalty * pen
+        gamma + PENALTY * pen
     };
 
     let mut x0 = start.to_vec();
     x0.push(gamma0);
     let nm_cfg = NelderMeadConfig {
         max_evals: config.max_evals,
-        ..Default::default()
     };
     let r = nelder_mead(objective, &x0, &aug_bounds, &nm_cfg);
     let x = r.x[..n].to_vec();
@@ -246,7 +244,6 @@ pub fn improved_goal_attainment(problem: &GoalProblem<'_>, config: &GoalConfig) 
             let de_cfg = DeConfig {
                 max_evals: global_budget,
                 seed: config.seed.wrapping_add(k as u64),
-                ..Default::default()
             };
             differential_evolution(|x| gamma(x), &problem.bounds, &de_cfg).x
         } else {

@@ -17,6 +17,14 @@
 //!   already dominated — predictions only veto evaluations, they never
 //!   enter results.
 //!
+//! Each solver runs at one setting. Its configuration names only what
+//! callers vary: the evaluation budget and the seed, the goal solver's
+//! restart count and global fraction, NSGA-II's population, generations
+//! and warm start, and the pattern search's initial mesh. Every other
+//! setting (DE's weight and crossover, PSO's coefficients, the
+//! tolerances, NSGA-II's variation operators) is a constant of the
+//! solver's module.
+//!
 //! ## Example: trade off two competing objectives
 //!
 //! ```

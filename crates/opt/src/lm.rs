@@ -8,28 +8,25 @@
 use crate::problem::{Bounds, OptResult};
 use rfkit_num::RMatrix;
 
-/// Configuration for [`levenberg_marquardt`].
+/// Converge when the relative reduction of the cost falls below this.
+const F_TOL: f64 = 1e-12;
+/// Converge when the step norm, relative to the bound spans, falls below
+/// this.
+const X_TOL: f64 = 1e-10;
+/// Initial damping parameter λ.
+const LAMBDA0: f64 = 1e-3;
+
+/// Configuration for [`levenberg_marquardt`]: the budget. Damping
+/// starts at λ = 1e-3.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LmConfig {
     /// Maximum residual-vector evaluations (Jacobian columns count).
     pub max_evals: usize,
-    /// Converge when the relative reduction of the cost falls below this.
-    pub f_tol: f64,
-    /// Converge when the step norm (relative to bound spans) falls below
-    /// this.
-    pub x_tol: f64,
-    /// Initial damping parameter λ.
-    pub lambda0: f64,
 }
 
 impl Default for LmConfig {
     fn default() -> Self {
-        LmConfig {
-            max_evals: 2000,
-            f_tol: 1e-12,
-            x_tol: 1e-10,
-            lambda0: 1e-3,
-        }
+        LmConfig { max_evals: 2000 }
     }
 }
 
@@ -79,7 +76,7 @@ pub fn levenberg_marquardt(
     let m = r.len();
     let cost = |r: &[f64]| 0.5 * r.iter().map(|v| v * v).sum::<f64>();
     let mut current_cost = cost(&r);
-    let mut lambda = config.lambda0;
+    let mut lambda = LAMBDA0;
     let mut converged = false;
     let mut iteration = 0u64;
 
@@ -144,7 +141,7 @@ pub fn levenberg_marquardt(
                 current_cost = new_cost;
                 lambda = (lambda * 0.3).max(1e-12);
                 improved = true;
-                if rel_reduction < config.f_tol || step_norm < config.x_tol {
+                if rel_reduction < F_TOL || step_norm < X_TOL {
                     converged = true;
                 }
                 break;
@@ -239,10 +236,7 @@ mod tests {
     fn budget_respected() {
         let residuals = |x: &[f64]| vec![10.0 * (x[1] - x[0] * x[0]), 1.0 - x[0]];
         let b = Bounds::uniform(2, -5.0, 5.0);
-        let cfg = LmConfig {
-            max_evals: 20,
-            ..Default::default()
-        };
+        let cfg = LmConfig { max_evals: 20 };
         let r = levenberg_marquardt(residuals, &[-1.2, 1.0], &b, &cfg);
         assert!(r.evaluations <= 21);
     }

@@ -3,28 +3,25 @@
 
 use crate::problem::{Bounds, OptResult};
 
-/// Configuration for [`nelder_mead`].
+/// Converged when the simplex value spread is at most this and the
+/// simplex diameter at most `X_TOL`.
+const F_TOL: f64 = 1e-10;
+/// Simplex diameter for convergence, relative to the bound spans.
+const X_TOL: f64 = 1e-9;
+/// Initial simplex size as a fraction of each bound span.
+const INITIAL_STEP: f64 = 0.05;
+
+/// Configuration for [`nelder_mead`]: the budget. The initial simplex
+/// steps 5 % of each bound span from the start point.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NelderMeadConfig {
     /// Maximum objective evaluations.
     pub max_evals: usize,
-    /// Converged when the simplex value spread falls below this.
-    pub f_tol: f64,
-    /// Converged when the simplex diameter falls below this (relative to
-    /// the bound spans).
-    pub x_tol: f64,
-    /// Initial simplex size as a fraction of each bound span.
-    pub initial_step: f64,
 }
 
 impl Default for NelderMeadConfig {
     fn default() -> Self {
-        NelderMeadConfig {
-            max_evals: 2000,
-            f_tol: 1e-10,
-            x_tol: 1e-9,
-            initial_step: 0.05,
-        }
+        NelderMeadConfig { max_evals: 2000 }
     }
 }
 
@@ -43,7 +40,7 @@ impl Default for NelderMeadConfig {
 /// use rfkit_opt::{nelder_mead, Bounds, NelderMeadConfig};
 /// let b = Bounds::uniform(2, -5.0, 5.0);
 /// let rosen = |x: &[f64]| (1.0 - x[0]).powi(2) + 100.0 * (x[1] - x[0] * x[0]).powi(2);
-/// let r = nelder_mead(rosen, &[-1.0, 2.0], &b, &NelderMeadConfig { max_evals: 5000, ..Default::default() });
+/// let r = nelder_mead(rosen, &[-1.0, 2.0], &b, &NelderMeadConfig { max_evals: 5000 });
 /// assert!(r.value < 1e-6);
 /// ```
 pub fn nelder_mead(
@@ -73,7 +70,7 @@ pub fn nelder_mead(
     simplex.push(bounds.clamp(x0));
     for i in 0..n {
         let mut v = x0.to_vec();
-        let step = (config.initial_step * span[i]).max(1e-12);
+        let step = (INITIAL_STEP * span[i]).max(1e-12);
         v[i] += if v[i] + step <= bounds.hi()[i] {
             step
         } else {
@@ -135,7 +132,7 @@ pub fn nelder_mead(
                 ],
             );
         }
-        if f_spread.abs() <= config.f_tol && x_spread <= config.x_tol {
+        if f_spread.abs() <= F_TOL && x_spread <= X_TOL {
             converged = true;
             break;
         }
@@ -246,10 +243,7 @@ mod tests {
     #[test]
     fn minimizes_rosenbrock() {
         let b = Bounds::uniform(2, -5.0, 5.0);
-        let cfg = NelderMeadConfig {
-            max_evals: 10000,
-            ..Default::default()
-        };
+        let cfg = NelderMeadConfig { max_evals: 10000 };
         let r = nelder_mead(rosenbrock, &[-1.2, 1.0], &b, &cfg);
         assert!(r.value < 1e-8, "value = {}", r.value);
         assert!((r.x[0] - 1.0).abs() < 1e-3);
@@ -269,10 +263,7 @@ mod tests {
     #[test]
     fn evaluation_budget_is_respected() {
         let b = Bounds::uniform(2, -5.0, 5.0);
-        let cfg = NelderMeadConfig {
-            max_evals: 50,
-            ..Default::default()
-        };
+        let cfg = NelderMeadConfig { max_evals: 50 };
         let r = nelder_mead(rosenbrock, &[-1.2, 1.0], &b, &cfg);
         assert!(r.evaluations <= 55, "evals = {}", r.evaluations);
         assert!(!r.converged);

@@ -16,26 +16,23 @@ use rfkit_num::rng::Rng64;
 use rfkit_par::par_map;
 use rfkit_surrogate::SurrogateScreen;
 
-/// Configuration for [`nsga2`].
+/// SBX crossover probability.
+const CROSSOVER_PROB: f64 = 0.9;
+/// SBX distribution index (larger = offspring closer to parents).
+const ETA_CROSSOVER: f64 = 15.0;
+/// Polynomial-mutation distribution index.
+const ETA_MUTATION: f64 = 20.0;
+
+/// Configuration for [`nsga2`]. Variation is fixed: SBX crossover with
+/// probability 0.9 and index 15, and polynomial mutation with index 20
+/// at a per-gene probability of `1/dim`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Nsga2Config {
     /// Population size (even; 0 selects `20 × dim` capped to 100).
     pub population: usize,
-    /// Number of generations.
+    /// Number of generations; every generation evaluates one full batch
+    /// of offspring (fewer when a surrogate screen prunes some).
     pub generations: usize,
-    /// SBX crossover probability.
-    pub crossover_prob: f64,
-    /// SBX distribution index (larger = offspring closer to parents).
-    pub eta_crossover: f64,
-    /// Per-gene mutation probability; 0 selects `1/dim`.
-    pub mutation_prob: f64,
-    /// Polynomial-mutation distribution index.
-    pub eta_mutation: f64,
-    /// Maximum objective evaluations; 0 means unlimited (the run is
-    /// bounded by `generations` alone). When the budget runs out
-    /// mid-generation the offspring batch is truncated and the run
-    /// returns cleanly after one final environmental selection.
-    pub max_evals: usize,
     /// Hypervolume reference point for the convergence history. When
     /// set on a 2-objective run, [`Nsga2Result::history`] records
     /// `(evaluations so far, first-front hypervolume)` after
@@ -59,11 +56,6 @@ impl Default for Nsga2Config {
         Nsga2Config {
             population: 0,
             generations: 100,
-            crossover_prob: 0.9,
-            eta_crossover: 15.0,
-            mutation_prob: 0.0,
-            eta_mutation: 20.0,
-            max_evals: 0,
             hv_reference: None,
             initial_population: Vec::new(),
             seed: 0x45a2,
@@ -149,34 +141,20 @@ fn nsga2_impl(
     } else {
         (config.population.max(4)) & !1usize
     };
-    let mutation_prob = if config.mutation_prob <= 0.0 {
-        1.0 / n as f64
-    } else {
-        config.mutation_prob
-    };
+    let mutation_prob = 1.0 / n as f64;
     let mut rng = Rng64::new(config.seed);
     let mut evals = 0usize;
 
-    // Budget-capped initialisation; identical to the unbounded path
-    // whenever `max_evals` covers at least one full population.
-    let init_n = if config.max_evals == 0 {
-        pop_size
-    } else {
-        pop_size.min(config.max_evals.max(2))
-    };
     let init_xs: Vec<Vec<f64>> = config
         .initial_population
         .iter()
-        .take(init_n)
+        .take(pop_size)
         .inspect(|x| assert_eq!(x.len(), n, "warm-start vector dimension mismatch"))
         .cloned()
-        .chain((config.initial_population.len()..init_n).map(|_| bounds.sample(&mut rng)))
+        .chain((config.initial_population.len()..pop_size).map(|_| bounds.sample(&mut rng)))
         .collect();
     let init_objs = par_map(&init_xs, |x| objectives(x));
     evals += init_xs.len();
-    if init_n < pop_size {
-        rfkit_obs::event("opt.nsga2.truncated", &[("evals", evals as f64)]);
-    }
     if let Some(scr) = screen.as_deref_mut() {
         for (x, f) in init_xs.iter().zip(&init_objs) {
             scr.observe(x, f);
@@ -224,15 +202,6 @@ fn nsga2_impl(
         };
 
     for generation in 0..config.generations {
-        let remaining = if config.max_evals == 0 {
-            usize::MAX
-        } else {
-            config.max_evals.saturating_sub(evals)
-        };
-        if remaining == 0 {
-            break;
-        }
-        let batch = pop_size.min(remaining);
         // Rank + crowding of the current population.
         let objs: Vec<Vec<f64>> = pop.iter().map(|i| i.objectives.clone()).collect();
         let fronts = nondominated_sort(&objs);
@@ -255,37 +224,16 @@ fn nsga2_impl(
             }
         };
 
-        // Offspring variation: serial, all RNG draws happen here. The
-        // batch equals `pop_size` until the eval budget runs short, so
-        // the RNG sequence is unchanged for ample budgets.
-        let mut child_xs: Vec<Vec<f64>> = Vec::with_capacity(batch);
-        while child_xs.len() < batch {
+        // Offspring variation: serial, all RNG draws happen here.
+        let mut child_xs: Vec<Vec<f64>> = Vec::with_capacity(pop_size);
+        while child_xs.len() < pop_size {
             let p1 = tournament(&mut rng);
             let p2 = tournament(&mut rng);
-            let (mut c1, mut c2) = sbx_crossover(
-                &pop[p1].x,
-                &pop[p2].x,
-                bounds,
-                config.crossover_prob,
-                config.eta_crossover,
-                &mut rng,
-            );
-            polynomial_mutation(
-                &mut c1,
-                bounds,
-                mutation_prob,
-                config.eta_mutation,
-                &mut rng,
-            );
-            polynomial_mutation(
-                &mut c2,
-                bounds,
-                mutation_prob,
-                config.eta_mutation,
-                &mut rng,
-            );
+            let (mut c1, mut c2) = sbx_crossover(&pop[p1].x, &pop[p2].x, bounds, &mut rng);
+            polynomial_mutation(&mut c1, bounds, mutation_prob, &mut rng);
+            polynomial_mutation(&mut c2, bounds, mutation_prob, &mut rng);
             for c in [c1, c2] {
-                if child_xs.len() < batch {
+                if child_xs.len() < pop_size {
                     child_xs.push(c);
                 }
             }
@@ -361,10 +309,6 @@ fn nsga2_impl(
         }
         pop = next;
         record(&pop, evals, &mut history);
-        if batch < pop_size {
-            rfkit_obs::event("opt.nsga2.truncated", &[("evals", evals as f64)]);
-            break; // budget exhausted mid-generation
-        }
     }
 
     let objs: Vec<Vec<f64>> = pop.iter().map(|i| i.objectives.clone()).collect();
@@ -381,26 +325,19 @@ fn nsga2_impl(
 }
 
 /// Simulated binary crossover (SBX).
-fn sbx_crossover(
-    p1: &[f64],
-    p2: &[f64],
-    bounds: &Bounds,
-    prob: f64,
-    eta: f64,
-    rng: &mut Rng64,
-) -> (Vec<f64>, Vec<f64>) {
+fn sbx_crossover(p1: &[f64], p2: &[f64], bounds: &Bounds, rng: &mut Rng64) -> (Vec<f64>, Vec<f64>) {
     let mut c1 = p1.to_vec();
     let mut c2 = p2.to_vec();
-    if rng.next_f64() < prob {
+    if rng.next_f64() < CROSSOVER_PROB {
         for d in 0..p1.len() {
             if rng.chance(0.5) || (p1[d] - p2[d]).abs() < 1e-14 {
                 continue;
             }
             let u: f64 = rng.next_f64();
             let beta = if u <= 0.5 {
-                (2.0 * u).powf(1.0 / (eta + 1.0))
+                (2.0 * u).powf(1.0 / (ETA_CROSSOVER + 1.0))
             } else {
-                (1.0 / (2.0 * (1.0 - u))).powf(1.0 / (eta + 1.0))
+                (1.0 / (2.0 * (1.0 - u))).powf(1.0 / (ETA_CROSSOVER + 1.0))
             };
             c1[d] = 0.5 * ((1.0 + beta) * p1[d] + (1.0 - beta) * p2[d]);
             c2[d] = 0.5 * ((1.0 - beta) * p1[d] + (1.0 + beta) * p2[d]);
@@ -410,7 +347,7 @@ fn sbx_crossover(
 }
 
 /// Polynomial mutation.
-fn polynomial_mutation(x: &mut Vec<f64>, bounds: &Bounds, prob: f64, eta: f64, rng: &mut Rng64) {
+fn polynomial_mutation(x: &mut Vec<f64>, bounds: &Bounds, prob: f64, rng: &mut Rng64) {
     let span = bounds.span();
     for d in 0..x.len() {
         if rng.next_f64() >= prob || span[d] <= 0.0 {
@@ -418,9 +355,9 @@ fn polynomial_mutation(x: &mut Vec<f64>, bounds: &Bounds, prob: f64, eta: f64, r
         }
         let u: f64 = rng.next_f64();
         let delta = if u < 0.5 {
-            (2.0 * u).powf(1.0 / (eta + 1.0)) - 1.0
+            (2.0 * u).powf(1.0 / (ETA_MUTATION + 1.0)) - 1.0
         } else {
-            1.0 - (2.0 * (1.0 - u)).powf(1.0 / (eta + 1.0))
+            1.0 - (2.0 * (1.0 - u)).powf(1.0 / (ETA_MUTATION + 1.0))
         };
         x[d] += delta * span[d];
     }

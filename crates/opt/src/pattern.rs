@@ -8,17 +8,19 @@
 use crate::problem::{Bounds, OptResult};
 use rfkit_par::{par_map_cfg, ParConfig};
 
-/// Configuration for [`pattern_search`].
+/// Stop when the mesh shrinks below this fraction of the span.
+const MIN_STEP: f64 = 1e-9;
+/// Mesh contraction factor on a failed poll.
+const CONTRACTION: f64 = 0.5;
+
+/// Configuration for [`pattern_search`]. The mesh halves on every failed
+/// poll and the search stops once it is below 1e-9 of the span.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PatternConfig {
     /// Maximum objective evaluations.
     pub max_evals: usize,
     /// Initial mesh size as a fraction of each bound span.
     pub initial_step: f64,
-    /// Stop when the mesh shrinks below this fraction of the span.
-    pub min_step: f64,
-    /// Mesh contraction factor on a failed poll.
-    pub contraction: f64,
 }
 
 impl Default for PatternConfig {
@@ -26,8 +28,6 @@ impl Default for PatternConfig {
         PatternConfig {
             max_evals: 5000,
             initial_step: 0.1,
-            min_step: 1e-9,
-            contraction: 0.5,
         }
     }
 }
@@ -150,8 +150,8 @@ pub fn pattern_search(
                 }
             }
         } else {
-            step *= config.contraction;
-            if step < config.min_step {
+            step *= CONTRACTION;
+            if step < MIN_STEP {
                 converged = true;
                 break;
             }
@@ -258,8 +258,8 @@ mod tests {
                     }
                 }
             } else {
-                step *= config.contraction;
-                if step < config.min_step {
+                step *= CONTRACTION;
+                if step < MIN_STEP {
                     converged = true;
                     break;
                 }
@@ -351,7 +351,6 @@ mod tests {
                 let cfg = PatternConfig {
                     max_evals,
                     initial_step: 0.3,
-                    ..Default::default()
                 };
                 assert_matches_reference(&f, &x0, &bounds, &cfg);
             }

@@ -147,7 +147,9 @@ pub struct OptResult {
 ///
 /// Thread-safe so it can sit behind the `Fn + Sync` objective bound the
 /// parallel optimizers require: the counter is atomic and the
-/// improvement trace sits behind a mutex.
+/// improvement trace sits behind a mutex. Call numbers follow completion
+/// order, so the trace is reproducible only when the calls are made
+/// serially.
 pub struct CountingObjective<F> {
     f: F,
     count: AtomicUsize,

@@ -11,17 +11,18 @@ use crate::problem::{Bounds, OptResult};
 use rfkit_num::rng::Rng64;
 use rfkit_par::par_map;
 
-/// Configuration for [`particle_swarm`].
+/// Inertia weight ω.
+const INERTIA: f64 = 0.72;
+/// Cognitive coefficient c₁ (pull toward personal best).
+const COGNITIVE: f64 = 1.49;
+/// Social coefficient c₂ (pull toward global best).
+const SOCIAL: f64 = 1.49;
+
+/// Configuration for [`particle_swarm`]: the budget and the seed. The
+/// swarm holds `8 × dim` particles (at least 10), with inertia 0.72 and
+/// cognitive and social coefficients of 1.49.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PsoConfig {
-    /// Swarm size; 0 selects `8 × dim` automatically.
-    pub swarm: usize,
-    /// Inertia weight ω.
-    pub inertia: f64,
-    /// Cognitive coefficient c₁ (pull toward personal best).
-    pub cognitive: f64,
-    /// Social coefficient c₂ (pull toward global best).
-    pub social: f64,
     /// Maximum objective evaluations.
     pub max_evals: usize,
     /// RNG seed.
@@ -31,10 +32,6 @@ pub struct PsoConfig {
 impl Default for PsoConfig {
     fn default() -> Self {
         PsoConfig {
-            swarm: 0,
-            inertia: 0.72,
-            cognitive: 1.49,
-            social: 1.49,
             max_evals: 20_000,
             seed: 0x9500,
         }
@@ -58,11 +55,7 @@ pub fn particle_swarm(
     config: &PsoConfig,
 ) -> OptResult {
     let n = bounds.dim();
-    let swarm_size = if config.swarm == 0 {
-        (8 * n).max(10)
-    } else {
-        config.swarm.max(2)
-    };
+    let swarm_size = (8 * n).max(10);
     let span = bounds.span();
     let mut rng = Rng64::new(config.seed);
     let mut evals = 0usize;
@@ -111,9 +104,9 @@ pub fn particle_swarm(
             for d in 0..n {
                 let r1 = rng.next_f64();
                 let r2 = rng.next_f64();
-                v[d] = config.inertia * v[d]
-                    + config.cognitive * r1 * (p_best[i][d] - p[d])
-                    + config.social * r2 * (g_best[d] - p[d]);
+                v[d] = INERTIA * v[d]
+                    + COGNITIVE * r1 * (p_best[i][d] - p[d])
+                    + SOCIAL * r2 * (g_best[d] - p[d]);
                 // Velocity clamp keeps particles from tunnelling across the box.
                 let v_max = 0.5 * span[d];
                 v[d] = v[d].clamp(-v_max, v_max);
@@ -198,7 +191,6 @@ mod tests {
         let cfg = PsoConfig {
             max_evals: 1500,
             seed: 3,
-            ..Default::default()
         };
         let r1 = particle_swarm(rastrigin, &b, &cfg);
         let r2 = particle_swarm(rastrigin, &b, &cfg);

@@ -4,17 +4,18 @@
 use crate::problem::{Bounds, OptResult};
 use rfkit_num::rng::Rng64;
 
-/// Configuration for [`simulated_annealing`].
+/// Geometric cooling factor per step (just below 1).
+const COOLING: f64 = 0.999;
+/// Initial neighbourhood size as a fraction of each bound span.
+const STEP_SCALE: f64 = 0.3;
+
+/// Configuration for [`simulated_annealing`]: the budget and the seed.
+/// The initial temperature makes the median early uphill move
+/// acceptable; it cools by 0.999 per step.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SaConfig {
     /// Maximum objective evaluations.
     pub max_evals: usize,
-    /// Initial temperature; 0 picks it automatically from early samples.
-    pub t0: f64,
-    /// Geometric cooling factor per step (just below 1).
-    pub cooling: f64,
-    /// Initial neighbourhood size as a fraction of each bound span.
-    pub step_scale: f64,
     /// RNG seed.
     pub seed: u64,
 }
@@ -23,9 +24,6 @@ impl Default for SaConfig {
     fn default() -> Self {
         SaConfig {
             max_evals: 20_000,
-            t0: 0.0,
-            cooling: 0.999,
-            step_scale: 0.3,
             seed: 0xa11e,
         }
     }
@@ -62,26 +60,22 @@ pub fn simulated_annealing(
     let mut best_val = current_val;
 
     // Auto temperature: make the median early uphill move acceptable.
-    let mut temp = if config.t0 > 0.0 {
-        config.t0
-    } else {
-        let mut diffs = Vec::new();
-        for _ in 0..20.min(config.max_evals.saturating_sub(evals)) {
-            let probe = bounds.sample(&mut rng);
-            evals += 1;
-            diffs.push((f(&probe) - current_val).abs());
-        }
-        diffs.sort_by(rfkit_num::total_cmp_f64);
-        diffs
-            .get(diffs.len() / 2)
-            .copied()
-            .unwrap_or(1.0)
-            .max(1e-12)
-    };
+    let mut diffs = Vec::new();
+    for _ in 0..20.min(config.max_evals.saturating_sub(evals)) {
+        let probe = bounds.sample(&mut rng);
+        evals += 1;
+        diffs.push((f(&probe) - current_val).abs());
+    }
+    diffs.sort_by(rfkit_num::total_cmp_f64);
+    let mut temp = diffs
+        .get(diffs.len() / 2)
+        .copied()
+        .unwrap_or(1.0)
+        .max(1e-12);
 
     while evals < config.max_evals {
         let progress = evals as f64 / config.max_evals as f64;
-        let step = config.step_scale * (1.0 - 0.95 * progress);
+        let step = STEP_SCALE * (1.0 - 0.95 * progress);
         let mut candidate = current.clone();
         // Perturb a random subset of coordinates.
         let k = rng.index(n);
@@ -105,7 +99,7 @@ pub fn simulated_annealing(
                 best = current.clone();
             }
         }
-        temp *= config.cooling;
+        temp *= COOLING;
         // Throttled telemetry: one event every 256 evaluations.
         if evals.is_multiple_of(256) {
             rfkit_obs::event(
@@ -161,7 +155,6 @@ mod tests {
         let cfg = SaConfig {
             max_evals: 1000,
             seed: 9,
-            ..Default::default()
         };
         let r1 = simulated_annealing(rastrigin, &b, &cfg);
         let r2 = simulated_annealing(rastrigin, &b, &cfg);
@@ -174,17 +167,5 @@ mod tests {
         let r = simulated_annealing(|x| x[0] + x[1], &b, &SaConfig::default());
         assert!(b.contains(&r.x));
         assert!((r.x[0] - 2.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn explicit_temperature_accepted() {
-        let b = Bounds::uniform(1, -1.0, 1.0);
-        let cfg = SaConfig {
-            t0: 5.0,
-            max_evals: 2000,
-            ..Default::default()
-        };
-        let r = simulated_annealing(|x| x[0] * x[0], &b, &cfg);
-        assert!(r.value < 1e-2);
     }
 }

@@ -38,7 +38,6 @@ pub fn weighted_sum_sweep(
             let cfg = DeConfig {
                 max_evals: max_evals_each,
                 seed: seed.wrapping_add(k as u64),
-                ..Default::default()
             };
             let r = differential_evolution(scalar, bounds, &cfg);
             let f = objectives(&r.x);
@@ -85,7 +84,6 @@ pub fn epsilon_constraint_sweep(
             let cfg = DeConfig {
                 max_evals: max_evals_each,
                 seed: seed.wrapping_add(1000 + k as u64),
-                ..Default::default()
             };
             let r = differential_evolution(scalar, bounds, &cfg);
             let f = objectives(&r.x);

@@ -32,7 +32,7 @@ fn zdt1(x: &[f64]) -> Vec<f64> {
 /// node interning and the MNA branch-current assignment, both of which
 /// must stamp in a deterministic order (sorted maps, never a hasher).
 fn dc_operating_point() -> Vec<f64> {
-    use rfkit_circuit::{solve_dc, Circuit, RetryPolicy};
+    use rfkit_circuit::{solve_dc, Circuit};
     use rfkit_device::dc::{Angelov, DcModel};
     let mut c = Circuit::new();
     c.vsource("vdd", "gnd", 5.0)
@@ -49,7 +49,7 @@ fn dc_operating_point() -> Vec<f64> {
             Box::new(Angelov),
             Angelov.default_params(),
         );
-    let sol = solve_dc(&c, &RetryPolicy::default()).expect("bias point converges");
+    let sol = solve_dc(&c).expect("bias point converges");
     let mut out = sol.voltages;
     out.extend(sol.fet_currents);
     out
@@ -79,7 +79,6 @@ fn fixed_seed_output_identical_at_1_and_4_threads() {
             &DeConfig {
                 max_evals: 3000,
                 seed: 0xd5,
-                ..Default::default()
             },
         );
         let pso = particle_swarm(
@@ -88,7 +87,6 @@ fn fixed_seed_output_identical_at_1_and_4_threads() {
             &PsoConfig {
                 max_evals: 3000,
                 seed: 0xd6,
-                ..Default::default()
             },
         );
         let moo = nsga2(

@@ -46,7 +46,6 @@ fn optimizers_respect_bounds() {
             &DeConfig {
                 max_evals: 500,
                 seed: case,
-                ..Default::default()
             },
         );
         assert!(bounds.contains(&de.x), "DE left the box: {:?}", de.x);
@@ -54,10 +53,7 @@ fn optimizers_respect_bounds() {
             f,
             &bounds.center(),
             &bounds,
-            &NelderMeadConfig {
-                max_evals: 300,
-                ..Default::default()
-            },
+            &NelderMeadConfig { max_evals: 300 },
         );
         assert!(bounds.contains(&nm.x));
         let ps = pattern_search(
@@ -81,15 +77,7 @@ fn optimizer_result_never_worse_than_start() {
         let f = |x: &[f64]| x.iter().map(|v| v.sin() + v * v * 0.1).sum::<f64>();
         let start = bounds.center();
         let f_start = f(&start);
-        let nm = nelder_mead(
-            f,
-            &start,
-            &bounds,
-            &NelderMeadConfig {
-                max_evals: 200,
-                ..Default::default()
-            },
-        );
+        let nm = nelder_mead(f, &start, &bounds, &NelderMeadConfig { max_evals: 200 });
         assert!(nm.value <= f_start + 1e-12);
         let ps = pattern_search(
             f,
@@ -237,7 +225,6 @@ fn de_is_deterministic_per_seed() {
         let cfg = DeConfig {
             max_evals: 400,
             seed,
-            ..Default::default()
         };
         let a = differential_evolution(f, &bounds, &cfg);
         let b = differential_evolution(f, &bounds, &cfg);

@@ -1,7 +1,7 @@
 //! # rfkit-robust
 //!
-//! Fault tolerance for the workspace's solvers: retry policies, a
-//! structured solve-error taxonomy with provenance, degradation
+//! Fault tolerance for the workspace's solvers: the DC fallback ladder's
+//! stages, a structured solve-error taxonomy with provenance, degradation
 //! accounting for sweep-style analyses, and a deterministic
 //! fault-injection harness (compiled in only under the `rfkit-faults`
 //! feature) that lets tests force the rare failure paths on demand.
@@ -33,8 +33,7 @@ use std::fmt;
 /// A rung of the DC fallback ladder, in escalation order.
 ///
 /// Each stage restarts from the same initial iterate, so the result of a
-/// solve is a pure function of (circuit, policy, first stage that
-/// succeeds) — a later rung never inherits state from a failed earlier
+/// solve is a pure function of (circuit, first stage that succeeds) — a later rung never inherits state from a failed earlier
 /// rung except through the homotopy continuation *inside* a stage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SolveStage {
@@ -102,23 +101,13 @@ pub enum SolveError {
         /// residual itself went non-finite).
         residual: f64,
     },
-    /// The linearized system was singular at some iterate in every rung
-    /// that ran (floating node, source loop, or an injected LU fault).
+    /// The linearized system was singular at some iterate of the last
+    /// rung (floating node, source loop, or an injected LU fault).
     SingularSystem {
         /// Last ladder stage attempted.
         stage: SolveStage,
         /// Total Newton iterations spent across all stages so far.
         iterations: usize,
-    },
-    /// The cross-stage iteration budget ([`RetryPolicy::max_total_iters`])
-    /// ran out before any rung finished.
-    BudgetExhausted {
-        /// Stage that was running when the budget expired.
-        stage: SolveStage,
-        /// Total Newton iterations spent (equals the budget).
-        iterations: usize,
-        /// Residual norm when the budget expired.
-        residual: f64,
     },
 }
 
@@ -126,9 +115,9 @@ impl SolveError {
     /// The ladder stage the error came from.
     pub fn stage(&self) -> SolveStage {
         match self {
-            SolveError::NonConvergence { stage, .. }
-            | SolveError::SingularSystem { stage, .. }
-            | SolveError::BudgetExhausted { stage, .. } => *stage,
+            SolveError::NonConvergence { stage, .. } | SolveError::SingularSystem { stage, .. } => {
+                *stage
+            }
         }
     }
 
@@ -136,16 +125,14 @@ impl SolveError {
     pub fn iterations(&self) -> usize {
         match self {
             SolveError::NonConvergence { iterations, .. }
-            | SolveError::SingularSystem { iterations, .. }
-            | SolveError::BudgetExhausted { iterations, .. } => *iterations,
+            | SolveError::SingularSystem { iterations, .. } => *iterations,
         }
     }
 
     /// Residual norm at the failure point, when one exists.
     pub fn residual(&self) -> Option<f64> {
         match self {
-            SolveError::NonConvergence { residual, .. }
-            | SolveError::BudgetExhausted { residual, .. } => Some(*residual),
+            SolveError::NonConvergence { residual, .. } => Some(*residual),
             SolveError::SingularSystem { .. } => None,
         }
     }
@@ -167,71 +154,11 @@ impl fmt::Display for SolveError {
                 f,
                 "singular system after {iterations} iterations (last stage {stage})"
             ),
-            SolveError::BudgetExhausted {
-                stage,
-                iterations,
-                residual,
-            } => write!(
-                f,
-                "iteration budget exhausted at {iterations} iterations \
-                 (in stage {stage}, residual {residual:.3e})"
-            ),
         }
     }
 }
 
 impl std::error::Error for SolveError {}
-
-/// Budgets driving the DC fallback ladder.
-///
-/// All budgets count Newton iterations, not wall-clock time — see the
-/// crate docs for why time budgets are banned. `max_attempts` bounds how
-/// many rungs of [`SolveStage::LADDER`] are tried; `max_total_iters` is a
-/// cross-stage ceiling that turns a pathological circuit into a prompt
-/// [`SolveError::BudgetExhausted`] instead of a long crawl through every
-/// homotopy level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Ladder rungs to attempt (1–4); 1 = plain Newton only.
-    pub max_attempts: usize,
-    /// Iteration budget of the plain-Newton rung.
-    pub plain_iters: usize,
-    /// Iteration budget of the damped-Newton rung.
-    pub damped_iters: usize,
-    /// Iteration budget of each homotopy *level* (gmin decade or source
-    /// fraction).
-    pub homotopy_iters: usize,
-    /// Gmin decades stepped from 1e-2 S down before the exact final solve.
-    pub gmin_steps: usize,
-    /// Source-ramp levels (the last level is exactly 100 %).
-    pub source_steps: usize,
-    /// Cross-stage Newton-iteration ceiling.
-    pub max_total_iters: usize,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 4,
-            plain_iters: 50,
-            damped_iters: 200,
-            homotopy_iters: 80,
-            gmin_steps: 6,
-            source_steps: 8,
-            max_total_iters: 4000,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// A policy that only runs the first `n` rungs of the ladder.
-    pub fn first_stages(n: usize) -> Self {
-        RetryPolicy {
-            max_attempts: n.clamp(1, SolveStage::LADDER.len()),
-            ..Default::default()
-        }
-    }
-}
 
 /// One failed point of a sweep-style analysis (band grid point, yield
 /// unit), recorded instead of poisoning the whole run.
@@ -331,24 +258,6 @@ mod tests {
         };
         assert_eq!(s.residual(), None);
         assert!(s.to_string().contains("singular"));
-
-        let b = SolveError::BudgetExhausted {
-            stage: SolveStage::GminStepping,
-            iterations: 100,
-            residual: 0.5,
-        };
-        assert!(b.to_string().contains("budget exhausted"));
-        assert_eq!(b.stage(), SolveStage::GminStepping);
-    }
-
-    #[test]
-    fn policy_defaults_and_clamping() {
-        let p = RetryPolicy::default();
-        assert_eq!(p.max_attempts, 4);
-        assert!(p.max_total_iters >= p.plain_iters + p.damped_iters);
-        assert_eq!(RetryPolicy::first_stages(0).max_attempts, 1);
-        assert_eq!(RetryPolicy::first_stages(9).max_attempts, 4);
-        assert_eq!(RetryPolicy::first_stages(2).max_attempts, 2);
     }
 
     #[test]

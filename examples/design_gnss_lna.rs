@@ -9,7 +9,7 @@ use lna::{
     cached_sweep, design_lna, measure, output_match_network, Amplifier, BuildConfig,
     BuiltAmplifier, DesignConfig, DesignGoals,
 };
-use rfkit_circuit::{solve_dc, AcWorkspace, Circuit, RetryPolicy};
+use rfkit_circuit::{solve_dc, AcWorkspace, Circuit};
 use rfkit_device::dc::{Angelov, DcModel};
 use rfkit_device::Phemt;
 use rfkit_num::linspace;
@@ -58,7 +58,7 @@ fn main() {
             Box::new(Angelov),
             Angelov.default_params(),
         );
-    let bias_sol = solve_dc(&bias, &RetryPolicy::default()).expect("bias network converges");
+    let bias_sol = solve_dc(&bias).expect("bias network converges");
     println!(
         "bias network: {} Newton iteration(s), drain current {:.1} mA",
         bias_sol.iterations,

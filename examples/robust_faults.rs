@@ -21,7 +21,7 @@ fn main() {
 #[cfg(feature = "rfkit-faults")]
 fn main() {
     use lna::{Amplifier, BandMetrics, BandSpec, DegradePolicy, DesignVariables};
-    use rfkit_circuit::dc::{RetryPolicy, SolveStage};
+    use rfkit_circuit::dc::SolveStage;
     use rfkit_circuit::{solve_dc, Circuit};
     use rfkit_robust::faults::{self, FaultKind, FaultPlan};
 
@@ -41,8 +41,7 @@ fn main() {
             params,
         );
 
-    let policy = RetryPolicy::default();
-    let healthy = solve_dc(&c, &policy).expect("healthy solve");
+    let healthy = solve_dc(&c).expect("healthy solve");
     println!(
         "healthy DC solve: stage = {}, attempts = {}, iterations = {}",
         healthy.stage, healthy.attempts, healthy.iterations
@@ -56,7 +55,7 @@ fn main() {
                 .fail_all("dc.newton.plain", FaultKind::Stagnate)
                 .fail_all("dc.newton.damped", FaultKind::Stagnate),
         );
-        let sol = solve_dc(&c, &policy).expect("gmin rung recovers");
+        let sol = solve_dc(&c).expect("gmin rung recovers");
         println!(
             "with plain+damped Newton dead: stage = {}, attempts = {}, plain hook fired {}x",
             sol.stage,
@@ -110,7 +109,7 @@ fn main() {
     }
 
     // 3. Faults disarmed: the recovered world is the healthy world.
-    let recovered = solve_dc(&c, &policy).expect("recovered solve");
+    let recovered = solve_dc(&c).expect("recovered solve");
     assert_eq!(recovered, healthy, "recovery must be bit-identical");
     let full = BandMetrics::evaluate(&amp, &band).expect("complete sweep");
     println!(

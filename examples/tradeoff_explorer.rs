@@ -41,7 +41,6 @@ fn main() {
                 seed: k as u64,
                 multistart: 1,
                 global_fraction: 0.7,
-                ..Default::default()
             },
         );
         println!(

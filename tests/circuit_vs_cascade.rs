@@ -84,7 +84,7 @@ fn biased_fet_netlist_matches_analytic_bias_and_gain() {
             Box::new(Angelov),
             device.dc_params.clone(),
         );
-    let sol = rfkit_circuit::solve_dc(&dc_net, &rfkit_circuit::RetryPolicy::default()).unwrap();
+    let sol = rfkit_circuit::solve_dc(&dc_net).unwrap();
     let ids = sol.fet_currents[0];
     assert!((ids - 0.05).abs() < 1e-4, "netlist bias: {ids}");
 

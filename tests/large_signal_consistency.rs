@@ -3,7 +3,7 @@
 //! agree where their assumptions overlap, and diverge exactly where the
 //! physics says they should.
 
-use rfkit_circuit::hb::{solve, HbConfig, HbTestbench};
+use rfkit_circuit::hb::{solve, HbTestbench};
 use rfkit_circuit::{p1db, power_series, single_tone, time_domain, TwoToneSpec};
 use rfkit_device::Phemt;
 use rfkit_num::units::dbm_from_watts;
@@ -32,7 +32,7 @@ fn hb_matches_fixed_vds_when_load_swing_is_removed() {
         load: Box::new(|_| Complex::new(1e-3, 0.0)),
     };
     let a = 0.15; // well into the nonlinear region
-    let sol = solve(&bench, a, &HbConfig::default()).expect("converges");
+    let sol = solve(&bench, a).expect("converges");
     // Fixed-Vds fundamental current amplitude at the same drive: recompute
     // the spectral component via the single-tone helper with its load set
     // to 50 Ω (the load only scales power, not the current).
@@ -68,10 +68,9 @@ fn loaded_hb_compresses_harder_than_fixed_vds() {
         r_dc_feed: 20.0,
         load: Box::new(move |_| Complex::real(r_load)),
     };
-    let cfg = HbConfig::default();
     let gain_drop = |a_small: f64, a_large: f64| {
-        let s = solve(&bench, a_small, &cfg).unwrap();
-        let l = solve(&bench, a_large, &cfg).unwrap();
+        let s = solve(&bench, a_small).unwrap();
+        let l = solve(&bench, a_large).unwrap();
         20.0 * (s.i_d[1].abs() / a_small).log10() - 20.0 * (l.i_d[1].abs() / a_large).log10()
     };
     let hb_compression = gain_drop(1e-3, 0.25);
